@@ -136,3 +136,32 @@ func TestRouteKeyTimeoutInvariant(t *testing.T) {
 		t.Fatal("distinct seeds share a routing key")
 	}
 }
+
+// TestRouteKeyGolden pins Gateway.routeKey for two fully populated
+// requests, one per fidelity: routing keys hash the request's JSON
+// encoding, so a change to the request type's shape would move every
+// placement (and with it every worker's warm cache).
+func TestRouteKeyGolden(t *testing.T) {
+	g := newTestGateway(t, Config{Fingerprint: "golden-fp"})
+	reqs := []serve.LoadRequest{
+		{
+			Page: "Alipay", CoRunner: "srad", Governor: "ondemand", FreqMHz: 0,
+			DeadlineMs: 2500, DecisionIntervalMs: 40, WarmupMs: 300, MaxLoadMs: 20000,
+			Seed: 12345, AmbientC: 31.5, TimeoutMs: 9000, Fidelity: "exact",
+		},
+		{
+			Page: "Reddit", CoRunner: "kmeans", Governor: "fixed", FreqMHz: 1190,
+			DeadlineMs: 3100, DecisionIntervalMs: 25, WarmupMs: 750, MaxLoadMs: 15000,
+			Seed: -77, AmbientC: 18.25, TimeoutMs: 4000, Fidelity: "sampled",
+		},
+	}
+	want := []string{
+		"ea6ad51e1f9d3972b604cb41fdfdf56d256ae23ccca46160f5dccc3404979d92",
+		"5d1884e84b0fadd8b013969d18c8aceb022f4d665d616ccc3348b25b8cdf43cf",
+	}
+	for i, req := range reqs {
+		if got := g.routeKey(req); got != want[i] {
+			t.Errorf("routeKey(%s/%s) = %s, want %s", req.Page, req.Fidelity, got, want[i])
+		}
+	}
+}

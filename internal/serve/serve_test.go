@@ -583,3 +583,36 @@ func lruDevice() soc.Config {
 	cfg.L2Replacement = cache.LRU
 	return cfg
 }
+
+// goldenKeyRequests are two fully populated load requests, one per
+// fidelity, whose cache and routing keys are pinned below: runcache.Key
+// hashes the request's JSON encoding, so any change to the request
+// type's field names, order, tags, or types would silently orphan every
+// on-disk cache entry and move every routing placement.
+var goldenKeyRequests = []LoadRequest{
+	{
+		Page: "Alipay", CoRunner: "srad", Governor: "ondemand", FreqMHz: 0,
+		DeadlineMs: 2500, DecisionIntervalMs: 40, WarmupMs: 300, MaxLoadMs: 20000,
+		Seed: 12345, AmbientC: 31.5, TimeoutMs: 9000, Fidelity: "exact",
+	},
+	{
+		Page: "Reddit", CoRunner: "kmeans", Governor: "fixed", FreqMHz: 1190,
+		DeadlineMs: 3100, DecisionIntervalMs: 25, WarmupMs: 750, MaxLoadMs: 15000,
+		Seed: -77, AmbientC: 18.25, TimeoutMs: 4000, Fidelity: "sampled",
+	},
+}
+
+// TestLoadKeyGolden pins Server.loadKey for goldenKeyRequests on the
+// default device.
+func TestLoadKeyGolden(t *testing.T) {
+	s := NewServer(Config{})
+	want := []string{
+		"a6b3bddb01323e199fd5fe6cdfa0ea7f1826ed6580ef9524e9ea5b2f603e5fc2",
+		"cdbd6af1be5b92bb19239d1e48c88335e9ea206be06b8a91d5c83dca1065fcac",
+	}
+	for i, req := range goldenKeyRequests {
+		if got := s.loadKey(req); got != want[i] {
+			t.Errorf("loadKey(%s/%s) = %s, want %s", req.Page, req.Fidelity, got, want[i])
+		}
+	}
+}
