@@ -15,7 +15,6 @@ import (
 
 	"dora/internal/clock"
 	"dora/internal/obslog"
-	"dora/internal/pool"
 	"dora/internal/runcache"
 	"dora/internal/serve"
 	"dora/internal/telemetry"
@@ -108,6 +107,8 @@ type Gateway struct {
 	alog   *obslog.Logger
 	mono   clock.MonoClock
 
+	retryAfterSecs int // Retry-After on 429/503, cfg.RetryAfter in whole seconds
+
 	fpMu sync.Mutex
 	fp   string
 
@@ -170,6 +171,8 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		mono:          clock.MonoOr(cfg.Mono),
 		fp:            cfg.Fingerprint,
 		streamClients: make(map[string]*wire.Client),
+
+		retryAfterSecs: int(cfg.RetryAfter.Round(time.Second) / time.Second),
 
 		mRequests:   reg.Counter("dora_gate_requests_total", "requests received by the gateway (load + campaign)"),
 		mForwards:   reg.Counter("dora_gate_forwards_total", "forward attempts to workers"),
@@ -297,8 +300,8 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/healthz", g.handleHealthz)
 	mux.Handle("/metrics", g.reg.Handler())
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		g.writeError(w, &serve.APIError{Status: http.StatusNotFound, Code: serve.CodeNotFound,
-			Message: fmt.Sprintf("no route %s %s", r.Method, r.URL.Path)})
+		serve.WriteError(w, &serve.APIError{Status: http.StatusNotFound, Code: serve.CodeNotFound,
+			Message: fmt.Sprintf("no route %s %s", r.Method, r.URL.Path)}, g.retryAfterSecs)
 	})
 	return mux
 }
@@ -341,7 +344,7 @@ func (g *Gateway) executeLoad(ctx context.Context, req serve.LoadRequest) (forwa
 	attempts := 0
 	for _, name := range rank {
 		if ctx.Err() != nil {
-			return forwarded{}, ctxErrToAPI(ctx)
+			return forwarded{}, serve.CtxErrToAPI(ctx)
 		}
 		attempts++
 		if attempts > 1 {
@@ -372,13 +375,6 @@ func (g *Gateway) executeLoad(ctx context.Context, req serve.LoadRequest) (forwa
 func (g *Gateway) noWorkersErr() *serve.APIError {
 	return &serve.APIError{Status: http.StatusServiceUnavailable, Code: CodeNoWorkers,
 		Message: "no live workers (all drained, evicted, or failing); retry shortly"}
-}
-
-func ctxErrToAPI(ctx context.Context) *serve.APIError {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return &serve.APIError{Status: http.StatusGatewayTimeout, Code: serve.CodeDeadline, Message: "request deadline expired"}
-	}
-	return &serve.APIError{Status: 499, Code: serve.CodeClientClosed, Message: "client closed request"}
 }
 
 // retryableStatus reports whether a worker's HTTP status should send
@@ -458,7 +454,7 @@ func (g *Gateway) forwardJSON(ctx context.Context, name string, req serve.LoadRe
 // unless it was our own context expiring.
 func (g *Gateway) transportFailure(ctx context.Context, name string, err error) (forwarded, *serve.APIError, bool) {
 	if ctx.Err() != nil && errors.Is(err, context.Canceled) {
-		return forwarded{}, ctxErrToAPI(ctx), false
+		return forwarded{}, serve.CtxErrToAPI(ctx), false
 	}
 	g.mFwdErrors.Inc()
 	g.ms.ReportFailure(name)
@@ -479,7 +475,7 @@ func (g *Gateway) forwardStream(ctx context.Context, name string, req serve.Load
 	if err != nil {
 		return g.transportFailure(ctx, name, err)
 	}
-	payload, source, err := c.Load(ctx, wireLoadRequest(req))
+	payload, source, err := c.Load(ctx, &req)
 	if err == nil {
 		return forwarded{status: http.StatusOK, body: payload, source: source, fidelity: req.Fidelity}, nil, false
 	}
@@ -501,31 +497,12 @@ func (g *Gateway) forwardStream(ctx context.Context, name string, req serve.Load
 			g.dropStreamClient(name, c)
 			return g.transportFailure(context.Background(), name, err)
 		}
-		return forwarded{}, ctxErrToAPI(ctx), false
+		return forwarded{}, serve.CtxErrToAPI(ctx), false
 	}
 	// Connection-level failure: drop the client so the next attempt
 	// redials, and count it against the member.
 	g.dropStreamClient(name, c)
 	return g.transportFailure(ctx, name, err)
-}
-
-// wireLoadRequest converts serve's canonical request to the wire
-// codec's field-identical form.
-func wireLoadRequest(req serve.LoadRequest) *wire.LoadRequest {
-	return &wire.LoadRequest{
-		Page:               req.Page,
-		CoRunner:           req.CoRunner,
-		Governor:           req.Governor,
-		FreqMHz:            req.FreqMHz,
-		DeadlineMs:         req.DeadlineMs,
-		DecisionIntervalMs: req.DecisionIntervalMs,
-		WarmupMs:           req.WarmupMs,
-		MaxLoadMs:          req.MaxLoadMs,
-		Seed:               req.Seed,
-		AmbientC:           req.AmbientC,
-		TimeoutMs:          req.TimeoutMs,
-		Fidelity:           req.Fidelity,
-	}
 }
 
 // streamClient returns the live wire client for a worker, dialing
@@ -570,51 +547,31 @@ func (g *Gateway) dropStreamClient(name string, c *wire.Client) {
 
 // --- handlers ---------------------------------------------------------
 
-func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *serve.APIError) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, &serve.APIError{Status: http.StatusRequestEntityTooLarge, Code: serve.CodePayloadLarge,
-				Message: fmt.Sprintf("request body over %d bytes", tooBig.Limit)}
-		}
-		return nil, &serve.APIError{Status: http.StatusBadRequest, Code: serve.CodeBadRequest, Message: "read body: " + err.Error()}
-	}
-	return data, nil
-}
-
-func (g *Gateway) requestCtx(r *http.Request, timeoutMs int64) (context.Context, context.CancelFunc) {
-	if timeoutMs <= 0 {
-		return r.Context(), func() {}
-	}
-	return context.WithTimeout(r.Context(), time.Duration(timeoutMs)*time.Millisecond)
-}
-
 func (g *Gateway) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		g.writeError(w, &serve.APIError{Status: http.StatusMethodNotAllowed, Code: serve.CodeMethod, Message: "POST required"})
+		serve.WriteError(w, &serve.APIError{Status: http.StatusMethodNotAllowed, Code: serve.CodeMethod, Message: "POST required"}, g.retryAfterSecs)
 		return
 	}
 	g.mRequests.Inc()
 	start := g.mono.MonoNow()
-	data, apiErr := g.readBody(w, r)
+	data, apiErr := serve.ReadBody(w, r, g.cfg.MaxBodyBytes)
 	if apiErr != nil {
-		g.writeError(w, apiErr)
+		serve.WriteError(w, apiErr, g.retryAfterSecs)
 		return
 	}
 	req, apiErr := serve.DecodeLoadRequestDefault(data, g.cfg.DefaultFidelity)
 	if apiErr != nil {
-		g.writeError(w, apiErr)
+		serve.WriteError(w, apiErr, g.retryAfterSecs)
 		return
 	}
-	ctx, cancel := g.requestCtx(r, req.TimeoutMs)
+	ctx, cancel := serve.RequestCtx(r.Context(), req.TimeoutMs, 0)
 	defer cancel()
 
 	fwd, apiErr := g.executeLoad(ctx, req)
 	status := http.StatusOK
 	if apiErr != nil {
 		status = apiErr.Status
-		g.writeError(w, apiErr)
+		serve.WriteError(w, apiErr, g.retryAfterSecs)
 	} else {
 		h := w.Header()
 		h.Set("Content-Type", "application/json")
@@ -634,58 +591,49 @@ func (g *Gateway) handleLoad(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		g.writeError(w, &serve.APIError{Status: http.StatusMethodNotAllowed, Code: serve.CodeMethod, Message: "POST required"})
+		serve.WriteError(w, &serve.APIError{Status: http.StatusMethodNotAllowed, Code: serve.CodeMethod, Message: "POST required"}, g.retryAfterSecs)
 		return
 	}
 	g.mRequests.Inc()
 	start := g.mono.MonoNow()
-	data, apiErr := g.readBody(w, r)
+	data, apiErr := serve.ReadBody(w, r, g.cfg.MaxBodyBytes)
 	if apiErr != nil {
-		g.writeError(w, apiErr)
+		serve.WriteError(w, apiErr, g.retryAfterSecs)
 		return
 	}
 	req, cells, apiErr := serve.DecodeCampaignRequestDefault(data, g.cfg.DefaultFidelity)
 	if apiErr != nil {
-		g.writeError(w, apiErr)
+		serve.WriteError(w, apiErr, g.retryAfterSecs)
 		return
 	}
-	ctx, cancel := g.requestCtx(r, req.TimeoutMs)
+	ctx, cancel := serve.RequestCtx(r.Context(), req.TimeoutMs, 0)
 	defer cancel()
 
 	// Fan the grid out across the cluster: each cell routes by its own
-	// key (the grid-derived seed spreads neighbouring cells), fails
-	// over per cell, and lands at its grid index — the aggregate is
-	// byte-identical to a single node's at any width and any failure
-	// pattern that leaves at least one worker per key.
+	// key (the grid-derived seed spreads neighbouring cells) and fails
+	// over per cell, so the aggregate is byte-identical to a single
+	// node's at any width and any failure pattern that leaves at least
+	// one worker per key.
 	out := make([]serve.CampaignCell, len(cells))
 	sources := make([]string, len(cells))
-	_ = pool.Run(len(cells), g.cfg.Fanout, func(i int) error {
-		lr := cells[i]
-		cell := serve.CampaignCell{Page: lr.Page, CoRunner: lr.CoRunner, Governor: lr.Governor, Seed: lr.Seed}
-		if ctx.Err() != nil {
-			cell.Error = ctxErrToAPI(ctx)
-		} else {
-			fwd, apiErr := g.executeLoad(ctx, lr)
-			if apiErr != nil {
-				cell.Error = apiErr
-			} else {
-				cell.Result = fwd.body
-				sources[i] = fwd.source
-			}
-		}
+	forward := func(ctx context.Context, lr serve.LoadRequest) ([]byte, string, *serve.APIError) {
+		fwd, apiErr := g.executeLoad(ctx, lr)
+		return fwd.body, fwd.source, apiErr
+	}
+	apiErr = serve.RunCampaign(ctx, cells, g.cfg.Fanout, forward, func(i int, cell serve.CampaignCell, source string) {
 		out[i] = cell
-		return nil
+		sources[i] = source
 	})
-	if ctx.Err() != nil {
-		g.writeError(w, ctxErrToAPI(ctx))
-		g.observe("campaign", http.StatusGatewayTimeout, "", 0, start)
+	if apiErr != nil {
+		serve.WriteError(w, apiErr, g.retryAfterSecs)
+		g.observe("campaign", apiErr.Status, "", 0, start)
 		return
 	}
 	g.mCells.Add(uint64(len(cells)))
 	if agg := serve.AggregateSource(sources); agg != "" {
 		w.Header().Set(serve.SourceHeader, agg)
 	}
-	g.writeJSON(w, http.StatusOK, serve.CampaignResponse{Cells: out})
+	serve.WriteJSON(w, http.StatusOK, serve.CampaignResponse{Cells: out})
 	g.observe("campaign", http.StatusOK, "", 0, start)
 }
 
@@ -694,7 +642,7 @@ func (g *Gateway) handleCampaign(w http.ResponseWriter, r *http.Request) {
 // re-route-and-retry as the simulation path.
 func (g *Gateway) handlePages(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		g.writeError(w, &serve.APIError{Status: http.StatusMethodNotAllowed, Code: serve.CodeMethod, Message: "GET required"})
+		serve.WriteError(w, &serve.APIError{Status: http.StatusMethodNotAllowed, Code: serve.CodeMethod, Message: "GET required"}, g.retryAfterSecs)
 		return
 	}
 	for _, name := range Rank("v1-pages", g.ms.Live()) {
@@ -724,15 +672,15 @@ func (g *Gateway) handlePages(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.mNoWorkers.Inc()
-	g.writeError(w, g.noWorkersErr())
+	serve.WriteError(w, g.noWorkersErr(), g.retryAfterSecs)
 }
 
 func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		g.writeError(w, &serve.APIError{Status: http.StatusMethodNotAllowed, Code: serve.CodeMethod, Message: "GET required"})
+		serve.WriteError(w, &serve.APIError{Status: http.StatusMethodNotAllowed, Code: serve.CodeMethod, Message: "GET required"}, g.retryAfterSecs)
 		return
 	}
-	g.writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"fingerprint": g.fingerprint(),
 		"transport":   g.cfg.Transport,
 		"members":     g.ms.Snapshot(),
@@ -758,29 +706,12 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// bring a worker back.
 		status, code = "no_workers", http.StatusServiceUnavailable
 	}
-	g.writeJSON(w, code, map[string]any{
+	serve.WriteJSON(w, code, map[string]any{
 		"status":   status,
 		"role":     "gateway",
 		"workers":  map[string]int{"alive": alive, "draining": draining, "dead": dead},
 		"requests": g.mRequests.Value(),
 	})
-}
-
-// --- response writing -------------------------------------------------
-
-func (g *Gateway) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func (g *Gateway) writeError(w http.ResponseWriter, apiErr *serve.APIError) {
-	switch apiErr.Status {
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		w.Header().Set("Retry-After", strconv.Itoa(int(g.cfg.RetryAfter.Round(time.Second)/time.Second)))
-	}
-	w.Header().Set(serve.ErrorCodeHeader, apiErr.Code)
-	g.writeJSON(w, apiErr.Status, map[string]any{"error": apiErr})
 }
 
 // observe emits the per-request access line and latency sample.

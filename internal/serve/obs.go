@@ -14,6 +14,7 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -65,21 +66,7 @@ var (
 // newRequestID mints a process-unique request ID: 8 hex chars of boot
 // entropy plus a sequence number.
 func newRequestID() string {
-	return ridPrefix + "-" + uitoa(ridSeq.Add(1))
-}
-
-// uitoa is strconv.FormatUint without the import churn at call sites.
-func uitoa(v uint64) string {
-	var buf [20]byte
-	i := len(buf)
-	for {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			return string(buf[i:])
-		}
-	}
+	return ridPrefix + "-" + strconv.FormatUint(ridSeq.Add(1), 10)
 }
 
 // validRequestID accepts propagated IDs that are short and token-like
@@ -101,14 +88,40 @@ func validRequestID(id string) bool {
 	return true
 }
 
-// reqObs is the per-request observability record, carried through the
-// handler via context so admission and simulation can report into the
-// access-log line the middleware writes at the end. simNanos is an
-// atomic because campaign cells accumulate into it from pool workers.
+// reqObs is the per-request observability record. The transport that
+// serves a request (the JSON middleware or the stream handler) creates
+// it, admission and simulation report into it through the context, and
+// the transport fills in the outcome before logRequest turns it into
+// metrics and one access line. simNanos is an atomic because campaign
+// cells accumulate into it from pool workers.
 type reqObs struct {
 	id        string
+	start     clock.MonoTime
 	queueWait time.Duration
 	simNanos  atomic.Int64
+	// timed marks a load or campaign that got past the drain check;
+	// only those feed dora_serve_request_seconds.
+	timed bool
+
+	method, path, endpoint string
+	status                 int
+	code, source, fidelity string
+	bytes                  int64
+}
+
+// newReqObs starts a request's record; its outcome stays 200 unless
+// the transport records otherwise.
+func (s *Server) newReqObs(id, method, path, endpoint string) *reqObs {
+	return &reqObs{id: id, start: s.mono.MonoNow(), method: method, path: path, endpoint: endpoint, status: http.StatusOK}
+}
+
+// countRequest counts one simulation request (load or campaign, either
+// transport) that got past the drain check.
+func (s *Server) countRequest(obs *reqObs) {
+	s.mRequests.Inc()
+	if obs != nil {
+		obs.timed = true
+	}
 }
 
 type obsKey struct{}
@@ -229,20 +242,18 @@ func (sr *statusRecorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
 }
 
 // withObs wraps the route table with the observability middleware:
-// request-ID assignment, per-endpoint latency/status metrics, queue
-// depth sampling, and one access-log line per request.
+// request-ID assignment, queue depth sampling, and — through
+// logRequest — per-endpoint metrics and one access-log line per
+// request.
 func (s *Server) withObs(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := s.mono.MonoNow()
 		rid := r.Header.Get(RequestIDHeader)
 		if !validRequestID(rid) {
 			rid = newRequestID()
 		}
-		obs := &reqObs{id: rid}
+		obs := s.newReqObs(rid, r.Method, r.URL.Path, endpointOf(r.URL.Path))
 		r = r.WithContext(context.WithValue(r.Context(), obsKey{}, obs))
 		w.Header().Set(RequestIDHeader, rid)
-
-		ep := endpointOf(r.URL.Path)
 		s.obs.queueDepth.Observe(float64(s.queued.Load()))
 
 		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
@@ -250,42 +261,59 @@ func (s *Server) withObs(h http.Handler) http.Handler {
 
 		if sr.hijacked {
 			// The connection was upgraded to the stream transport,
-			// which emits its own per-logical-request access lines and
-			// metrics; a per-connection latency sample here would just
-			// record connection lifetime.
+			// which records each logical request itself; a
+			// per-connection record here would just measure connection
+			// lifetime.
 			return
 		}
-
-		elapsed := clock.MonoSince(s.mono, start)
-		if m := s.obs.endpoints[ep]; m != nil {
-			m.reqs.Inc()
-			m.latency.Observe(elapsed.Seconds())
-			if class := sr.status/100 - 2; class >= 0 && class < len(m.status) {
-				m.status[class].Inc()
-			}
-		}
-
-		outcome := "ok"
-		if code := sr.Header().Get(ErrorCodeHeader); code != "" {
-			outcome = code
-		} else if sr.status >= 400 {
-			outcome = "error"
-		}
-		s.alog.Info().
-			Str("rid", rid).
-			Str("method", r.Method).
-			Str("path", r.URL.Path).
-			Str("endpoint", ep).
-			Int("status", sr.status).
-			Str("outcome", outcome).
-			Str("source", sr.Header().Get(SourceHeader)).
-			Str("fidelity", sr.Header().Get(FidelityHeader)).
-			Dur("queue_wait_ms", obs.queueWait).
-			Dur("sim_ms", time.Duration(obs.simNanos.Load())).
-			Dur("total_ms", elapsed).
-			Int64("bytes", sr.bytes).
-			Msg("request")
+		obs.status, obs.bytes = sr.status, sr.bytes
+		obs.code = sr.Header().Get(ErrorCodeHeader)
+		obs.source = sr.Header().Get(SourceHeader)
+		obs.fidelity = sr.Header().Get(FidelityHeader)
+		s.logRequest(obs)
 	})
+}
+
+// logRequest is the one access path both transports end a request
+// with: the endpoint's latency and status-class metrics,
+// dora_serve_request_seconds for simulation requests, the 504 counter,
+// and one access-log line.
+func (s *Server) logRequest(obs *reqObs) {
+	elapsed := clock.MonoSince(s.mono, obs.start)
+	if obs.timed {
+		s.hLatency.Observe(elapsed.Seconds())
+	}
+	if obs.status == http.StatusGatewayTimeout {
+		s.mDeadline.Inc()
+	}
+	if m := s.obs.endpoints[obs.endpoint]; m != nil {
+		m.reqs.Inc()
+		m.latency.Observe(elapsed.Seconds())
+		if class := obs.status/100 - 2; class >= 0 && class < len(m.status) {
+			m.status[class].Inc()
+		}
+	}
+
+	outcome := "ok"
+	if obs.code != "" {
+		outcome = obs.code
+	} else if obs.status >= 400 {
+		outcome = "error"
+	}
+	s.alog.Info().
+		Str("rid", obs.id).
+		Str("method", obs.method).
+		Str("path", obs.path).
+		Str("endpoint", obs.endpoint).
+		Int("status", obs.status).
+		Str("outcome", outcome).
+		Str("source", obs.source).
+		Str("fidelity", obs.fidelity).
+		Dur("queue_wait_ms", obs.queueWait).
+		Dur("sim_ms", time.Duration(obs.simNanos.Load())).
+		Dur("total_ms", elapsed).
+		Int64("bytes", obs.bytes).
+		Msg("request")
 }
 
 // buildVersion resolves the daemon's version string from the embedded
@@ -331,7 +359,7 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	st := s.Stats()
-	s.writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"version":   s.version,
 		"go":        runtime.Version(),
 		"uptime_s":  clock.MonoSince(s.mono, s.startMono).Seconds(),

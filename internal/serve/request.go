@@ -2,14 +2,19 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"time"
 
 	"dora/internal/corun"
 	"dora/internal/fidelity"
 	"dora/internal/webgen"
+	"dora/internal/wire"
 )
 
 // Error codes carried in the structured error body. The HTTP status is
@@ -65,73 +70,71 @@ func DecodeErrorBody(status int, data []byte) (*APIError, bool) {
 	return eb.Err, true
 }
 
-// AggregateSource folds per-cell provenance into a campaign-level
-// X-Dora-Source value: the common source when all answered cells
-// agree, "mixed" otherwise, "" when no cell produced a result. Shared
-// with the cluster gateway so its assembled campaign responses carry
-// the same header semantics as a single node's.
-func AggregateSource(sources []string) string { return aggregateSource(sources) }
-
-// LoadRequest is the JSON body of POST /v1/load: one measured page
-// load. Durations are integral milliseconds; zero fields take the
-// simulator defaults (3 s QoS deadline, 500 ms warmup, 30 s abort
-// cutoff, governor-appropriate decision interval), so the zero request
-// with just a page is valid and deterministic.
-type LoadRequest struct {
-	// Page is a corpus page name (GET /v1/pages lists them).
-	Page string `json:"page"`
-	// CoRunner is a co-scheduled kernel name; empty = browser alone.
-	CoRunner string `json:"corunner,omitempty"`
-	// Governor selects the frequency policy (default "interactive").
-	// The model-based governors (DORA, DL, EE, DORA_no_lkg) need the
-	// daemon to have been started with trained models.
-	Governor string `json:"governor,omitempty"`
-	// FreqMHz pins a fixed OPP instead of a governor (rounded up to
-	// the nearest ladder step). Only valid with governor "" or "fixed".
-	FreqMHz int `json:"freq_mhz,omitempty"`
-	// DeadlineMs is the QoS load-time target (0 = 3000).
-	DeadlineMs int64 `json:"deadline_ms,omitempty"`
-	// DecisionIntervalMs overrides the governor cadence (0 = default).
-	DecisionIntervalMs int64 `json:"decision_interval_ms,omitempty"`
-	// WarmupMs is the co-runner-only lead-in (0 = 500).
-	WarmupMs int64 `json:"warmup_ms,omitempty"`
-	// MaxLoadMs aborts a load running past the cutoff (0 = 30000).
-	MaxLoadMs int64 `json:"max_load_ms,omitempty"`
-	// Seed is the simulation seed; equal requests are deduplicated and
-	// byte-identical.
-	Seed int64 `json:"seed,omitempty"`
-	// AmbientC overrides ambient temperature (0 = 25 degC).
-	AmbientC float64 `json:"ambient_c,omitempty"`
-	// TimeoutMs bounds request *processing* (queueing + simulation);
-	// past it the daemon answers 504 and aborts the simulation. 0 takes
-	// the server default.
-	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// Fidelity selects the simulation kernel: "exact" (default) or
-	// "sampled" (phase-detected fast-forwarding; see DESIGN.md §10).
-	// Normalized to the canonical mode name, so "" and "exact" are the
-	// same request for dedup and caching, while exact and sampled never
-	// share a cache entry.
-	Fidelity string `json:"fidelity,omitempty"`
+// CtxErrToAPI maps a request context that ended into its refusal:
+// 504 when the deadline expired, 499 when the client went away.
+func CtxErrToAPI(ctx context.Context) *APIError {
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		return &APIError{Status: http.StatusGatewayTimeout, Code: CodeDeadline, Message: "request deadline expired"}
+	}
+	return &APIError{Status: 499, Code: CodeClientClosed, Message: "client closed request"}
 }
 
-// CampaignRequest is the JSON body of POST /v1/campaign: the cross
-// product pages x corunners x governors, simulated as one batch. Every
-// cell's seed is derived from the base seed and the cell's grid index
-// — never from execution order — so the response is bit-identical at
-// any worker count.
-type CampaignRequest struct {
-	Pages     []string `json:"pages"`
-	CoRunners []string `json:"corunners,omitempty"` // "" = browser alone; empty list = [""]
-	Governors []string `json:"governors,omitempty"` // empty list = ["interactive"]
-	// DeadlineMs / WarmupMs / Seed apply to every cell (see LoadRequest).
-	DeadlineMs int64 `json:"deadline_ms,omitempty"`
-	WarmupMs   int64 `json:"warmup_ms,omitempty"`
-	Seed       int64 `json:"seed,omitempty"`
-	// TimeoutMs bounds the whole batch.
-	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// Fidelity applies to every cell (see LoadRequest.Fidelity).
-	Fidelity string `json:"fidelity,omitempty"`
+// RequestCtx derives a request's processing context from parent: the
+// request's own timeout_ms when set, else defaultTimeout, else no
+// deadline at all.
+func RequestCtx(parent context.Context, timeoutMs int64, defaultTimeout time.Duration) (context.Context, context.CancelFunc) {
+	timeout := time.Duration(timeoutMs) * time.Millisecond
+	if timeout <= 0 {
+		timeout = defaultTimeout
+	}
+	if timeout <= 0 {
+		return parent, func() {}
+	}
+	return context.WithTimeout(parent, timeout)
 }
+
+// ReadBody slurps a request body of at most limit bytes; a larger body
+// is refused with 413.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, *APIError) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, &APIError{Status: http.StatusRequestEntityTooLarge, Code: CodePayloadLarge,
+				Message: fmt.Sprintf("request body over %d bytes", tooBig.Limit)}
+		}
+		return nil, errBadRequest("read body: %v", err)
+	}
+	return data, nil
+}
+
+// WriteJSON answers with status and v's JSON encoding.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteError answers with apiErr's status and structured envelope,
+// mirroring the code in ErrorCodeHeader. A 429 or 503 advertises
+// Retry-After: retryAfterSecs, the caller's advisory backoff.
+func WriteError(w http.ResponseWriter, apiErr *APIError, retryAfterSecs int) {
+	switch apiErr.Status {
+	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs))
+	}
+	w.Header().Set(ErrorCodeHeader, apiErr.Code)
+	WriteJSON(w, apiErr.Status, errorBody{Err: apiErr})
+}
+
+// LoadRequest is the JSON body of POST /v1/load. The type lives in
+// internal/wire, next to its binary codec, so both transports decode
+// into the same struct.
+type LoadRequest = wire.LoadRequest
+
+// CampaignRequest is the JSON body of POST /v1/campaign (see
+// wire.CampaignRequest).
+type CampaignRequest = wire.CampaignRequest
 
 // CampaignCell is one grid cell of a campaign response. Result holds
 // the exact bytes POST /v1/load would have returned for the equivalent
@@ -226,15 +229,17 @@ func DecodeLoadRequestDefault(data []byte, defaultFidelity string) (LoadRequest,
 	if apiErr := decodeStrict(data, &req); apiErr != nil {
 		return LoadRequest{}, apiErr
 	}
-	if req.Fidelity == "" {
-		req.Fidelity = defaultFidelity
-	}
-	return normalizeLoadRequest(req)
+	return normalizeLoadRequest(req, defaultFidelity)
 }
 
 // normalizeLoadRequest validates field values and canonicalizes names,
-// so equal workloads produce equal (deduplicable) requests.
-func normalizeLoadRequest(req LoadRequest) (LoadRequest, *APIError) {
+// so equal workloads produce equal (deduplicable) requests. It is the
+// one place a request that omits fidelity takes the server default,
+// whichever transport decoded it.
+func normalizeLoadRequest(req LoadRequest, defaultFidelity string) (LoadRequest, *APIError) {
+	if req.Fidelity == "" {
+		req.Fidelity = defaultFidelity
+	}
 	if req.Page == "" {
 		return LoadRequest{}, errBadRequest("page is required")
 	}
@@ -296,17 +301,12 @@ func normalizeLoadRequest(req LoadRequest) (LoadRequest, *APIError) {
 	return req, nil
 }
 
-// DecodeCampaignRequest parses and validates a POST /v1/campaign body
-// and expands its grid into per-cell load requests with grid-derived
-// seeds. The cell order (pages outermost, then corunners, then
-// governors) and each cell's seed depend only on the request, never on
-// scheduling.
-func DecodeCampaignRequest(data []byte) (CampaignRequest, []LoadRequest, *APIError) {
-	return DecodeCampaignRequestDefault(data, "")
-}
-
-// DecodeCampaignRequestDefault is DecodeCampaignRequest with a
-// server-level default fidelity (see DecodeLoadRequestDefault).
+// DecodeCampaignRequestDefault parses and validates a POST /v1/campaign
+// body and expands its grid into per-cell load requests with
+// grid-derived seeds, substituting the server-level default fidelity
+// when the body omits the field (see DecodeLoadRequestDefault). The
+// cell order (pages outermost, then corunners, then governors) and each
+// cell's seed depend only on the request, never on scheduling.
 func DecodeCampaignRequestDefault(data []byte, defaultFidelity string) (CampaignRequest, []LoadRequest, *APIError) {
 	var req CampaignRequest
 	if apiErr := decodeStrict(data, &req); apiErr != nil {
@@ -320,9 +320,6 @@ func DecodeCampaignRequestDefault(data []byte, defaultFidelity string) (Campaign
 // by the JSON endpoint and the stream handler so both produce the same
 // cells, seeds, and errors for the same logical request.
 func expandCampaign(req CampaignRequest, defaultFidelity string) (CampaignRequest, []LoadRequest, *APIError) {
-	if req.Fidelity == "" {
-		req.Fidelity = defaultFidelity
-	}
 	if len(req.Pages) == 0 {
 		return CampaignRequest{}, nil, errBadRequest("pages is required and must be non-empty")
 	}
@@ -358,7 +355,7 @@ func expandCampaign(req CampaignRequest, defaultFidelity string) (CampaignReques
 					WarmupMs:   req.WarmupMs,
 					Seed:       req.Seed + i*campaignSeedStride,
 					Fidelity:   req.Fidelity,
-				})
+				}, defaultFidelity)
 				if apiErr != nil {
 					return CampaignRequest{}, nil, apiErr
 				}

@@ -29,10 +29,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -401,15 +399,8 @@ func (s *Server) admit(ctx context.Context) (release func(), apiErr *APIError) {
 		}, nil
 	case <-ctx.Done():
 		s.gQueue.Set(float64(s.queued.Add(-1)))
-		return nil, ctxErrToAPI(ctx)
+		return nil, CtxErrToAPI(ctx)
 	}
-}
-
-func ctxErrToAPI(ctx context.Context) *APIError {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return &APIError{Status: http.StatusGatewayTimeout, Code: CodeDeadline, Message: "request deadline expired"}
-	}
-	return &APIError{Status: 499, Code: CodeClientClosed, Message: "client closed request"}
 }
 
 // --- simulation path -------------------------------------------------
@@ -424,21 +415,21 @@ func (s *Server) loadKey(req LoadRequest) string {
 // cache. It is deliberately independent of admission: both transports
 // call it before taking a semaphore slot, so a warm hit is never
 // queued behind in-flight simulations — on repeat-heavy traffic the
-// cache path's latency is pure transport.
+// cache path's latency is pure transport. With a cache configured it
+// counts every lookup as a hit or a miss.
 func (s *Server) cacheGet(key string) ([]byte, bool) {
 	if s.cfg.Cache == nil {
 		return nil, false
 	}
 	var r sim.Result
-	if !s.cfg.Cache.Get(key, &r) {
-		return nil, false
+	if s.cfg.Cache.Get(key, &r) {
+		if b, err := json.Marshal(r); err == nil {
+			s.mCacheHits.Inc()
+			return b, true
+		}
 	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		return nil, false
-	}
-	s.mCacheHits.Inc()
-	return b, true
+	s.mCacheMisses.Inc()
+	return nil, false
 }
 
 // simulate serves one normalized load request: persistent-cache warm
@@ -449,9 +440,6 @@ func (s *Server) simulate(ctx context.Context, req LoadRequest) (body []byte, so
 	key := s.loadKey(req)
 	if b, ok := s.cacheGet(key); ok {
 		return b, "cache", nil
-	}
-	if s.cfg.Cache != nil {
-		s.mCacheMisses.Inc()
 	}
 	return s.simulateKey(ctx, key, req)
 }
@@ -497,7 +485,7 @@ func (s *Server) simulateKey(ctx context.Context, key string, req LoadRequest) (
 			return fl.body, src, fl.err
 		case <-ctx.Done():
 			s.flights.leave(fl)
-			return nil, "", ctxErrToAPI(ctx)
+			return nil, "", CtxErrToAPI(ctx)
 		}
 	}
 }
@@ -621,33 +609,6 @@ func (s *Server) newGovernor(name string, freqMHz int) (governor.Governor, time.
 
 // --- handlers --------------------------------------------------------
 
-// readBody slurps the request body under the configured limit.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *APIError) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, &APIError{Status: http.StatusRequestEntityTooLarge, Code: CodePayloadLarge,
-				Message: fmt.Sprintf("request body over %d bytes", tooBig.Limit)}
-		}
-		return nil, errBadRequest("read body: %v", err)
-	}
-	return data, nil
-}
-
-// requestCtx applies the request's processing deadline (or the server
-// default) to the connection context.
-func (s *Server) requestCtx(r *http.Request, timeoutMs int64) (context.Context, context.CancelFunc) {
-	timeout := time.Duration(timeoutMs) * time.Millisecond
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout <= 0 {
-		return r.Context(), func() {}
-	}
-	return context.WithTimeout(r.Context(), timeout)
-}
-
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, &APIError{Status: http.StatusMethodNotAllowed, Code: CodeMethod, Message: "POST required"})
@@ -658,11 +619,9 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.reqWG.Done()
-	start := time.Now()
-	defer func() { s.hLatency.Observe(time.Since(start).Seconds()) }()
-	s.mRequests.Inc()
+	s.countRequest(obsFrom(r.Context()))
 
-	data, apiErr := s.readBody(w, r)
+	data, apiErr := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if apiErr != nil {
 		s.writeError(w, apiErr)
 		return
@@ -673,7 +632,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
+	ctx, cancel := RequestCtx(r.Context(), req.TimeoutMs, s.cfg.DefaultTimeout)
 	defer cancel()
 	body, source, apiErr := s.executeLoad(ctx, req)
 	if apiErr != nil {
@@ -681,7 +640,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Dora-Source", source)
+	w.Header().Set(SourceHeader, source)
 	w.Header().Set(FidelityHeader, req.Fidelity)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
@@ -697,28 +656,20 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.reqWG.Done()
-	start := time.Now()
-	defer func() { s.hLatency.Observe(time.Since(start).Seconds()) }()
-	s.mRequests.Inc()
+	s.countRequest(obsFrom(r.Context()))
 
-	data, apiErr := s.readBody(w, r)
+	data, apiErr := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if apiErr != nil {
 		s.writeError(w, apiErr)
 		return
 	}
-	_, cells, apiErr := DecodeCampaignRequestDefault(data, s.cfg.DefaultFidelity)
+	req, cells, apiErr := DecodeCampaignRequestDefault(data, s.cfg.DefaultFidelity)
 	if apiErr != nil {
 		s.writeError(w, apiErr)
 		return
 	}
 
-	var timeoutMs int64
-	if len(cells) > 0 {
-		// DecodeCampaignRequest carried the batch deadline through the
-		// request struct; recover it from the decoded form.
-		timeoutMs = campaignTimeoutMs(data)
-	}
-	ctx, cancel := s.requestCtx(r, timeoutMs)
+	ctx, cancel := RequestCtx(r.Context(), req.TimeoutMs, s.cfg.DefaultTimeout)
 	defer cancel()
 
 	out := make([]CampaignCell, len(cells))
@@ -733,20 +684,10 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	}
 	// Aggregate provenance mirrors /v1/load's header so clients (and
 	// doraload's source accounting) see every 2xx response classified.
-	if agg := aggregateSource(sources); agg != "" {
+	if agg := AggregateSource(sources); agg != "" {
 		w.Header().Set(SourceHeader, agg)
 	}
-	s.writeJSON(w, http.StatusOK, CampaignResponse{Cells: out})
-}
-
-// campaignTimeoutMs re-reads just the timeout field (the full request
-// was already validated).
-func campaignTimeoutMs(data []byte) int64 {
-	var probe struct {
-		TimeoutMs int64 `json:"timeout_ms"`
-	}
-	_ = json.Unmarshal(data, &probe)
-	return probe.TimeoutMs
+	WriteJSON(w, http.StatusOK, CampaignResponse{Cells: out})
 }
 
 func (s *Server) handlePages(w http.ResponseWriter, r *http.Request) {
@@ -759,7 +700,7 @@ func (s *Server) handlePages(w http.ResponseWriter, r *http.Request) {
 		kernels = append(kernels, k.Name)
 	}
 	govs := append([]string(nil), governorNames...)
-	s.writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"pages":          webgen.Names(),
 		"training_pages": webgen.TrainingNames(),
 		"corunners":      kernels,
@@ -774,7 +715,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	s.writeJSON(w, code, map[string]any{
+	WriteJSON(w, code, map[string]any{
 		"status":         status,
 		"draining":       s.Draining(),
 		"queue_depth":    s.InFlight(),
@@ -791,27 +732,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // --- response writing ------------------------------------------------
 
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
 func (s *Server) writeDrainRefusal(w http.ResponseWriter) {
 	s.mDrainRejects.Inc()
 	s.writeError(w, &APIError{Status: http.StatusServiceUnavailable, Code: CodeDraining, Message: "server is draining; retry against another instance"})
 }
 
+// writeError is WriteError with the server's jittered Retry-After.
 func (s *Server) writeError(w http.ResponseWriter, apiErr *APIError) {
-	switch apiErr.Status {
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		// Jittered advisory backoff: a shed burst must not come back
-		// as a synchronized retry burst.
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs()))
-	case http.StatusGatewayTimeout:
-		s.mDeadline.Inc()
-	}
-	w.Header().Set(ErrorCodeHeader, apiErr.Code)
-	s.writeJSON(w, apiErr.Status, errorBody{Err: apiErr})
+	WriteError(w, apiErr, s.retryAfterSecs())
 }

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"dora/internal/clock"
 	"dora/internal/pool"
 	"dora/internal/runcache"
 	"dora/internal/wire"
@@ -138,15 +137,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	sc := &streamConn{
-		srv:      s,
-		conn:     conn,
-		br:       rw.Reader, // may already hold buffered frames
-		bw:       bufio.NewWriterSize(conn, 32<<10),
-		compress: compress,
-		maxFrame: s.cfg.MaxFrameBytes,
-		ctx:      ctx,
-		cancel:   cancel,
-		out:      make(chan outFrame, 64),
+		srv:        s,
+		conn:       conn,
+		br:         rw.Reader, // may already hold buffered frames
+		bw:         bufio.NewWriterSize(conn, 32<<10),
+		compress:   compress,
+		maxFrame:   s.cfg.MaxFrameBytes,
+		ctx:        ctx,
+		cancel:     cancel,
+		out:        make(chan outFrame, 64),
 		writerDone: make(chan struct{}),
 	}
 	if !s.registerStream(sc) {
@@ -383,58 +382,20 @@ func (sc *streamConn) writeFrame(of outFrame) error {
 	return wire.WriteFrame(sc.bw, &of.f, payload)
 }
 
-// loadFromWire converts a decoded wire load request into the JSON
-// path's request struct (field-for-field), applying the server default
-// fidelity exactly like DecodeLoadRequestDefault.
-func loadFromWire(w wire.LoadRequest, defaultFidelity string) LoadRequest {
-	req := LoadRequest{
-		Page:               w.Page,
-		CoRunner:           w.CoRunner,
-		Governor:           w.Governor,
-		FreqMHz:            w.FreqMHz,
-		DeadlineMs:         w.DeadlineMs,
-		DecisionIntervalMs: w.DecisionIntervalMs,
-		WarmupMs:           w.WarmupMs,
-		MaxLoadMs:          w.MaxLoadMs,
-		Seed:               w.Seed,
-		AmbientC:           w.AmbientC,
-		TimeoutMs:          w.TimeoutMs,
-		Fidelity:           w.Fidelity,
-	}
-	if req.Fidelity == "" {
-		req.Fidelity = defaultFidelity
-	}
-	return req
+// newObs starts the observability record of one logical stream
+// request; every request that reaches a handler passed the drain check
+// in begin.
+func (sc *streamConn) newObs(path string) *reqObs {
+	obs := sc.srv.newReqObs(newRequestID(), "STREAM", path, "stream")
+	sc.srv.countRequest(obs)
+	return obs
 }
 
-// campaignFromWire converts a decoded wire campaign request into the
-// JSON path's request struct for the shared grid expansion.
-func campaignFromWire(w wire.CampaignRequest) CampaignRequest {
-	return CampaignRequest{
-		Pages:      w.Pages,
-		CoRunners:  w.CoRunners,
-		Governors:  w.Governors,
-		DeadlineMs: w.DeadlineMs,
-		WarmupMs:   w.WarmupMs,
-		Seed:       w.Seed,
-		TimeoutMs:  w.TimeoutMs,
-		Fidelity:   w.Fidelity,
-	}
-}
-
-// streamRequestCtx is requestCtx for logical stream requests: same
-// deadline defaulting, parented on the connection context instead of
-// an http.Request's.
-func (sc *streamConn) streamRequestCtx(obs *reqObs, timeoutMs int64) (context.Context, context.CancelFunc) {
-	ctx := context.WithValue(sc.ctx, obsKey{}, obs)
-	timeout := time.Duration(timeoutMs) * time.Millisecond
-	if timeout <= 0 {
-		timeout = sc.srv.cfg.DefaultTimeout
-	}
-	if timeout <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, timeout)
+// fail completes id with apiErr and records it as the request's
+// outcome.
+func (sc *streamConn) fail(id uint64, obs *reqObs, apiErr *APIError) {
+	obs.status, obs.code = apiErr.Status, apiErr.Code
+	sc.sendError(id, apiErr)
 }
 
 // doLoad serves one pipelined load frame end to end: decode, the
@@ -445,38 +406,30 @@ func (sc *streamConn) streamRequestCtx(obs *reqObs, timeoutMs int64) (context.Co
 func (sc *streamConn) doLoad(id uint64, payload []byte) {
 	defer sc.end()
 	s := sc.srv
-	s.mRequests.Inc()
-	start := s.mono.MonoNow()
-	obs := &reqObs{id: newRequestID()}
+	obs := sc.newObs("/v1/load")
+	defer s.logRequest(obs)
 
-	st := streamLine{path: "/v1/load"}
-	defer func() { s.streamAccessDone(obs, start, &st) }()
-
-	wreq, derr := wire.DecodeLoadRequest(payload)
-	if derr != nil {
-		st.fail(errBadRequest("load frame: %v", derr))
-		sc.sendError(id, st.apiErr)
+	req, err := wire.DecodeLoadRequest(payload)
+	if err != nil {
+		sc.fail(id, obs, errBadRequest("load frame: %v", err))
 		return
 	}
-	req, apiErr := normalizeLoadRequest(loadFromWire(wreq, s.cfg.DefaultFidelity))
+	req, apiErr := normalizeLoadRequest(req, s.cfg.DefaultFidelity)
 	if apiErr != nil {
-		st.fail(apiErr)
-		sc.sendError(id, apiErr)
+		sc.fail(id, obs, apiErr)
 		return
 	}
-	st.fidelity = req.Fidelity
+	obs.fidelity = req.Fidelity
 
-	ctx, cancel := sc.streamRequestCtx(obs, req.TimeoutMs)
+	ctx, cancel := RequestCtx(context.WithValue(sc.ctx, obsKey{}, obs), req.TimeoutMs, s.cfg.DefaultTimeout)
 	defer cancel()
 
 	body, source, apiErr := s.executeLoad(ctx, req)
 	if apiErr != nil {
-		st.fail(apiErr)
-		sc.sendError(id, apiErr)
+		sc.fail(id, obs, apiErr)
 		return
 	}
-	st.source = source
-	st.bytes = int64(len(body))
+	obs.source, obs.bytes = source, int64(len(body))
 	sc.enqueue(outFrame{
 		f:       wire.Frame{Type: wire.TypeResult, Flags: wire.SourceFlag(source), ID: id},
 		payload: body,
@@ -491,28 +444,22 @@ func (sc *streamConn) doLoad(id uint64, payload []byte) {
 func (sc *streamConn) doCampaign(id uint64, payload []byte) {
 	defer sc.end()
 	s := sc.srv
-	s.mRequests.Inc()
-	start := s.mono.MonoNow()
-	obs := &reqObs{id: newRequestID()}
+	obs := sc.newObs("/v1/campaign")
+	defer s.logRequest(obs)
 
-	st := streamLine{path: "/v1/campaign"}
-	defer func() { s.streamAccessDone(obs, start, &st) }()
-
-	wreq, derr := wire.DecodeCampaignRequest(payload)
-	if derr != nil {
-		st.fail(errBadRequest("campaign frame: %v", derr))
-		sc.sendError(id, st.apiErr)
+	req, err := wire.DecodeCampaignRequest(payload)
+	if err != nil {
+		sc.fail(id, obs, errBadRequest("campaign frame: %v", err))
 		return
 	}
-	req, cells, apiErr := expandCampaign(campaignFromWire(wreq), s.cfg.DefaultFidelity)
+	req, cells, apiErr := expandCampaign(req, s.cfg.DefaultFidelity)
 	if apiErr != nil {
-		st.fail(apiErr)
-		sc.sendError(id, apiErr)
+		sc.fail(id, obs, apiErr)
 		return
 	}
-	st.fidelity = req.Fidelity
+	obs.fidelity = cells[0].Fidelity
 
-	ctx, cancel := sc.streamRequestCtx(obs, req.TimeoutMs)
+	ctx, cancel := RequestCtx(context.WithValue(sc.ctx, obsKey{}, obs), req.TimeoutMs, s.cfg.DefaultTimeout)
 	defer cancel()
 
 	sources := make([]string, len(cells))
@@ -521,10 +468,10 @@ func (sc *streamConn) doCampaign(id uint64, payload []byte) {
 	apiErr = s.executeCampaign(ctx, cells, func(i int, cell CampaignCell, source string) {
 		body, merr := json.Marshal(cell)
 		if merr != nil {
-			// Unreachable for a cell executeCampaign builds, but if it
-			// ever fires the client must still see one frame per cell —
-			// the CampaignEnd summary counts them all — so ship the cell
-			// as a structured error and drop its provenance instead of
+			// Unreachable for a cell RunCampaign builds, but if it ever
+			// fires the client must still see one frame per cell — the
+			// CampaignEnd summary counts them all — so ship the cell as
+			// a structured error and drop its provenance instead of
 			// silently sending fewer frames than summary.Cells.
 			cell = CampaignCell{Page: cell.Page, CoRunner: cell.CoRunner, Governor: cell.Governor, Seed: cell.Seed,
 				Error: &APIError{Status: http.StatusInternalServerError, Code: CodeInternal, Message: "encode campaign cell: " + merr.Error()}}
@@ -542,16 +489,15 @@ func (sc *streamConn) doCampaign(id uint64, payload []byte) {
 			payload: body,
 		})
 		mu.Lock()
-		st.bytes += int64(len(body))
+		obs.bytes += int64(len(body))
 		mu.Unlock()
 	})
 	if apiErr != nil {
-		st.fail(apiErr)
-		sc.sendError(id, apiErr)
+		sc.fail(id, obs, apiErr)
 		return
 	}
-	agg := aggregateSource(sources)
-	st.source = agg
+	agg := AggregateSource(sources)
+	obs.source = agg
 	summary := wire.CampaignSummary{Cells: len(cells), Errored: errored}
 	sc.enqueue(outFrame{
 		f:       wire.Frame{Type: wire.TypeCampaignEnd, Flags: wire.SourceFlag(agg), ID: id},
@@ -559,70 +505,12 @@ func (sc *streamConn) doCampaign(id uint64, payload []byte) {
 	})
 }
 
-// streamLine accumulates the outcome of one logical stream request for
-// its access-log line and endpoint metrics.
-type streamLine struct {
-	path     string
-	status   int
-	code     string
-	source   string
-	fidelity string
-	bytes    int64
-	apiErr   *APIError
-}
-
-func (st *streamLine) fail(apiErr *APIError) {
-	st.apiErr = apiErr
-	st.status = apiErr.Status
-	st.code = apiErr.Code
-}
-
-// streamAccessDone emits the per-logical-request access line and
-// endpoint metrics ("stream" bucket) — the stream twin of the withObs
-// middleware, which skips hijacked connections.
-func (s *Server) streamAccessDone(obs *reqObs, start clock.MonoTime, st *streamLine) {
-	elapsed := clock.MonoSince(s.mono, start)
-	s.hLatency.Observe(elapsed.Seconds())
-	status := st.status
-	if status == 0 {
-		status = http.StatusOK
-	}
-	if st.apiErr != nil && st.apiErr.Status == http.StatusGatewayTimeout {
-		s.mDeadline.Inc()
-	}
-	if m := s.obs.endpoints["stream"]; m != nil {
-		m.reqs.Inc()
-		m.latency.Observe(elapsed.Seconds())
-		if class := status/100 - 2; class >= 0 && class < len(m.status) {
-			m.status[class].Inc()
-		}
-	}
-	outcome := "ok"
-	if st.code != "" {
-		outcome = st.code
-	} else if status >= 400 {
-		outcome = "error"
-	}
-	s.alog.Info().
-		Str("rid", obs.id).
-		Str("method", "STREAM").
-		Str("path", st.path).
-		Str("endpoint", "stream").
-		Int("status", status).
-		Str("outcome", outcome).
-		Str("source", st.source).
-		Str("fidelity", st.fidelity).
-		Dur("queue_wait_ms", obs.queueWait).
-		Dur("sim_ms", time.Duration(obs.simNanos.Load())).
-		Dur("total_ms", elapsed).
-		Int64("bytes", st.bytes).
-		Msg("request")
-}
-
-// aggregateSource folds per-cell provenance into the campaign-level
-// value: the common source when all answered cells agree, "mixed"
-// otherwise, "" when no cell produced a result.
-func aggregateSource(sources []string) string {
+// AggregateSource folds per-cell provenance into the campaign-level
+// X-Dora-Source value: the common source when all answered cells
+// agree, "mixed" otherwise, "" when no cell produced a result. The
+// cluster gateway uses it too, so its assembled campaigns carry the
+// same header semantics as a single node's.
+func AggregateSource(sources []string) string {
 	agg := ""
 	for _, src := range sources {
 		if src == "" {
@@ -658,9 +546,6 @@ func (s *Server) executeLoad(ctx context.Context, req LoadRequest) (body []byte,
 	if b, ok := s.cacheGet(key); ok {
 		return b, "cache", nil
 	}
-	if s.cfg.Cache != nil {
-		s.mCacheMisses.Inc()
-	}
 	release, apiErr := s.admit(ctx)
 	if apiErr != nil {
 		return nil, "", apiErr
@@ -691,16 +576,33 @@ func (s *Server) executeCampaign(ctx context.Context, cells []LoadRequest, emit 
 	defer release()
 
 	// The campaign holds one admission slot; its internal fan-out is
-	// bounded by the worker pool, with output addressed by grid index
-	// so the result layout never depends on scheduling.
-	_ = pool.Run(len(cells), s.cfg.Workers, func(i int) error {
+	// bounded by the worker pool.
+	if apiErr := RunCampaign(ctx, cells, s.cfg.Workers, s.simulate, emit); apiErr != nil {
+		return apiErr
+	}
+	s.mCampaignCells.Add(uint64(len(cells)))
+	return nil
+}
+
+// RunCampaign is the campaign cell loop dorad and doragate share: up
+// to workers cells at a time go through do, and each finished cell is
+// handed to emit with its grid index (emit must be safe for concurrent
+// calls on distinct indexes). Output is addressed by grid index, never
+// by completion order, so an assembled campaign is byte-identical at
+// any worker count and cluster width. A cell whose turn comes after ctx
+// ended carries the ctx error instead of running, and RunCampaign then
+// returns that error.
+func RunCampaign(ctx context.Context, cells []LoadRequest, workers int,
+	do func(context.Context, LoadRequest) (body []byte, source string, apiErr *APIError),
+	emit func(i int, cell CampaignCell, source string)) *APIError {
+	_ = pool.Run(len(cells), workers, func(i int) error {
 		lr := cells[i]
 		cell := CampaignCell{Page: lr.Page, CoRunner: lr.CoRunner, Governor: lr.Governor, Seed: lr.Seed}
 		source := ""
 		if ctx.Err() != nil {
-			cell.Error = ctxErrToAPI(ctx)
+			cell.Error = CtxErrToAPI(ctx)
 		} else {
-			body, src, apiErr := s.simulate(ctx, lr)
+			body, src, apiErr := do(ctx, lr)
 			if apiErr != nil {
 				cell.Error = apiErr
 			} else {
@@ -712,8 +614,7 @@ func (s *Server) executeCampaign(ctx context.Context, cells []LoadRequest, emit 
 		return nil
 	})
 	if ctx.Err() != nil {
-		return ctxErrToAPI(ctx)
+		return CtxErrToAPI(ctx)
 	}
-	s.mCampaignCells.Add(uint64(len(cells)))
 	return nil
 }

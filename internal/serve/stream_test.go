@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"dora/internal/obslog"
 	"dora/internal/runcache"
 	"dora/internal/sim"
 	"dora/internal/soc"
@@ -117,7 +118,7 @@ func TestStreamCampaignByteIdentity(t *testing.T) {
 		t.Fatalf("received %d cells, want 4", len(cells))
 	}
 	// Reassemble in grid order: must reproduce the JSON body byte for
-	// byte (writeJSON's json.Encoder appends a newline).
+	// byte (WriteJSON's json.Encoder appends a newline).
 	parts := make([]string, 4)
 	for i := range parts {
 		parts[i] = cells[i]
@@ -551,5 +552,84 @@ func TestServeCampaignFingerprintGoldenStream(t *testing.T) {
 				t.Fatalf("stream-path campaign fingerprint drifted at workers=%d:\n got  %s\n want %s\nthe stream transport is no longer observable-preserving", workers, got, goldenCampaignFingerprint)
 			}
 		})
+	}
+}
+
+// accessKeys returns the keys of a key=value access line from rid up
+// to bytes, in order.
+func accessKeys(line string) []string {
+	var keys []string
+	for _, tok := range strings.Fields(line) {
+		k, _, ok := strings.Cut(tok, "=")
+		if !ok || (len(keys) == 0 && k != "rid") {
+			continue
+		}
+		keys = append(keys, k)
+		if k == "bytes" {
+			break
+		}
+	}
+	return keys
+}
+
+// TestStreamAccessLineMatchesJSON: a load sent over /v1/stream leaves
+// the same access line, field for field and in the same order, as the
+// same load sent as JSON, and is counted in the stream endpoint's
+// metrics and in dora_serve_request_seconds like any other request.
+func TestStreamAccessLineMatchesJSON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives real simulations")
+	}
+	logBuf := &syncBuffer{}
+	s, ts := newTestServer(t, Config{Log: obslog.New(logBuf, obslog.Options{})}, nil)
+	resp, body := postJSON(t, ts.URL+"/v1/load", `{"page":"Alipay","seed":43}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("JSON load: %d %s", resp.StatusCode, body)
+	}
+	c := dialStream(t, ts, wire.Options{})
+	payload, _, err := c.Load(context.Background(), &wire.LoadRequest{Page: "Alipay", Seed: 43})
+	if err != nil {
+		t.Fatalf("stream load: %v", err)
+	}
+	if string(payload) != string(body) {
+		t.Fatal("stream payload differs from JSON body")
+	}
+	// The result frame can reach the client before the handler has
+	// written its access line; Drain returns only after every admitted
+	// request has finished, access line included.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	jsonLine, streamLine := logBuf.accessLine("endpoint=load"), logBuf.accessLine("endpoint=stream")
+	if jsonLine == "" || streamLine == "" {
+		t.Fatalf("missing access lines:\n%s", logBuf.String())
+	}
+	want := []string{"rid", "method", "path", "endpoint", "status", "outcome", "source", "fidelity",
+		"queue_wait_ms", "sim_ms", "total_ms", "bytes"}
+	for _, line := range []string{jsonLine, streamLine} {
+		if got := accessKeys(line); strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("access line keys = %v, want %v\n%s", got, want, line)
+		}
+	}
+	for _, field := range []string{"method=STREAM", "path=/v1/load", "status=200", "outcome=ok",
+		"source=sim", "fidelity=exact", fmt.Sprintf("bytes=%d", len(payload))} {
+		if !strings.Contains(streamLine, field) {
+			t.Errorf("stream access line missing %q: %s", field, streamLine)
+		}
+	}
+	if simMs := extractFloat(t, streamLine, "sim_ms"); simMs <= 0 {
+		t.Errorf("stream sim_ms = %g, want > 0", simMs)
+	}
+
+	m := s.obs.endpoints["stream"]
+	if m.reqs.Value() != 1 || m.latency.Count() != 1 || m.status[0].Value() != 1 {
+		t.Errorf("dora_http_stream_*: requests %d, latency count %d, 2xx %d; want 1 each",
+			m.reqs.Value(), m.latency.Count(), m.status[0].Value())
+	}
+	if got := s.hLatency.Count(); got != 2 {
+		t.Errorf("dora_serve_request_seconds count = %d, want 2 (one JSON, one stream)", got)
 	}
 }

@@ -10,7 +10,9 @@ import (
 // Hostile-input caps. The decoders never trust a length they read: any
 // string or list over these bounds is a codec error, so a malicious
 // frame cannot drive an oversized allocation through a varint prefix.
-// maxListLen matches serve's maxCampaignCells upper bound.
+// maxListLen is looser than serve's maxCampaignCells (1024): a list
+// longer than the whole expanded grid can never be valid, so every
+// request that would pass serve's validation fits under the cap.
 const (
 	maxStringLen = 4096
 	maxListLen   = 4096
@@ -19,35 +21,66 @@ const (
 // ErrCodec is the sentinel wrapped by every payload-decode failure.
 var ErrCodec = errors.New("wire: malformed payload")
 
-// LoadRequest mirrors serve's JSON load request field-for-field in
-// binary form. The stream handler converts it back into the JSON-path
-// request struct before normalization, so both transports share the
-// same validation, runcache key, and simulation path.
+// LoadRequest is one measured page load: the JSON body of POST
+// /v1/load and the payload of a TypeLoad frame. Durations are integral
+// milliseconds; zero fields take the simulator defaults (3 s QoS
+// deadline, 500 ms warmup, 30 s abort cutoff, governor-appropriate
+// decision interval), so the zero request with just a page is valid
+// and deterministic.
 type LoadRequest struct {
-	Page               string
-	CoRunner           string
-	Governor           string
-	FreqMHz            int
-	DeadlineMs         int64
-	DecisionIntervalMs int64
-	WarmupMs           int64
-	MaxLoadMs          int64
-	Seed               int64
-	AmbientC           float64
-	TimeoutMs          int64
-	Fidelity           string
+	// Page is a corpus page name (GET /v1/pages lists them).
+	Page string `json:"page"`
+	// CoRunner is a co-scheduled kernel name; empty = browser alone.
+	CoRunner string `json:"corunner,omitempty"`
+	// Governor selects the frequency policy (default "interactive").
+	// The model-based governors (DORA, DL, EE, DORA_no_lkg) need the
+	// daemon to have been started with trained models.
+	Governor string `json:"governor,omitempty"`
+	// FreqMHz pins a fixed OPP instead of a governor (rounded up to
+	// the nearest ladder step). Only valid with governor "" or "fixed".
+	FreqMHz int `json:"freq_mhz,omitempty"`
+	// DeadlineMs is the QoS load-time target (0 = 3000).
+	DeadlineMs int64 `json:"deadline_ms,omitempty"`
+	// DecisionIntervalMs overrides the governor cadence (0 = default).
+	DecisionIntervalMs int64 `json:"decision_interval_ms,omitempty"`
+	// WarmupMs is the co-runner-only lead-in (0 = 500).
+	WarmupMs int64 `json:"warmup_ms,omitempty"`
+	// MaxLoadMs aborts a load running past the cutoff (0 = 30000).
+	MaxLoadMs int64 `json:"max_load_ms,omitempty"`
+	// Seed is the simulation seed; equal requests are deduplicated and
+	// byte-identical.
+	Seed int64 `json:"seed,omitempty"`
+	// AmbientC overrides ambient temperature (0 = 25 degC).
+	AmbientC float64 `json:"ambient_c,omitempty"`
+	// TimeoutMs bounds request *processing* (queueing + simulation);
+	// past it the daemon answers 504 and aborts the simulation. 0 takes
+	// the server default.
+	TimeoutMs int64 `json:"timeout_ms,omitempty"`
+	// Fidelity selects the simulation kernel: "exact" (default) or
+	// "sampled" (phase-detected fast-forwarding; see DESIGN.md §10).
+	// Normalized to the canonical mode name, so "" and "exact" are the
+	// same request for dedup and caching, while exact and sampled never
+	// share a cache entry.
+	Fidelity string `json:"fidelity,omitempty"`
 }
 
-// CampaignRequest mirrors serve's JSON campaign request.
+// CampaignRequest is the cross product pages x corunners x governors,
+// simulated as one batch: the JSON body of POST /v1/campaign and the
+// payload of a TypeCampaign frame. Every cell's seed is derived from
+// the base seed and the cell's grid index — never from execution order
+// — so the response is bit-identical at any worker count.
 type CampaignRequest struct {
-	Pages     []string
-	CoRunners []string
-	Governors []string
-	DeadlineMs int64
-	WarmupMs   int64
-	Seed       int64
-	TimeoutMs  int64
-	Fidelity   string
+	Pages     []string `json:"pages"`
+	CoRunners []string `json:"corunners,omitempty"` // "" = browser alone; empty list = [""]
+	Governors []string `json:"governors,omitempty"` // empty list = ["interactive"]
+	// DeadlineMs / WarmupMs / Seed apply to every cell (see LoadRequest).
+	DeadlineMs int64 `json:"deadline_ms,omitempty"`
+	WarmupMs   int64 `json:"warmup_ms,omitempty"`
+	Seed       int64 `json:"seed,omitempty"`
+	// TimeoutMs bounds the whole batch.
+	TimeoutMs int64 `json:"timeout_ms,omitempty"`
+	// Fidelity applies to every cell (see LoadRequest.Fidelity).
+	Fidelity string `json:"fidelity,omitempty"`
 }
 
 // Error is the stream-transport form of serve's error envelope; it
