@@ -156,6 +156,22 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestUnknownGovernorMessage pins the exact 400 message for a governor
+// name outside the table, list order included.
+func TestUnknownGovernorMessage(t *testing.T) {
+	_, ts := newTestServer(t, Config{}, nil)
+	resp, body := postJSON(t, ts.URL+"/v1/load", `{"page":"Alipay","governor":"turbo"}`)
+	wantError(t, resp, body, http.StatusBadRequest, CodeBadRequest)
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil {
+		t.Fatal(err)
+	}
+	const want = `unknown governor "turbo" (choose from [interactive performance powersave ondemand conservative fixed DORA DORA_no_lkg DL EE])`
+	if eb.Err.Message != want {
+		t.Fatalf("message = %q, want %q", eb.Err.Message, want)
+	}
+}
+
 // TestBodyTooLarge sheds oversized payloads with a structured 413.
 func TestBodyTooLarge(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 64}, nil)
@@ -505,6 +521,13 @@ func TestDiscoveryAndMetricsEndpoints(t *testing.T) {
 	}
 	if len(pages.Pages) == 0 || len(pages.CoRunners) == 0 || len(pages.Governors) == 0 {
 		t.Fatalf("discovery lists empty: %+v", pages)
+	}
+	// Clients and doragate's discovery proxy read this list; its
+	// members and their order are part of the API.
+	wantGovs := []string{"interactive", "performance", "powersave", "ondemand", "conservative",
+		"fixed", "DORA", "DORA_no_lkg", "DL", "EE"}
+	if fmt.Sprint(pages.Governors) != fmt.Sprint(wantGovs) {
+		t.Fatalf("governors = %q, want %q", pages.Governors, wantGovs)
 	}
 
 	resp, body = postGet(t, ts.URL+"/healthz")
