@@ -37,7 +37,7 @@ func main() {
 	log.SetPrefix("dorasim: ")
 	page := flag.String("page", "Reddit", "web page to load (see -list)")
 	coRun := flag.String("corun", "", "co-scheduled kernel (empty = browser alone)")
-	govName := flag.String("governor", "interactive", "interactive|performance|powersave|DORA|DL|EE")
+	govName := flag.String("governor", "interactive", strings.Join(core.GovernorNames(), "|"))
 	freq := flag.Int("freq", 0, "pin a fixed frequency in MHz instead of a governor")
 	deadline := flag.Duration("deadline", 3*time.Second, "QoS load-time target")
 	modelsPath := flag.String("models", "", "trained models JSON (required for DORA/DL/EE)")
@@ -278,37 +278,22 @@ func writeFileWith(path string, write func(w io.Writer) error) error {
 	return f.Close()
 }
 
+// buildGovernor resolves -freq or -governor: a pinned OPP, or a name
+// from the core governor table, loading -models for the model-based
+// ones.
 func buildGovernor(dev dora.Device, name string, freq int, modelsPath string) (dora.Governor, time.Duration, *core.Models, error) {
 	if freq > 0 {
 		return dora.NewFixed(dev, freq), 20 * time.Millisecond, nil, nil
 	}
-	switch name {
-	case "interactive":
-		return dora.NewInteractive(), 20 * time.Millisecond, nil, nil
-	case "performance":
-		return dora.NewPerformance(), 20 * time.Millisecond, nil, nil
-	case "powersave":
-		return dora.NewPowersave(), 20 * time.Millisecond, nil, nil
-	case "DORA", "DL", "EE", "DORA_no_lkg":
-		models, err := loadModels(modelsPath)
-		if err != nil {
+	var models *core.Models
+	if core.NeedsModels(name) {
+		var err error
+		if models, err = loadModels(modelsPath); err != nil {
 			return nil, 0, nil, err
 		}
-		var g dora.Governor
-		switch name {
-		case "DORA":
-			g, err = dora.NewDORA(models)
-		case "DORA_no_lkg":
-			g, err = dora.NewDORAWithoutLeakage(models)
-		case "DL":
-			g, err = dora.NewDeadlineOnly(models)
-		case "EE":
-			g, err = dora.NewEnergyOnly(models)
-		}
-		return g, 100 * time.Millisecond, models, err
-	default:
-		return nil, 0, nil, fmt.Errorf("unknown governor %q", name)
 	}
+	g, interval, err := core.NewGovernor(name, models)
+	return g, interval, models, err
 }
 
 func loadModels(path string) (*core.Models, error) {

@@ -212,46 +212,47 @@ func Train(opts TrainOptions) (*Models, TrainReport, error) {
 }
 
 // NewDORA builds the DORA governor (Algorithm 1) from trained models.
-func NewDORA(models *Models) (Governor, error) {
-	return core.New(models, core.Options{Mode: core.ModeDORA, UseLeakage: true})
-}
+func NewDORA(models *Models) (Governor, error) { return modelGovernor("DORA", models) }
 
 // NewDORAWithoutLeakage builds the Fig. 10 ablation that ignores the
 // live temperature.
 func NewDORAWithoutLeakage(models *Models) (Governor, error) {
-	return core.New(models, core.Options{Mode: core.ModeDORA, UseLeakage: false})
+	return modelGovernor("DORA_no_lkg", models)
 }
 
 // NewDeadlineOnly builds the paper's DL comparison governor.
-func NewDeadlineOnly(models *Models) (Governor, error) {
-	return core.New(models, core.Options{Mode: core.ModeDL, UseLeakage: true})
-}
+func NewDeadlineOnly(models *Models) (Governor, error) { return modelGovernor("DL", models) }
 
 // NewEnergyOnly builds the paper's EE comparison governor.
-func NewEnergyOnly(models *Models) (Governor, error) {
-	return core.New(models, core.Options{Mode: core.ModeEE, UseLeakage: true})
-}
+func NewEnergyOnly(models *Models) (Governor, error) { return modelGovernor("EE", models) }
 
 // NewInteractive builds the Android default governor (the paper's
 // baseline).
-func NewInteractive() Governor {
-	return governor.NewInteractive(governor.DefaultInteractiveConfig())
-}
+func NewInteractive() Governor { return tableGovernor("interactive") }
 
 // NewPerformance builds the max-frequency governor.
-func NewPerformance() Governor { return governor.NewPerformance() }
+func NewPerformance() Governor { return tableGovernor("performance") }
 
 // NewPowersave builds the min-frequency governor.
-func NewPowersave() Governor { return governor.NewPowersave() }
+func NewPowersave() Governor { return tableGovernor("powersave") }
 
 // NewOndemand builds the classic Linux ondemand governor.
-func NewOndemand() Governor {
-	return governor.NewOndemand(governor.DefaultOndemandConfig())
-}
+func NewOndemand() Governor { return tableGovernor("ondemand") }
 
 // NewConservative builds the step-at-a-time conservative governor.
-func NewConservative() Governor {
-	return governor.NewConservative(governor.DefaultConservativeConfig())
+func NewConservative() Governor { return tableGovernor("conservative") }
+
+// modelGovernor builds a model-based governor from the core table.
+func modelGovernor(name string, models *Models) (Governor, error) {
+	g, _, err := core.NewGovernor(name, models)
+	return g, err
+}
+
+// tableGovernor builds a model-free governor from the core table,
+// which cannot fail for those names.
+func tableGovernor(name string) Governor {
+	g, _, _ := core.NewGovernor(name, nil)
+	return g
 }
 
 // NewFixed pins the closest OPP at or above the given frequency.

@@ -1,9 +1,13 @@
 package dora
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"dora/internal/core"
+	"dora/internal/regress"
 )
 
 var (
@@ -128,5 +132,37 @@ func TestTrainedGovernorsEndToEnd(t *testing.T) {
 	// Invalid models rejected.
 	if _, err := NewDORA(&Models{}); err == nil {
 		t.Fatal("empty models must be rejected")
+	}
+}
+
+// The facade constructors build exactly the core governor table's
+// configuration for their names — DL included, with its deadline
+// margin.
+func TestFacadeGovernorsMatchTable(t *testing.T) {
+	stub := &core.Piecewise{Groups: map[int]*regress.Model{333: {}}}
+	m := &Models{LoadTime: stub, DynPower: stub, Static: core.StaticPower{Params: make([]float64, 6)}}
+	model := map[string]func(*Models) (Governor, error){
+		"DORA": NewDORA, "DORA_no_lkg": NewDORAWithoutLeakage, "DL": NewDeadlineOnly, "EE": NewEnergyOnly,
+	}
+	free := map[string]func() Governor{
+		"interactive": NewInteractive, "performance": NewPerformance, "powersave": NewPowersave,
+		"ondemand": NewOndemand, "conservative": NewConservative,
+	}
+	for _, name := range core.GovernorNames() {
+		want, _, err := core.NewGovernor(name, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Governor
+		if mk, ok := model[name]; ok {
+			if got, err = mk(m); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			got = free[name]()
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("facade %s = %+v, table builds %+v", name, got, want)
+		}
 	}
 }

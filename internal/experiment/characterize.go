@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -506,44 +507,13 @@ func (r *Fig6Result) Table() string {
 		r.FOpt, r.DeltaTDown, r.DeltaPDown, r.DeltaTUp, r.DeltaPUp, r.ErrorTolerance()*100) + "\n" + chart
 }
 
-// kernelMPKI measures a kernel's solo L2 MPKI at max frequency.
-// Memoized per kernel name with the same singleflight discipline as
-// Run: the old check-then-store pattern let two concurrent callers both
-// simulate the kernel, so duplicates now wait on the first flight.
+// kernelMPKI measures a kernel's solo L2 MPKI at max frequency,
+// memoized per kernel name so concurrent callers share one simulation.
 func (s *Suite) kernelMPKI(k corun.Kernel) (float64, error) {
-	s.mu.Lock()
-	if r, ok := s.kcache[k.Name]; ok {
-		s.mu.Unlock()
-		return r.AvgCoRunMPKI, nil
-	}
-	if fl, ok := s.kflight[k.Name]; ok {
-		s.mu.Unlock()
-		<-fl.done
-		return fl.r.AvgCoRunMPKI, fl.err
-	}
-	fl := &flight{done: make(chan struct{})}
-	if s.kflight == nil {
-		s.kflight = map[string]*flight{}
-	}
-	s.kflight[k.Name] = fl
-	s.mu.Unlock()
-
-	m, err := s.measureKernel(k)
-	fl.r, fl.err = m, err
-	s.mu.Lock()
-	delete(s.kflight, k.Name)
-	if err == nil {
-		if s.kcache == nil {
-			s.kcache = map[string]sim.Result{}
-		}
-		s.kcache[k.Name] = m
-	}
-	s.mu.Unlock()
-	close(fl.done)
-	if err != nil {
-		return 0, err
-	}
-	return m.AvgCoRunMPKI, nil
+	r, _, err := s.kernels.Do(context.Background(), k.Name, func(context.Context) (sim.Result, error) {
+		return s.measureKernel(k)
+	})
+	return r.AvgCoRunMPKI, err
 }
 
 // measureKernel runs the solo-kernel characterization, consulting the

@@ -578,7 +578,7 @@ func (s *Suite) Overhead() (*OverheadResult, error) {
 	}
 	res.MeanDecideCost = clk.Since(start) / reps
 	res.Decisions = reps
-	res.DecideFracOfSlot = float64(res.MeanDecideCost) / float64(DORAInterval)
+	res.DecideFracOfSlot = float64(res.MeanDecideCost) / float64(core.ModelInterval)
 	res.SwitchesPerLoad = float64(totalSwitches) / float64(len(combos))
 	if totalLoadTime > 0 {
 		res.SwitchTimeFrac = float64(totalSwitchTime) / float64(totalLoadTime)

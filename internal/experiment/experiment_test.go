@@ -8,9 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"dora/internal/core"
 	"dora/internal/corun"
 	"dora/internal/runcache"
-	"dora/internal/sim"
 	"dora/internal/soc"
 	"dora/internal/telemetry"
 	"dora/internal/train"
@@ -53,8 +53,8 @@ func tinySuite(t *testing.T) *Suite {
 			SoC: cfg, Models: models, Static: static,
 			TrainReport: rep, HoldoutReport: rep,
 			Observations: obs, Seed: 3,
-			cache: map[RunOptions]sim.Result{},
 		}
+		tiny.runs, tiny.kernels = newMemos()
 	})
 	if tinyErr != nil {
 		t.Fatal(tinyErr)
@@ -104,7 +104,7 @@ func TestCombos(t *testing.T) {
 
 func TestNewGovernorNames(t *testing.T) {
 	s := tinySuite(t)
-	for _, name := range GovernorNames {
+	for _, name := range core.GovernorNames() {
 		g, interval, err := s.NewGovernor(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -128,12 +128,12 @@ func TestRunCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := len(s.cache)
+	before := len(s.runs.Values())
 	b, err := s.Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.cache) != before {
+	if len(s.runs.Values()) != before {
 		t.Fatal("second identical run must be served from cache")
 	}
 	if a.LoadTime != b.LoadTime {
@@ -368,13 +368,14 @@ func TestOverheadSmall(t *testing.T) {
 // memo cache, worker width, run cache and metrics — for tests that
 // compare measurement strategies on identical models.
 func cloneSuite(s *Suite, workers int, rc *runcache.Cache, m *telemetry.Registry) *Suite {
-	return &Suite{
+	c := &Suite{
 		SoC: s.SoC, Models: s.Models, Static: s.Static,
 		TrainReport: s.TrainReport, HoldoutReport: s.HoldoutReport,
 		Observations: s.Observations, Seed: s.Seed,
 		Workers: workers, RunCache: rc, Metrics: m,
-		cache: map[RunOptions]sim.Result{},
 	}
+	c.runs, c.kernels = newMemos()
+	return c
 }
 
 // The tentpole guarantee at the suite layer: exhibits built with a wide
@@ -395,7 +396,7 @@ func TestSuiteParallelMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(f11s, f11p) {
 		t.Fatalf("parallel Fig11 differs from serial:\n%+v\n%+v", f11s, f11p)
 	}
-	if !reflect.DeepEqual(serial.cache, par.cache) {
+	if !reflect.DeepEqual(serial.runs.Values(), par.runs.Values()) {
 		t.Fatal("parallel memo cache differs from serial")
 	}
 }
@@ -415,8 +416,8 @@ func TestPrefetchSingleflight(t *testing.T) {
 	if got := m.Counter("dora_suite_runs_total", "").Value(); got != 2 {
 		t.Fatalf("executed %d simulations for 2 distinct options", got)
 	}
-	if len(c.cache) != 2 {
-		t.Fatalf("memo holds %d entries, want 2", len(c.cache))
+	if n := len(c.runs.Values()); n != 2 {
+		t.Fatalf("memo holds %d entries, want 2", n)
 	}
 }
 

@@ -12,9 +12,6 @@ import (
 	"dora/internal/workload"
 )
 
-// fixedGov pins a single OPP.
-func fixedGov(opp dvfs.OPP) governor.Governor { return governor.NewFixed(opp) }
-
 // kernelReplay is the cached result of a kernel instruction replay.
 type kernelReplay struct {
 	EnergyJ float64
@@ -35,7 +32,7 @@ func (s *Suite) kernelReplayEnergy(k corun.Kernel, opp dvfs.OPP, seed int64, n u
 	}
 	energy, elapsed, err := sim.RunKernelInstructions(sim.Options{
 		SoC:      s.SoC,
-		Governor: fixedGov(opp),
+		Governor: governor.NewFixed(opp),
 		Seed:     seed,
 	}, k, n)
 	if err != nil {

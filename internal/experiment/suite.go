@@ -13,7 +13,6 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -23,6 +22,7 @@ import (
 	"dora/internal/corun"
 	"dora/internal/fidelity"
 	"dora/internal/governor"
+	"dora/internal/memo"
 	"dora/internal/pool"
 	"dora/internal/runcache"
 	"dora/internal/sim"
@@ -34,9 +34,6 @@ import (
 
 // Deadline is the paper's default QoS target.
 const Deadline = 3 * time.Second
-
-// DORAInterval is the paper's chosen decision interval (Section IV-C).
-const DORAInterval = 100 * time.Millisecond
 
 // Suite carries trained models and caches run results.
 type Suite struct {
@@ -72,22 +69,20 @@ type Suite struct {
 	// runs (harmless to exact runs, which never consult it).
 	ckpts *sim.CheckpointStore
 
-	mu       sync.Mutex
-	cache    map[RunOptions]sim.Result
-	inflight map[RunOptions]*flight
-	kcache   map[string]sim.Result
-	kflight  map[string]*flight
+	// runs and kernels memoize measurements by RunOptions and by
+	// kernel name; newMemos builds both.
+	runs    *memo.Group[RunOptions, sim.Result]
+	kernels *memo.Group[string, sim.Result]
 
 	fpOnce sync.Once
 	fp     string
 }
 
-// flight is one in-progress measurement that duplicate concurrent
-// requests wait on instead of re-running the simulator.
-type flight struct {
-	done chan struct{}
-	r    sim.Result
-	err  error
+// newMemos returns the suite's two measurement memos. Both keep every
+// successful result for the suite's lifetime.
+func newMemos() (*memo.Group[RunOptions, sim.Result], *memo.Group[string, sim.Result]) {
+	return memo.New[RunOptions, sim.Result](context.Background(), true),
+		memo.New[string, sim.Result](context.Background(), true)
 }
 
 // fingerprint lazily hashes the suite's device configuration for
@@ -157,10 +152,10 @@ func NewSuite(cfg TrainingConfig) (*Suite, error) {
 		Seed:           cfg.Seed,
 		Workers:        cfg.Workers,
 		RunCache:       cfg.Cache,
-		cache:          map[RunOptions]sim.Result{},
 		FidelityParams: cfg.FidelityParams,
 		ckpts:          sim.NewCheckpointStore(),
 	}
+	s.runs, s.kernels = newMemos()
 	// Holdout (Webpage-Neutral) accuracy: measure the 4 held-out pages
 	// and evaluate the trained models on them.
 	hc := train.Config{SoC: cfg.SoC, Seed: cfg.Seed + 10_000, Pages: webgen.HoldoutNames(),
@@ -182,37 +177,10 @@ func NewSuite(cfg TrainingConfig) (*Suite, error) {
 	return s, nil
 }
 
-// GovernorNames are the policies compared throughout Section V.
-var GovernorNames = []string{"interactive", "performance", "DL", "EE", "DORA", "DORA_no_lkg", "powersave", "ondemand", "conservative"}
-
-// NewGovernor builds a fresh governor instance by paper name.
+// NewGovernor builds a fresh governor instance by paper name from the
+// core governor table, with the suite's trained models.
 func (s *Suite) NewGovernor(name string) (governor.Governor, time.Duration, error) {
-	switch name {
-	case "interactive":
-		return governor.NewInteractive(governor.DefaultInteractiveConfig()), 20 * time.Millisecond, nil
-	case "performance":
-		return governor.NewPerformance(), 20 * time.Millisecond, nil
-	case "powersave":
-		return governor.NewPowersave(), 20 * time.Millisecond, nil
-	case "ondemand":
-		return governor.NewOndemand(governor.DefaultOndemandConfig()), 50 * time.Millisecond, nil
-	case "conservative":
-		return governor.NewConservative(governor.DefaultConservativeConfig()), 20 * time.Millisecond, nil
-	case "DL":
-		g, err := core.New(s.Models, core.Options{Mode: core.ModeDL, UseLeakage: true, DeadlineMargin: 0.93})
-		return g, DORAInterval, err
-	case "EE":
-		g, err := core.New(s.Models, core.Options{Mode: core.ModeEE, UseLeakage: true})
-		return g, DORAInterval, err
-	case "DORA":
-		g, err := core.New(s.Models, core.Options{Mode: core.ModeDORA, UseLeakage: true})
-		return g, DORAInterval, err
-	case "DORA_no_lkg":
-		g, err := core.New(s.Models, core.Options{Mode: core.ModeDORA, UseLeakage: false})
-		return g, DORAInterval, err
-	default:
-		return nil, 0, fmt.Errorf("experiment: unknown governor %q", name)
-	}
+	return core.NewGovernor(name, s.Models)
 }
 
 // RunOptions identify one memoized measurement.
@@ -237,64 +205,32 @@ type RunOptions struct {
 // The normalized RunOptions value itself is the memo key, so the cache
 // never aliases two distinct option sets. Concurrent calls with equal
 // options are deduplicated: one runs the simulator, the rest wait on
-// its flight — which is what makes naive Prefetch lists (that may
-// repeat an option) cost one simulation per distinct option.
+// it — which is what makes naive Prefetch lists (that may repeat an
+// option) cost one simulation per distinct option.
 func (s *Suite) Run(o RunOptions) (sim.Result, error) {
 	return s.RunCtx(context.Background(), o)
 }
 
-// RunCtx is Run with cooperative cancellation. The leader propagates
-// its context into the simulator, so an expired deadline aborts the
-// measurement promptly; a waiter whose own context dies stops waiting
-// and returns its ctx.Err(). When a leader is cancelled mid-flight,
-// waiters with live contexts retry the measurement rather than
-// inheriting the leader's cancellation, so one impatient caller never
-// poisons the memo for the rest.
+// RunCtx is Run with cooperative cancellation, under the memo package's
+// rules: the measurement runs detached and is aborted only once every
+// caller waiting on it has gone, a caller whose own context dies
+// returns its ctx.Err(), and live callers retry after an aborted
+// measurement, so one impatient caller never poisons the memo for the
+// rest.
 func (s *Suite) RunCtx(ctx context.Context, o RunOptions) (sim.Result, error) {
 	if o.Deadline == 0 {
 		o.Deadline = Deadline
 	}
-	for {
-		s.mu.Lock()
-		if r, ok := s.cache[o]; ok {
-			s.mu.Unlock()
-			s.Metrics.Counter("dora_suite_cache_hits_total", "memoized measurements served from cache").Inc()
-			return r, nil
-		}
-		if fl, ok := s.inflight[o]; ok {
-			s.mu.Unlock()
-			s.Metrics.Counter("dora_suite_inflight_dedup_total", "duplicate concurrent measurements coalesced").Inc()
-			select {
-			case <-fl.done:
-			case <-ctx.Done():
-				return sim.Result{}, ctx.Err()
-			}
-			// A leader aborted by its own context does not speak for
-			// this caller: retry while our context is still live.
-			if fl.err != nil && ctx.Err() == nil &&
-				(errors.Is(fl.err, context.Canceled) || errors.Is(fl.err, context.DeadlineExceeded)) {
-				continue
-			}
-			return fl.r, fl.err
-		}
-		fl := &flight{done: make(chan struct{})}
-		if s.inflight == nil {
-			s.inflight = map[RunOptions]*flight{}
-		}
-		s.inflight[o] = fl
-		s.mu.Unlock()
-
-		r, err := s.measure(ctx, o)
-		fl.r, fl.err = r, err
-		s.mu.Lock()
-		delete(s.inflight, o)
-		if err == nil {
-			s.cache[o] = r
-		}
-		s.mu.Unlock()
-		close(fl.done)
-		return r, err
+	r, out, err := s.runs.Do(ctx, o, func(ctx context.Context) (sim.Result, error) {
+		return s.measure(ctx, o)
+	})
+	switch out {
+	case memo.Kept:
+		s.Metrics.Counter("dora_suite_cache_hits_total", "memoized measurements served from cache").Inc()
+	case memo.Joined:
+		s.Metrics.Counter("dora_suite_inflight_dedup_total", "duplicate concurrent measurements coalesced").Inc()
 	}
+	return r, err
 }
 
 // measure performs the actual measurement for normalized options,

@@ -527,6 +527,10 @@ func (b *builder) callExpr(pkg *Package, owner *FuncInfo, call *ast.CallExpr, st
 		owner.Dynamic++
 		return
 	}
+	// A call into a generic function or a method of a generic type
+	// uses an instantiated object; its declaration's node is keyed by
+	// the origin.
+	fn = fn.Origin()
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
 		// Interface dispatch: no edge, by design.
 		owner.Dynamic++

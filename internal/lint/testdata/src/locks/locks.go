@@ -62,3 +62,23 @@ func (s *store) nestedLock() {
 	s.mu.Unlock()
 	s.rw.RUnlock()
 }
+
+// flight is a generic singleflight entry; wait blocks until it lands.
+type flight[V any] struct {
+	done chan struct{}
+	val  V
+}
+
+func (f *flight[V]) wait() V {
+	<-f.done
+	return f.val
+}
+
+// waitGenericUnderLock reaches the blocking receive through a method
+// of an instantiated generic type: the call edge must resolve to the
+// generic declaration, not count as dynamic.
+func (s *store) waitGenericUnderLock(f *flight[int]) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return f.wait() // want `locksafe: call to locks\.\(\*flight\[V\]\)\.wait, which can block \(a channel receive on channel "done"\) while "mu" is held`
+}

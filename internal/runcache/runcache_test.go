@@ -1,6 +1,7 @@
 package runcache
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -231,5 +232,63 @@ func TestPutNullValueNotCached(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", c.Len())
+	}
+}
+
+// A Save whose directory has vanished fails without touching the file
+// it would replace and keeps the cache dirty, so a later Save to a good
+// path still writes every entry.
+func TestSaveToMissingDirKeepsCacheDirty(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "cache")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "runs.json")
+	c, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put("a", 1)
+	if err := c.Save(); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put("b", 2)
+
+	moved := filepath.Join(root, "moved")
+	if err := os.Rename(dir, moved); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Save(); err == nil {
+		t.Fatal("Save into a missing directory succeeded")
+	}
+	left, err := os.ReadDir(moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 1 {
+		t.Fatalf("failed Save left %d files beside the cache, want only the cache", len(left))
+	}
+	if got, err := os.ReadFile(filepath.Join(moved, "runs.json")); err != nil || !bytes.Equal(got, saved) {
+		t.Fatalf("failed Save changed the existing file (err %v)", err)
+	}
+
+	if err := os.Rename(moved, dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Save(); err != nil {
+		t.Fatalf("Save after the directory returned: %v", err)
+	}
+	back, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b int
+	if back.Len() != 2 || !back.Get("a", &a) || !back.Get("b", &b) || a != 1 || b != 2 {
+		t.Fatalf("reopened cache has %d entries (a=%d b=%d), want both", back.Len(), a, b)
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 )
 
@@ -47,7 +48,7 @@ func FuzzLoadRequestDecode(f *testing.F) {
 		if req.Page == "" {
 			t.Fatal("accepted request without page")
 		}
-		if req.Governor == "" || !knownGovernor(req.Governor) {
+		if req.Governor == "" || !slices.Contains(governorNames, req.Governor) {
 			t.Fatalf("accepted request with governor %q", req.Governor)
 		}
 		if req.Governor == "fixed" && req.FreqMHz <= 0 {

@@ -178,7 +178,7 @@ func TestAdmissionRejectedCounter(t *testing.T) {
 	s, ts := newTestServer(t,
 		Config{Concurrency: 1, MaxQueue: 1, RetryAfter: 4 * time.Second,
 			Log: obslog.New(logBuf, obslog.Options{})},
-		func(s *Server) { s.testBeforeSim = func(string) { <-hold } })
+		func(s *Server) { s.cfg.BeforeSimHook = func(string) { <-hold } })
 
 	done := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {

@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
+	"dora/internal/core"
 	"dora/internal/corun"
 	"dora/internal/fidelity"
 	"dora/internal/webgen"
@@ -168,24 +170,12 @@ const maxTimeoutMs = 60 * 60 * 1000
 // maxCampaignCells bounds the expanded grid of one campaign request.
 const maxCampaignCells = 1024
 
-// governorNames are the policies a request may name, mirroring the
-// experiment suite's set plus "fixed" (with freq_mhz).
-var governorNames = []string{
-	"interactive", "performance", "powersave", "ondemand", "conservative",
-	"fixed", "DORA", "DORA_no_lkg", "DL", "EE",
-}
-
-// modelGovernors are the names that need trained models.
-var modelGovernors = map[string]bool{"DORA": true, "DORA_no_lkg": true, "DL": true, "EE": true}
-
-func knownGovernor(name string) bool {
-	for _, g := range governorNames {
-		if g == name {
-			return true
-		}
-	}
-	return false
-}
+// governorNames are the policies a request may name: the core
+// governor table, with "fixed" (freq_mhz) after its model-free names.
+var governorNames = func() []string {
+	names := core.GovernorNames()
+	return slices.Insert(names, slices.IndexFunc(names, core.NeedsModels), "fixed")
+}()
 
 // decodeStrict unmarshals one JSON value into v, rejecting unknown
 // fields and trailing content.
@@ -271,7 +261,7 @@ func normalizeLoadRequest(req LoadRequest, defaultFidelity string) (LoadRequest,
 	case req.Governor == "fixed":
 		return LoadRequest{}, errBadRequest("governor \"fixed\" needs freq_mhz > 0")
 	}
-	if !knownGovernor(req.Governor) {
+	if !slices.Contains(governorNames, req.Governor) {
 		return LoadRequest{}, errBadRequest("unknown governor %q (choose from %v)", req.Governor, governorNames)
 	}
 	for _, d := range []struct {

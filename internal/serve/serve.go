@@ -40,6 +40,7 @@ import (
 	"dora/internal/corun"
 	"dora/internal/fidelity"
 	"dora/internal/governor"
+	"dora/internal/memo"
 	"dora/internal/obslog"
 	"dora/internal/runcache"
 	"dora/internal/sim"
@@ -137,7 +138,6 @@ type Server struct {
 	drainMu  sync.RWMutex
 	draining bool
 	reqWG    sync.WaitGroup // admitted logical requests (HTTP + stream frames)
-	simWG    sync.WaitGroup // detached flight leaders
 
 	// Hijacked stream connections are invisible to http.Server
 	// lifecycle management, so the server tracks them itself: the map
@@ -147,7 +147,9 @@ type Server struct {
 	streams  map[*streamConn]struct{}
 	streamWG sync.WaitGroup
 
-	flights flightGroup
+	// flights dedups in-flight simulations by cache key; its leaders
+	// run on baseCtx. Results are not kept: the run cache keeps them.
+	flights *memo.Group[string, []byte]
 
 	log       *obslog.Logger // module "serve": lifecycle + errors
 	alog      *obslog.Logger // module "access": one line per request
@@ -176,11 +178,6 @@ type Server struct {
 	mStreamFramesOut  *telemetry.Counter
 	mStreamCompressed *telemetry.Counter
 	hFramesPerFlush   *telemetry.Histogram
-
-	// testBeforeSim, when set, runs in the flight leader right before
-	// the simulation starts. Test instrumentation (queue-full and
-	// drain e2e tests park a request here deterministically).
-	testBeforeSim func(key string)
 }
 
 // NewServer builds a ready-to-mount daemon core.
@@ -228,6 +225,7 @@ func NewServer(cfg Config) *Server {
 		streams:    make(map[*streamConn]struct{}),
 		baseCtx:    ctx,
 		baseCancel: cancel,
+		flights:    memo.New[string, []byte](ctx, false),
 
 		log:     cfg.Log.Module("serve"),
 		alog:    cfg.Log.Module("access"),
@@ -254,7 +252,6 @@ func NewServer(cfg Config) *Server {
 		hFramesPerFlush:   reg.Histogram("dora_stream_frames_per_flush", "result frames coalesced into one stream flush", telemetry.ExponentialBuckets(1, 2, 8)),
 	}
 	s.obs = newServeObs(reg)
-	s.testBeforeSim = cfg.BeforeSimHook
 	s.startMono = s.mono.MonoNow()
 	// Seed the Retry-After jitter stream from boot entropy (falling
 	// back to a fixed seed changes nothing but the jitter phase).
@@ -343,7 +340,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.reqWG.Wait()
-		s.simWG.Wait()
+		s.flights.Wait()
 		s.streamWG.Wait()
 		close(done)
 	}()
@@ -444,10 +441,10 @@ func (s *Server) simulate(ctx context.Context, req LoadRequest) (body []byte, so
 	return s.simulateKey(ctx, key, req)
 }
 
-// simulateKey is simulate past the cache check: the singleflight
-// join/lead/retry machinery for an already-derived key. Callers that
-// ran the pre-admission cache fast path (executeLoad) enter here
-// directly so the cache is probed exactly once per request.
+// simulateKey is simulate past the cache check: the deduplicated
+// simulation for an already-derived key. Callers that ran the
+// pre-admission cache fast path (executeLoad) enter here directly so
+// the cache is probed exactly once per request.
 func (s *Server) simulateKey(ctx context.Context, key string, req LoadRequest) (body []byte, source string, apiErr *APIError) {
 	simStart := s.mono.MonoNow()
 	if obs := obsFrom(ctx); obs != nil {
@@ -457,52 +454,36 @@ func (s *Server) simulateKey(ctx context.Context, key string, req LoadRequest) (
 			obs.simNanos.Add(clock.MonoSince(s.mono, simStart).Nanoseconds())
 		}()
 	}
-	for attempt := 0; ; attempt++ {
-		fl, leader := s.flights.join(key)
-		if leader {
-			simCtx, cancel := context.WithCancel(s.baseCtx)
-			s.flights.setCancel(fl, cancel)
-			s.simWG.Add(1)
-			go s.runFlight(key, fl, simCtx, cancel, req)
-		} else {
-			s.mDedup.Inc()
-		}
-		select {
-		case <-fl.done:
-			s.flights.leave(fl)
-			// A flight aborted because all of its previous waiters
-			// vanished says nothing about this still-live request:
-			// retry with a fresh flight (bounded, in case the server
-			// itself is closing).
-			if fl.err != nil && fl.err.Code == CodeAborted && ctx.Err() == nil &&
-				s.baseCtx.Err() == nil && attempt < 3 {
-				continue
-			}
-			src := "sim"
-			if !leader {
-				src = "dedup"
-			}
-			return fl.body, src, fl.err
-		case <-ctx.Done():
-			s.flights.leave(fl)
-			return nil, "", CtxErrToAPI(ctx)
-		}
+	body, out, err := s.flights.Do(ctx, key, func(simCtx context.Context) ([]byte, error) {
+		return s.lead(simCtx, key, req)
+	})
+	source = "sim"
+	if out == memo.Joined {
+		s.mDedup.Inc()
+		source = "dedup"
 	}
+	if err != nil {
+		if !errors.As(err, &apiErr) { // the request's own context ended
+			apiErr = CtxErrToAPI(ctx)
+		}
+		return nil, "", apiErr
+	}
+	return body, source, nil
 }
 
-// CodeAborted marks a flight whose simulation was cancelled because
-// every waiter left (or the server force-closed); requests never see
-// it directly — simulate retries or maps it.
+// CodeAborted marks a leader whose simulation was cancelled because
+// every waiter left (or the server force-closed); live waiters retry
+// it, and executeLoad maps what remains to CodeDraining.
 const CodeAborted = "aborted"
 
-// runFlight is the singleflight leader: it executes the simulation
-// under simCtx (cancelled when the last waiter leaves or the server
-// closes), stores the result in the persistent cache, and publishes
-// the encoded body.
-func (s *Server) runFlight(key string, fl *flight, simCtx context.Context, cancel context.CancelFunc, req LoadRequest) {
-	defer s.simWG.Done()
-	defer cancel()
-	if hook := s.testBeforeSim; hook != nil {
+// lead is the singleflight leader: it executes the simulation under
+// simCtx (cancelled when the last waiter leaves or the server closes),
+// stores the result in the persistent cache, and returns the encoded
+// body every waiter writes verbatim, so N deduplicated responses are
+// byte-identical by construction. Every error it returns is an
+// *APIError.
+func (s *Server) lead(simCtx context.Context, key string, req LoadRequest) ([]byte, error) {
+	if hook := s.cfg.BeforeSimHook; hook != nil {
 		hook(key)
 	}
 	s.mExecs.Inc()
@@ -511,15 +492,14 @@ func (s *Server) runFlight(key string, fl *flight, simCtx context.Context, cance
 	case err == nil:
 		body, merr := json.Marshal(res)
 		if merr != nil {
-			s.flights.finish(key, fl, nil, &APIError{Status: http.StatusInternalServerError, Code: CodeInternal, Message: "encode result: " + merr.Error()})
-			return
+			return nil, &APIError{Status: http.StatusInternalServerError, Code: CodeInternal, Message: "encode result: " + merr.Error()}
 		}
 		s.cfg.Cache.Put(key, res)
-		s.flights.finish(key, fl, body, nil)
+		return body, nil
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.flights.finish(key, fl, nil, &APIError{Status: http.StatusServiceUnavailable, Code: CodeAborted, Message: "simulation aborted: " + err.Error()})
+		return nil, &APIError{Status: http.StatusServiceUnavailable, Code: CodeAborted, Message: "simulation aborted: " + err.Error()}
 	default:
-		s.flights.finish(key, fl, nil, &APIError{Status: http.StatusInternalServerError, Code: CodeInternal, Message: err.Error()})
+		return nil, &APIError{Status: http.StatusInternalServerError, Code: CodeInternal, Message: err.Error()}
 	}
 }
 
@@ -528,9 +508,12 @@ func (s *Server) runFlight(key string, fl *flight, simCtx context.Context, cance
 // and sharing one across runs would let request order leak into
 // results.
 func (s *Server) runSim(ctx context.Context, req LoadRequest) (sim.Result, error) {
-	gov, interval, apiErr := s.newGovernor(req.Governor, req.FreqMHz)
-	if apiErr != nil {
-		return sim.Result{}, apiErr
+	gov, interval := governor.NewFixed(s.device.OPPs.Ceil(req.FreqMHz)), 20*time.Millisecond
+	if req.Governor != "fixed" {
+		var err error
+		if gov, interval, err = core.NewGovernor(req.Governor, s.cfg.Models); err != nil {
+			return sim.Result{}, err
+		}
 	}
 	spec, err := webgen.ByName(req.Page)
 	if err != nil {
@@ -564,47 +547,15 @@ func (s *Server) runSim(ctx context.Context, req LoadRequest) (sim.Result, error
 	}, wl)
 }
 
-// newGovernor builds a fresh governor instance by request name,
-// mirroring the experiment suite's constructors (same intervals, same
-// DL margin) so served results match suite-built ones bit for bit.
-func (s *Server) newGovernor(name string, freqMHz int) (governor.Governor, time.Duration, *APIError) {
-	switch name {
-	case "fixed":
-		return governor.NewFixed(s.device.OPPs.Ceil(freqMHz)), 20 * time.Millisecond, nil
-	case "interactive":
-		return governor.NewInteractive(governor.DefaultInteractiveConfig()), 20 * time.Millisecond, nil
-	case "performance":
-		return governor.NewPerformance(), 20 * time.Millisecond, nil
-	case "powersave":
-		return governor.NewPowersave(), 20 * time.Millisecond, nil
-	case "ondemand":
-		return governor.NewOndemand(governor.DefaultOndemandConfig()), 50 * time.Millisecond, nil
-	case "conservative":
-		return governor.NewConservative(governor.DefaultConservativeConfig()), 20 * time.Millisecond, nil
-	}
-	if !modelGovernors[name] {
-		return nil, 0, errBadRequest("unknown governor %q", name)
-	}
-	if s.cfg.Models == nil {
-		return nil, 0, &APIError{Status: http.StatusBadRequest, Code: CodeModelRequired,
+// requireModels refuses a model-based governor on a server started
+// without models: a fast 400 instead of a queued-then-failed
+// simulation.
+func (s *Server) requireModels(name string) *APIError {
+	if s.cfg.Models == nil && core.NeedsModels(name) {
+		return &APIError{Status: http.StatusBadRequest, Code: CodeModelRequired,
 			Message: fmt.Sprintf("governor %q needs trained models; start dorad with -models", name)}
 	}
-	opts := core.Options{UseLeakage: true}
-	switch name {
-	case "DORA":
-		opts.Mode = core.ModeDORA
-	case "DORA_no_lkg":
-		opts.Mode, opts.UseLeakage = core.ModeDORA, false
-	case "DL":
-		opts.Mode, opts.DeadlineMargin = core.ModeDL, 0.93
-	case "EE":
-		opts.Mode = core.ModeEE
-	}
-	g, err := core.New(s.cfg.Models, opts)
-	if err != nil {
-		return nil, 0, &APIError{Status: http.StatusInternalServerError, Code: CodeInternal, Message: err.Error()}
-	}
-	return g, 100 * time.Millisecond, nil
+	return nil
 }
 
 // --- handlers --------------------------------------------------------

@@ -186,7 +186,7 @@ func TestBodyTooLarge(t *testing.T) {
 func TestQueueFullSheds429(t *testing.T) {
 	hold := make(chan struct{})
 	s, ts := newTestServer(t, Config{Concurrency: 1, MaxQueue: 1}, func(s *Server) {
-		s.testBeforeSim = func(string) { <-hold }
+		s.cfg.BeforeSimHook = func(string) { <-hold }
 	})
 
 	type result struct {
@@ -233,7 +233,7 @@ func TestQueueFullSheds429(t *testing.T) {
 func TestDeadlineExpires504(t *testing.T) {
 	hold := make(chan struct{})
 	s, ts := newTestServer(t, Config{}, func(s *Server) {
-		s.testBeforeSim = func(string) { <-hold }
+		s.cfg.BeforeSimHook = func(string) { <-hold }
 	})
 	before := runtime.NumGoroutine()
 
@@ -271,7 +271,7 @@ func TestConcurrentDedup(t *testing.T) {
 	const n = 8
 	hold := make(chan struct{})
 	s, ts := newTestServer(t, Config{Concurrency: n + 2}, func(s *Server) {
-		s.testBeforeSim = func(string) { <-hold }
+		s.cfg.BeforeSimHook = func(string) { <-hold }
 	})
 
 	req, apiErr := DecodeLoadRequest([]byte(`{"page":"Reddit","seed":11}`))
@@ -298,9 +298,9 @@ func TestConcurrentDedup(t *testing.T) {
 	}
 	// Hold the leader until every request has joined its flight.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.flights.waiting(key) != n {
+	for s.flights.Waiters(key) != n {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d requests joined the flight", s.flights.waiting(key), n)
+			t.Fatalf("only %d/%d requests joined the flight", s.flights.Waiters(key), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -339,7 +339,7 @@ func TestConcurrentDedup(t *testing.T) {
 func TestDrain(t *testing.T) {
 	hold := make(chan struct{})
 	s, ts := newTestServer(t, Config{}, func(s *Server) {
-		s.testBeforeSim = func(string) { <-hold }
+		s.cfg.BeforeSimHook = func(string) { <-hold }
 	})
 
 	req, apiErr := DecodeLoadRequest([]byte(`{"page":"Alipay","seed":77}`))
@@ -360,7 +360,7 @@ func TestDrain(t *testing.T) {
 		}{resp.StatusCode, body}
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for s.flights.waiting(key) != 1 {
+	for s.flights.Waiters(key) != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("in-flight request never started simulating")
 		}

@@ -537,9 +537,7 @@ func AggregateSource(sources []string) string {
 // pure transport, which is exactly what the stream transport then
 // collapses.
 func (s *Server) executeLoad(ctx context.Context, req LoadRequest) (body []byte, source string, apiErr *APIError) {
-	// Surface "model-based governor but no models" as a fast 400
-	// instead of a queued-then-failed simulation.
-	if _, _, apiErr := s.newGovernor(req.Governor, req.FreqMHz); apiErr != nil {
+	if apiErr := s.requireModels(req.Governor); apiErr != nil {
 		return nil, "", apiErr
 	}
 	key := s.loadKey(req)
@@ -565,7 +563,7 @@ func (s *Server) executeLoad(ctx context.Context, req LoadRequest) (body []byte,
 // each as its own frame.
 func (s *Server) executeCampaign(ctx context.Context, cells []LoadRequest, emit func(i int, cell CampaignCell, source string)) *APIError {
 	for _, c := range cells {
-		if _, _, apiErr := s.newGovernor(c.Governor, c.FreqMHz); apiErr != nil {
+		if apiErr := s.requireModels(c.Governor); apiErr != nil {
 			return apiErr
 		}
 	}

@@ -145,7 +145,7 @@ func TestStreamPipeliningOutOfOrder(t *testing.T) {
 	hold := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	_, ts := newTestServer(t, withCache(t, Config{Concurrency: 2}), func(s *Server) {
-		s.testBeforeSim = func(string) {
+		s.cfg.BeforeSimHook = func(string) {
 			if !gate.Load() {
 				return // warm-up traffic passes straight through
 			}
@@ -203,7 +203,7 @@ func TestStreamCrossTransportDedup(t *testing.T) {
 	hold := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	_, ts := newTestServer(t, Config{Concurrency: 2}, func(s *Server) {
-		s.testBeforeSim = func(string) {
+		s.cfg.BeforeSimHook = func(string) {
 			entered <- struct{}{}
 			<-hold
 		}
