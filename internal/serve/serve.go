@@ -508,12 +508,13 @@ func (s *Server) lead(simCtx context.Context, key string, req LoadRequest) ([]by
 // and sharing one across runs would let request order leak into
 // results.
 func (s *Server) runSim(ctx context.Context, req LoadRequest) (sim.Result, error) {
-	gov, interval := governor.NewFixed(s.device.OPPs.Ceil(req.FreqMHz)), 20*time.Millisecond
-	if req.Governor != "fixed" {
-		var err error
-		if gov, interval, err = core.NewGovernor(req.Governor, s.cfg.Models); err != nil {
-			return sim.Result{}, err
-		}
+	var gov governor.Governor
+	interval := 20 * time.Millisecond
+	var err error
+	if req.Governor == "fixed" {
+		gov = governor.NewFixed(s.device.OPPs.Ceil(req.FreqMHz))
+	} else if gov, interval, err = core.NewGovernor(req.Governor, s.cfg.Models); err != nil {
+		return sim.Result{}, err
 	}
 	spec, err := webgen.ByName(req.Page)
 	if err != nil {
