@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short race lint lint-report bench bench-pr2 bench-pr3 bench-serve bench-sampled serve-test stream-test cluster-test fuzz-smoke load
+.PHONY: build test test-short race lint lint-report bench bench-pr2 bench-pr3 bench-serve bench-sampled bench-ab serve-test stream-test cluster-test fuzz-smoke load
 
 build:
 	$(GO) build ./...
@@ -83,6 +83,12 @@ bench-serve:
 # the ≥5x campaign speedup, into BENCH_SAMPLED.json.
 bench-sampled:
 	scripts/bench_sampled.sh
+
+# A/B the repository benchmark between two commits (default HEAD~1 vs
+# HEAD, 10 alternated pairs per workload) into BENCH_AB.json.
+#   make bench-ab ARGS="-k 10 -o BENCH_KERNEL.json campaign-exact"
+bench-ab:
+	scripts/bench_ab.sh $(ARGS)
 
 # Ad-hoc load generation against a running daemon:
 #   make load TARGET=http://127.0.0.1:8077 [ARGS="-duration 10s -qps 50"]

@@ -241,6 +241,32 @@ func BenchmarkAccessN(b *testing.B) {
 	}
 }
 
+// BenchmarkL1AccessN is BenchmarkAccessN on a private L1: the
+// NexusFive geometry after SampleShift scaling (16 KB / 8 = 2 KB,
+// 4-way LRU, one owner), which almost every sampled reference probes
+// first and almost always misses.
+func BenchmarkL1AccessN(b *testing.B) {
+	c, err := cache.New(cache.Config{
+		Name: "l1", SizeBytes: 2 << 10, LineBytes: 64, Ways: 4,
+		MaxOwners: 1, Replacement: cache.LRU,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := workload.NewRefGen(workload.Segment{
+		FootprintBytes: 8 << 20, Pattern: workload.Random, Base: 0x1000000,
+	}, 1)
+	const blk = 256
+	addrs := make([]uint64, blk)
+	hits := make([]bool, blk)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += blk {
+		gen.FillBlock(addrs)
+		c.AccessN(0, addrs, hits)
+	}
+}
+
 func BenchmarkCacheAccess(b *testing.B) {
 	c, err := cache.New(cache.Config{
 		Name: "l2", SizeBytes: 256 << 10, LineBytes: 64, Ways: 16,

@@ -5,12 +5,15 @@
 // behind the memory interference the DORA paper manages.
 //
 // The geometry is flat: all ways of all sets live in preallocated
-// parallel arrays (tags, last-use ticks, owners) indexed by
-// set*ways+way, with validity kept as one bitmask word per set. A
-// lookup touches one contiguous tag run instead of chasing a per-set
-// slice header, and the victim scans are monomorphic per replacement
-// policy — the layout the simulator's quantum loop spends most of its
-// time in.
+// parallel arrays (tags, owners) indexed by set*ways+way, with validity
+// kept as one bitmask word per set, so a lookup touches one contiguous
+// tag run. LRU caches keep one recency word per set: nibble r holds the
+// way at recency rank r (rank 0 most recent), which is why a cache has
+// at most 16 ways. A hit or a fill moves its way to rank 0, found by a
+// SWAR nibble search; a miss on a full set evicts the top nibble and
+// rotates it to rank 0 with one shift. Random-replacement caches keep
+// no recency state at all. This is the layout the simulator's quantum
+// loop spends most of its time in.
 package cache
 
 import (
@@ -31,12 +34,17 @@ const (
 	RandomRepl
 )
 
+// MaxWays is the largest associativity a Config may declare.
+const MaxWays = 16
+
 // Config describes one cache level.
 type Config struct {
 	Name      string
 	SizeBytes int
 	LineBytes int
-	Ways      int
+	// Ways is the associativity, at most MaxWays: an LRU set's
+	// recency order is one 64-bit word of 4-bit way numbers.
+	Ways int
 	// MaxOwners is the number of distinct requestors (cores) whose
 	// statistics are tracked separately.
 	MaxOwners int
@@ -52,8 +60,8 @@ func (c Config) Validate() error {
 	if c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("cache %q: line size %d not a power of two", c.Name, c.LineBytes)
 	}
-	if c.Ways > 64 {
-		return fmt.Errorf("cache %q: more than 64 ways", c.Name)
+	if c.Ways > MaxWays {
+		return fmt.Errorf("cache %q: %d ways, more than %d", c.Name, c.Ways, MaxWays)
 	}
 	if c.SizeBytes%(c.LineBytes*c.Ways) != 0 {
 		return fmt.Errorf("cache %q: size %d not divisible by ways*line", c.Name, c.SizeBytes)
@@ -93,20 +101,34 @@ type Cache struct {
 	// addresses (set bits redundant but harmless). Splitting the line
 	// fields into parallel arrays keeps the hit scan inside one or two
 	// cache lines of tag words instead of striding over padded structs.
-	tags    []uint64
-	lastUse []uint64
-	owners  []int8
+	tags   []uint64
+	owners []int8
 	// validBits holds one validity bitmask word per set (bit w = way w
 	// valid), so the first-invalid-way scan is one TrailingZeros64.
 	validBits []uint64
 	waysMask  uint64 // low c.ways bits set
 
+	// stack holds one LRU recency word per set: nibble r is the way at
+	// rank r, rank 0 the most recently used. Every way appears exactly
+	// once; ranks never touched since the last Flush keep their
+	// initial order below all touched ones. nil under RandomRepl.
+	stack     []uint64
+	stackInit uint64 // identity order: nibble r = r for r < ways
+	stackMask uint64 // low 4*ways bits set
+	topShift  uint   // 4*(ways-1): shift of the LRU rank's nibble
+
 	setMask  uint64
 	lineBits uint
-	tick     uint64
 	lcg      uint64 // random-replacement state
 	stats    []OwnerStats
 }
+
+// identityStack is the recency word of a freshly flushed 16-way set;
+// smaller associativities mask it to their low 4*ways bits.
+const identityStack = 0xFEDCBA9876543210
+
+// nibbleOnes has a 1 in the low bit of every nibble.
+const nibbleOnes = 0x1111111111111111
 
 // New builds a cache from cfg.
 func New(cfg Config) (*Cache, error) {
@@ -119,12 +141,18 @@ func New(cfg Config) (*Cache, error) {
 		cfg:       cfg,
 		ways:      cfg.Ways,
 		tags:      make([]uint64, nLines),
-		lastUse:   make([]uint64, nLines),
 		owners:    make([]int8, nLines),
 		validBits: make([]uint64, nSets),
 		waysMask:  (uint64(1) << uint(cfg.Ways)) - 1,
+		stackMask: (uint64(1) << (4 * uint(cfg.Ways))) - 1, // Go: 1<<64 == 0
+		topShift:  4 * uint(cfg.Ways-1),
 		setMask:   uint64(nSets - 1),
 		stats:     make([]OwnerStats, cfg.MaxOwners),
+	}
+	c.stackInit = identityStack & c.stackMask
+	if cfg.Replacement != RandomRepl {
+		c.stack = make([]uint64, nSets)
+		c.resetStack()
 	}
 	for b := cfg.LineBytes; b > 1; b >>= 1 {
 		c.lineBits++
@@ -177,7 +205,6 @@ func (c *Cache) AccessN(owner int, addrs []uint64, hits []bool) {
 //
 //dora:hotpath
 func (c *Cache) access(addr uint64, owner int, st *OwnerStats) bool {
-	c.tick++
 	st.Accesses++
 
 	lineAddr := addr >> c.lineBits
@@ -188,7 +215,9 @@ func (c *Cache) access(addr uint64, owner int, st *OwnerStats) bool {
 
 	for i, t := range tags {
 		if t == lineAddr && vb&(1<<uint(i)) != 0 {
-			c.lastUse[base+i] = c.tick
+			if c.stack != nil {
+				c.touch(setIdx, i)
+			}
 			return true
 		}
 	}
@@ -198,18 +227,18 @@ func (c *Cache) access(addr uint64, owner int, st *OwnerStats) bool {
 	var victim int
 	if inv := ^vb & c.waysMask; inv != 0 {
 		victim = bits.TrailingZeros64(inv)
-	} else if c.cfg.Replacement == RandomRepl {
+		if c.stack != nil {
+			c.touch(setIdx, victim)
+		}
+	} else if c.stack == nil {
 		c.lcg = c.lcg*6364136223846793005 + 1442695040888963407
 		victim = int((c.lcg >> 33) % uint64(c.ways))
 	} else {
-		lu := c.lastUse[base : base+c.ways]
-		var oldest uint64 = ^uint64(0)
-		for i, u := range lu {
-			if u < oldest {
-				oldest = u
-				victim = i
-			}
-		}
+		// The LRU way is the top rank; rotating it to rank 0 is the
+		// whole recency update.
+		o := c.stack[setIdx]
+		victim = int(o >> c.topShift & 0xF)
+		c.stack[setIdx] = (o<<4)&c.stackMask | uint64(victim)
 	}
 	vi := base + victim
 	if vb&(1<<uint(victim)) != 0 && int(c.owners[vi]) != owner {
@@ -218,9 +247,32 @@ func (c *Cache) access(addr uint64, owner int, st *OwnerStats) bool {
 	}
 	c.tags[vi] = lineAddr
 	c.owners[vi] = int8(owner)
-	c.lastUse[vi] = c.tick
 	c.validBits[setIdx] = vb | 1<<uint(victim)
 	return false
+}
+
+// touch moves way to rank 0 of set's recency word, shifting the ranks
+// above it down by one. The way's rank is the lowest nibble of
+// o^(way*nibbleOnes) that is zero, found with the SWAR zero-nibble
+// test; the lowest flagged nibble is always exact (a false flag needs a
+// borrow from a zero nibble below it), and nibbles above 4*ways are
+// zero, so they cannot precede the real match even for way 0.
+//
+//dora:hotpath
+func (c *Cache) touch(set uint64, way int) {
+	o := c.stack[set]
+	x := o ^ uint64(way)*nibbleOnes
+	z := (x - nibbleOnes) &^ x & (nibbleOnes << 3)
+	r := uint(bits.TrailingZeros64(z)) &^ 3 // 4*rank
+	below := (uint64(1) << r) - 1           // ranks under way's
+	c.stack[set] = o&^(below<<4|0xF) | (o&below)<<4 | uint64(way)
+}
+
+// resetStack puts every set's recency word in identity order.
+func (c *Cache) resetStack() {
+	for i := range c.stack {
+		c.stack[i] = c.stackInit
+	}
 }
 
 // Stats returns a copy of the counters for owner.
@@ -254,11 +306,10 @@ func (c *Cache) ResetStats() {
 // Flush invalidates all lines and zeroes statistics.
 func (c *Cache) Flush() {
 	clear(c.tags)
-	clear(c.lastUse)
 	clear(c.owners)
 	clear(c.validBits)
+	c.resetStack()
 	c.ResetStats()
-	c.tick = 0
 }
 
 // ValidLines counts currently valid lines (used by invariant tests).
@@ -289,17 +340,16 @@ func (c *Cache) OwnerLines(owner int) int {
 	return n
 }
 
-// Snapshot is a deep copy of a cache's warm state — every tag, LRU
-// timestamp, owner byte, validity word, the replacement RNG/tick, and
+// Snapshot is a deep copy of a cache's warm state — every tag, owner
+// byte, validity word and LRU recency word, the replacement RNG, and
 // the per-owner counters. It is the cache's contribution to a
 // simulation checkpoint: Restore on a freshly built cache of the same
 // configuration reproduces the donor bit for bit.
 type Snapshot struct {
 	Tags      []uint64
-	LastUse   []uint64
 	Owners    []int8
 	ValidBits []uint64
-	Tick      uint64
+	Stack     []uint64 // per-set recency words; nil under RandomRepl
 	LCG       uint64
 	Stats     []OwnerStats
 }
@@ -308,15 +358,16 @@ type Snapshot struct {
 func (c *Cache) Snapshot() Snapshot {
 	s := Snapshot{
 		Tags:      make([]uint64, len(c.tags)),
-		LastUse:   make([]uint64, len(c.lastUse)),
 		Owners:    make([]int8, len(c.owners)),
 		ValidBits: make([]uint64, len(c.validBits)),
-		Tick:      c.tick,
 		LCG:       c.lcg,
 		Stats:     make([]OwnerStats, len(c.stats)),
 	}
+	if c.stack != nil {
+		s.Stack = make([]uint64, len(c.stack))
+		copy(s.Stack, c.stack)
+	}
 	copy(s.Tags, c.tags)
-	copy(s.LastUse, c.lastUse)
 	copy(s.Owners, c.owners)
 	copy(s.ValidBits, c.validBits)
 	copy(s.Stats, c.stats)
@@ -327,14 +378,14 @@ func (c *Cache) Snapshot() Snapshot {
 // cache of the same geometry. Mismatched geometries are a programming
 // error and panic rather than silently corrupt the arrays.
 func (c *Cache) Restore(s Snapshot) {
-	if len(s.Tags) != len(c.tags) || len(s.ValidBits) != len(c.validBits) || len(s.Stats) != len(c.stats) {
+	if len(s.Tags) != len(c.tags) || len(s.ValidBits) != len(c.validBits) ||
+		len(s.Stack) != len(c.stack) || len(s.Stats) != len(c.stats) {
 		panic("cache: snapshot geometry mismatch")
 	}
 	copy(c.tags, s.Tags)
-	copy(c.lastUse, s.LastUse)
 	copy(c.owners, s.Owners)
 	copy(c.validBits, s.ValidBits)
-	c.tick = s.Tick
+	copy(c.stack, s.Stack)
 	c.lcg = s.LCG
 	copy(c.stats, s.Stats)
 }
