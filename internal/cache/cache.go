@@ -113,7 +113,6 @@ type Cache struct {
 	// once; ranks never touched since the last Flush keep their
 	// initial order below all touched ones. nil under RandomRepl.
 	stack     []uint64
-	stackInit uint64 // identity order: nibble r = r for r < ways
 	stackMask uint64 // low 4*ways bits set
 	topShift  uint   // 4*(ways-1): shift of the LRU rank's nibble
 
@@ -149,7 +148,6 @@ func New(cfg Config) (*Cache, error) {
 		setMask:   uint64(nSets - 1),
 		stats:     make([]OwnerStats, cfg.MaxOwners),
 	}
-	c.stackInit = identityStack & c.stackMask
 	if cfg.Replacement != RandomRepl {
 		c.stack = make([]uint64, nSets)
 		c.resetStack()
@@ -251,12 +249,12 @@ func (c *Cache) access(addr uint64, owner int, st *OwnerStats) bool {
 	return false
 }
 
-// touch moves way to rank 0 of set's recency word, shifting the ranks
-// above it down by one. The way's rank is the lowest nibble of
-// o^(way*nibbleOnes) that is zero, found with the SWAR zero-nibble
-// test; the lowest flagged nibble is always exact (a false flag needs a
-// borrow from a zero nibble below it), and nibbles above 4*ways are
-// zero, so they cannot precede the real match even for way 0.
+// touch moves way to rank 0 of set's recency word; every way that was
+// more recent moves down one rank. The way's rank is the lowest nibble
+// of o^(way*nibbleOnes) that is zero, found with the SWAR zero-nibble
+// test: the lowest flagged nibble is always exact (a false flag needs a
+// borrow from a zero nibble below it), and the unused nibbles at ranks
+// >= ways, though zero, lie above the real match even for way 0.
 //
 //dora:hotpath
 func (c *Cache) touch(set uint64, way int) {
@@ -271,7 +269,7 @@ func (c *Cache) touch(set uint64, way int) {
 // resetStack puts every set's recency word in identity order.
 func (c *Cache) resetStack() {
 	for i := range c.stack {
-		c.stack[i] = c.stackInit
+		c.stack[i] = identityStack & c.stackMask
 	}
 }
 

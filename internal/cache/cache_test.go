@@ -30,11 +30,17 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "indivisible", SizeBytes: 1000, LineBytes: 64, Ways: 2, MaxOwners: 1},
 		{Name: "npo2sets", SizeBytes: 64 * 2 * 3, LineBytes: 64, Ways: 2, MaxOwners: 1},
 		{Name: "owners", SizeBytes: 1024, LineBytes: 64, Ways: 2, MaxOwners: 0},
+		{Name: "17ways", SizeBytes: 64 * 17, LineBytes: 64, Ways: 17, MaxOwners: 1},
 	}
 	for _, c := range cases {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %q should fail validation", c.Name)
 		}
+	}
+	// 16 ways, one recency word per set, is the largest legal set.
+	widest := Config{Name: "16ways", SizeBytes: 64 * 16, LineBytes: 64, Ways: MaxWays, MaxOwners: 1}
+	if err := widest.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -28,7 +28,7 @@ type tickCache struct {
 func newTickCache(cfg Config) *tickCache {
 	sets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
 	n := sets * cfg.Ways
-	r := &tickCache{
+	return &tickCache{
 		ways: cfg.Ways, sets: sets, random: cfg.Replacement == RandomRepl,
 		lineBits:  uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		tags:      make([]uint64, n),
@@ -37,7 +37,6 @@ func newTickCache(cfg Config) *tickCache {
 		validBits: make([]uint64, sets),
 		stats:     make([]OwnerStats, cfg.MaxOwners),
 	}
-	return r
 }
 
 func (r *tickCache) access(addr uint64, owner int) bool {
