@@ -85,7 +85,8 @@ bench-sampled:
 	scripts/bench_sampled.sh
 
 # A/B the repository benchmark between two commits (default HEAD~1 vs
-# HEAD, 10 alternated pairs per workload) into BENCH_AB.json.
+# HEAD, 10 alternated pairs of each BENCHMARK.json workload, runs of its
+# run_seconds) into BENCH_AB.json.
 #   make bench-ab ARGS="-k 10 -o BENCH_KERNEL.json campaign-exact"
 bench-ab:
 	scripts/bench_ab.sh $(ARGS)

@@ -2,11 +2,12 @@
 # bench_ab.sh — A/B the repository benchmark (dorabench) between two
 # commits and write one JSON row per workload and gated metric.
 #
-#   scripts/bench_ab.sh [-k pairs] [-s seconds] [-S seed] [-b base] [-c change]
+#   scripts/bench_ab.sh [-k pairs] [-S seed] [-b base] [-c change]
 #                       [-o out.json] [workload ...]
 #
-# Defaults: 10 pairs, 15 s runs, seed 1, base HEAD~1, change HEAD, all
-# four workloads, output BENCH_AB.json at the repo root. Example:
+# Defaults: 10 pairs, seed 1, base HEAD~1, change HEAD, every workload
+# in BENCHMARK.json, output BENCH_AB.json at the repo root. Each run
+# lasts BENCHMARK.json's run_seconds. Example:
 #
 #   scripts/bench_ab.sh -k 10 -o BENCH_KERNEL.json campaign-exact
 #
@@ -15,7 +16,7 @@
 # nothing in .git, so an interrupted run leaves nothing to prune). Each
 # side builds itself with its own dorabench/run.sh. For every workload,
 # pair i runs `bash dorabench/run.sh --workload <w> --seed <seed>
-# --seconds <s> --trace 0` once on each side, base first on odd pairs
+# --seconds <run_seconds> --trace 0` once on each side, base first on odd pairs
 # and change first on even ones, so drift on a shared host lands on both
 # sides alike.
 #
@@ -32,22 +33,22 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 root="$(pwd)"
 
-k=10 seconds=15 seed=1 base=HEAD~1 change=HEAD out=BENCH_AB.json
-while getopts "k:s:S:b:c:o:" opt; do
+k=10 seed=1 base=HEAD~1 change=HEAD out=BENCH_AB.json
+seconds="$(jq -e .run_seconds BENCHMARK.json)"
+while getopts "k:S:b:c:o:" opt; do
 	case "${opt}" in
 	k) k="${OPTARG}" ;;
-	s) seconds="${OPTARG}" ;;
 	S) seed="${OPTARG}" ;;
 	b) base="${OPTARG}" ;;
 	c) change="${OPTARG}" ;;
 	o) out="${OPTARG}" ;;
-	*) sed -n '2,9p' "$0" >&2; exit 2 ;;
+	*) sed -n '2,12p' "$0" >&2; exit 2 ;;
 	esac
 done
 shift $((OPTIND - 1))
 workloads=("$@")
 if [ ${#workloads[@]} -eq 0 ]; then
-	workloads=(campaign-exact campaign-sampled serve-hot serve-fresh)
+	mapfile -t workloads < <(jq -r '.workloads[].name' BENCHMARK.json)
 fi
 
 ab="${root}/.bench_build/ab"
@@ -71,6 +72,12 @@ run_one() { # workload side pair
 	(cd "${ab}/$2" && bash dorabench/run.sh --workload "$1" --seed "${seed}" \
 		--seconds "${seconds}" --trace 0) >"${log}" 2>"${log}.err" ||
 		echo "$1 pair $3 $2: exit $?, see ${log}.err" >&2
+	# A run that died leaves no result line; its pair then counts as a
+	# tie, and the A/B goes on.
+	if ! tail -n 1 "${log}" | jq -ne 'input | .metrics | type == "object"' >/dev/null 2>&1; then
+		echo "$1 pair $3 $2: no result line in ${log}" >&2
+		return 0
+	fi
 	tail -n 1 "${log}" | jq -r --arg w "$1" --arg s "$2" --arg p "$3" '
 		(.metrics | to_entries[] | [$w, $s, $p, .key, .value.value]),
 		[$w, $s, $p, "failed", .failed], [$w, $s, $p, "attempted", .attempted]
@@ -120,6 +127,7 @@ rows="$(awk -F '\t' -v k="${k}" '
 			nc = sorted(w SUBSEP m SUBSEP "change", c)
 			wins = 0; ties = 0
 			for (p = 1; p <= k; p++) {
+				if (!((w, m, "base", p) in byPair) || !((w, m, "change", p) in byPair)) { ties++; continue }
 				x = byPair[w, m, "base", p]; y = byPair[w, m, "change", p]
 				if (x == y) ties++
 				else if ((better[m] == "lower") == (y < x)) wins++
