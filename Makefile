@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short race lint lint-report bench bench-pr2 bench-pr3 bench-serve bench-sampled bench-ab serve-test stream-test cluster-test fuzz-smoke load
+.PHONY: build test test-short race lint lint-report bench bench-pr2 bench-pr3 bench-sampled bench-ab serve-test stream-test cluster-test fuzz-smoke load
 
 build:
 	$(GO) build ./...
@@ -69,14 +69,6 @@ bench-pr2:
 # ns/simulated-ms, allocs/op, speedup vs. seed) into BENCH_PR3.json.
 bench-pr3:
 	scripts/bench_pr3.sh
-
-# Record the serving-path trajectory: doraload drives an in-process
-# dorad with the same deterministic mix over the JSON endpoints and
-# the binary stream, and writes one schema-checked side-by-side report
-# (latency/throughput/provenance per transport + comparison block) to
-# BENCH_SERVE.json. Knobs: DURATION, CONCURRENCY, QPS, TRANSPORT.
-bench-serve:
-	scripts/bench_serve.sh
 
 # Record the sampled-fidelity validation trajectory: the full page ×
 # co-run matrix in both modes, gated on the ≤2%/≤5% error budget and

@@ -9,15 +9,13 @@
 //	    drive an already-running daemon (closed loop by default,
 //	    open loop when -qps is set)
 //	doraload -self [-duration 5s] ...
-//	    start an in-process dorad on a loopback port and drive that;
-//	    used by `make bench-serve` and the CI smoke job so the
-//	    benchmark needs no external daemon
-//	doraload -validate BENCH_SERVE.json
-//	    schema-check a committed report and exit
+//	    start an in-process dorad on a loopback port and drive that
+//	    (`make load` with no TARGET), so no external daemon is needed
+//	doraload -validate report.json
+//	    schema-check a saved report and exit
 //
-// The JSON report (-json) is the BENCH_SERVE.json document; its shape
-// is validated by the same code (-validate) CI runs against the
-// committed file.
+// The JSON report (-json) is a dora-bench-serve/v2 document; -validate
+// checks its shape with the same code that generates it.
 package main
 
 import (
@@ -62,9 +60,9 @@ func main() {
 	warmupMs := flag.Int64("warmup-ms", 0, "warmup_ms on every request (0 = daemon default)")
 	maxLoadMs := flag.Int64("max-load-ms", 0, "max_load_ms on every load request (0 = daemon default)")
 	timeoutMs := flag.Int64("timeout-ms", 0, "timeout_ms on every request (0 = none)")
-	jsonOut := flag.String("json", "", "write the BENCH_SERVE report to this file ('-' = stdout)")
+	jsonOut := flag.String("json", "", "write the JSON report to this file ('-' = stdout)")
 	pr := flag.Int("pr", 8, "PR number stamped into the report")
-	validate := flag.String("validate", "", "schema-check this BENCH_SERVE.json and exit")
+	validate := flag.String("validate", "", "schema-check this saved JSON report and exit")
 	logFlags := obslog.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 

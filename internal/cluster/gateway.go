@@ -75,6 +75,11 @@ type Config struct {
 	DefaultFidelity string
 	// MaxBodyBytes bounds inbound request bodies (default 1 MiB).
 	MaxBodyBytes int64
+	// MaxWorkerBodyBytes bounds a worker's response body on the JSON
+	// transport and the pages proxy (default wire.DefaultMaxFrameBytes,
+	// the stream transport's bound). A longer body is a failed forward,
+	// never a truncated answer.
+	MaxWorkerBodyBytes int64
 	// RetryAfter is the advisory backoff on 429/503 (default 1s).
 	RetryAfter time.Duration
 	// HTTPClient forwards JSON requests and probes (nil = a dedicated
@@ -150,6 +155,9 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
+	}
+	if cfg.MaxWorkerBodyBytes <= 0 {
+		cfg.MaxWorkerBodyBytes = wire.DefaultMaxFrameBytes
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
@@ -425,8 +433,10 @@ func (g *Gateway) forwardJSON(ctx context.Context, name string, req serve.LoadRe
 	if err != nil {
 		return g.transportFailure(ctx, name, err)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, wire.DefaultMaxFrameBytes))
-	resp.Body.Close()
+	body, err := g.readWorkerBody(resp)
+	if errors.Is(err, errWorkerBodyTooLarge) {
+		return g.unstructuredFailure()
+	}
 	if err != nil {
 		return g.transportFailure(ctx, name, err)
 	}
@@ -440,13 +450,35 @@ func (g *Gateway) forwardJSON(ctx context.Context, name string, req serve.LoadRe
 	}
 	apiErr, decoded := serve.DecodeErrorBody(resp.StatusCode, body)
 	if !decoded {
-		// Not dorad's envelope (a proxy in the way, a fault burst):
-		// never trust it, always re-route.
-		g.mFwdErrors.Inc()
-		return forwarded{}, &serve.APIError{Status: http.StatusBadGateway, Code: serve.CodeInternal,
-			Message: "worker returned an unstructured error"}, true
+		// Not dorad's envelope (a proxy in the way, a fault burst).
+		return g.unstructuredFailure()
 	}
 	return forwarded{}, apiErr, retryableStatus(resp.StatusCode)
+}
+
+// errWorkerBodyTooLarge marks a worker response longer than
+// MaxWorkerBodyBytes.
+var errWorkerBodyTooLarge = errors.New("cluster: worker response body over limit")
+
+// readWorkerBody reads and closes a worker's response body. It reads
+// one byte past MaxWorkerBodyBytes, so an over-limit body is reported
+// as errWorkerBodyTooLarge instead of being cut short.
+func (g *Gateway) readWorkerBody(resp *http.Response) ([]byte, error) {
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxWorkerBodyBytes+1))
+	if err == nil && int64(len(body)) > g.cfg.MaxWorkerBodyBytes {
+		return nil, errWorkerBodyTooLarge
+	}
+	return body, err
+}
+
+// unstructuredFailure answers a worker response the gateway cannot
+// trust (not dorad's error envelope, or over the body limit): a 502
+// that always re-routes.
+func (g *Gateway) unstructuredFailure() (forwarded, *serve.APIError, bool) {
+	g.mFwdErrors.Inc()
+	return forwarded{}, &serve.APIError{Status: http.StatusBadGateway, Code: serve.CodeInternal,
+		Message: "worker returned an unstructured error"}, true
 }
 
 // transportFailure classifies a connection-level forward error:
@@ -660,8 +692,7 @@ func (g *Gateway) handlePages(w http.ResponseWriter, r *http.Request) {
 			g.ms.ReportFailure(name)
 			continue
 		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBodyBytes))
-		resp.Body.Close()
+		body, err := g.readWorkerBody(resp)
 		if err != nil || resp.StatusCode != http.StatusOK {
 			continue
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -163,5 +164,75 @@ func TestRouteKeyGolden(t *testing.T) {
 		if got := g.routeKey(req); got != want[i] {
 			t.Errorf("routeKey(%s/%s) = %s, want %s", req.Page, req.Fidelity, got, want[i])
 		}
+	}
+}
+
+// fakeWorkers starts two httptest workers, w0 and w1. The one named by
+// *bad answers every request with a 200 whose body is one byte over
+// limit; the other answers with good.
+func fakeWorkers(t *testing.T, limit int64, bad *string, good string) []Member {
+	t.Helper()
+	var members []Member
+	for _, name := range []string{"w0", "w1"} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set(serve.SourceHeader, "cache")
+			if name == *bad {
+				_, _ = w.Write(bytes.Repeat([]byte("x"), int(limit)+1))
+				return
+			}
+			_, _ = io.WriteString(w, good)
+		}))
+		t.Cleanup(ts.Close)
+		members = append(members, Member{Name: name, URL: ts.URL})
+	}
+	return members
+}
+
+// TestGatewayOverLimitLoadReroutes: a worker whose response body runs
+// one byte past MaxWorkerBodyBytes is a failed forward, not a truncated
+// 200, so the load re-routes to the next-ranked worker.
+func TestGatewayOverLimitLoadReroutes(t *testing.T) {
+	const limit = 64
+	const good = `{"LoadTime":1}`
+	var bad string
+	g := newTestGateway(t, Config{Members: fakeWorkers(t, limit, &bad, good), MaxWorkerBodyBytes: limit})
+	const body = `{"page":"Alipay","seed":1}`
+	req, apiErr := serve.DecodeLoadRequestDefault([]byte(body), g.cfg.DefaultFidelity)
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	rank := Rank(g.routeKey(req), g.ms.Live())
+	bad = rank[0]
+
+	resp, got := doReq(t, g.Handler(), http.MethodPost, "/v1/load", body)
+	if resp.StatusCode != http.StatusOK || string(got) != good {
+		t.Fatalf("load = %d %q, want 200 %q from the next worker", resp.StatusCode, got, good)
+	}
+	if w, a := resp.Header.Get(WorkerHeader), resp.Header.Get(AttemptsHeader); w != rank[1] || a != "2" {
+		t.Fatalf("answered by %q after %s attempts, want %q after 2", w, a, rank[1])
+	}
+	if n := g.mFwdErrors.Value(); n != 1 {
+		t.Fatalf("forward errors = %d, want 1", n)
+	}
+}
+
+// TestGatewayOverLimitPagesMovesOn: the pages proxy bounds worker
+// bodies by MaxWorkerBodyBytes, not the inbound request limit, and
+// moves on to the next worker past an over-limit one.
+func TestGatewayOverLimitPagesMovesOn(t *testing.T) {
+	const limit = 64
+	const good = `{"pages":["Alipay"]}`
+	var bad string
+	g := newTestGateway(t, Config{Members: fakeWorkers(t, limit, &bad, good), MaxWorkerBodyBytes: limit})
+	rank := Rank("v1-pages", g.ms.Live())
+	bad = rank[0]
+
+	resp, got := doReq(t, g.Handler(), http.MethodGet, "/v1/pages", "")
+	if resp.StatusCode != http.StatusOK || string(got) != good {
+		t.Fatalf("pages = %d %q, want 200 %q", resp.StatusCode, got, good)
+	}
+	if w := resp.Header.Get(WorkerHeader); w != rank[1] {
+		t.Fatalf("pages answered by %q, want %q", w, rank[1])
 	}
 }

@@ -42,8 +42,8 @@ import (
 	"dora/internal/wire"
 )
 
-// Schema identifies the BENCH_SERVE.json document shape this package
-// emits; bump on breaking changes so CI catches stale committed files.
+// Schema identifies the report document shape this package emits; bump
+// it on breaking changes so Validate rejects reports of the old shape.
 // v2: per-transport sub-reports under "transports", campaign
 // first-result latency split from full-grid latency, and complete
 // source accounting (every 2xx response classified, see SourcesNote).
@@ -163,9 +163,8 @@ type Comparison struct {
 	FirstResultSpeedup float64 `json:"first_result_speedup,omitempty"`
 }
 
-// Report is the structured result of a run — the BENCH_SERVE.json
-// document, keeping the BENCH_* trajectory convention started by
-// BENCH_PR2.json/BENCH_PR3.json.
+// Report is the structured result of a run, the document doraload
+// writes with -json.
 type Report struct {
 	Schema       string  `json:"schema"`
 	PR           int     `json:"pr"`
@@ -198,10 +197,10 @@ func validLatency(name string, l LatencySummary, errs *[]error) {
 	check(l.MaxMs >= l.MeanMs && l.MeanMs > 0, "%s: mean/max implausible: mean=%g max=%g", name, l.MeanMs, l.MaxMs)
 }
 
-// Validate checks the Report against the committed-schema contract CI
-// enforces on BENCH_SERVE.json: identity fields present, counters
-// consistent, percentiles ordered, rates in range, and — the v1 bug —
-// sources summing exactly to the 2xx count per transport.
+// Validate checks the Report against its schema contract (doraload
+// -validate): identity fields present, counters consistent,
+// percentiles ordered, rates in range, and — the v1 bug — sources
+// summing exactly to the 2xx count per transport.
 func (r *Report) Validate() error {
 	var errs []error
 	check := func(ok bool, format string, args ...any) {
@@ -289,7 +288,7 @@ func ValidateJSON(data []byte) error {
 	dec.DisallowUnknownFields()
 	var r Report
 	if err := dec.Decode(&r); err != nil {
-		return fmt.Errorf("loadgen: BENCH_SERVE document: %w", err)
+		return fmt.Errorf("loadgen: report: %w", err)
 	}
 	return r.Validate()
 }

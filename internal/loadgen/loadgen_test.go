@@ -380,8 +380,8 @@ func TestValidateJSONRejectsUnknownFields(t *testing.T) {
 }
 
 // TestReportRoundTrip: a generated-shape report survives
-// marshal → ValidateJSON, proving the committed BENCH_SERVE.json and
-// the validator agree on field names.
+// marshal → ValidateJSON, proving the generator and the validator
+// agree on field names.
 func TestReportRoundTrip(t *testing.T) {
 	r := goodReport()
 	data, err := json.Marshal(&r)

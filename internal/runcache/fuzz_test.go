@@ -1,6 +1,7 @@
 package runcache
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,7 +11,8 @@ import (
 // file and asserts the contract the serve path depends on: Open never
 // panics and never admits an entry that could masquerade as a hit
 // while leaving the caller's value untouched (the JSON null literal,
-// invalid JSON), Get on every surviving key is panic-free, and a fresh
+// invalid JSON), Get and GetRaw on every surviving key are panic-free
+// and GetRaw serves only usable JSON, and a fresh
 // Put survives a Save/Open round trip even when the original file was
 // garbage. The committed seed corpus includes the truncated, wrong-
 // version, duplicate-key, and null-entry shapes that motivated the
@@ -55,9 +57,20 @@ func FuzzRunCacheEntry(f *testing.F) {
 		}
 		c.mu.Unlock()
 
+		vet := func(raw []byte) ([]byte, bool) {
+			var v payload
+			if json.Unmarshal(raw, &v) != nil {
+				return nil, false
+			}
+			b, err := json.Marshal(v)
+			return b, err == nil
+		}
 		for _, k := range keys {
 			v := payload{A: -1, B: "sentinel"}
 			c.Get(k, &v) // must not panic; mismatched shapes miss
+			if raw, ok := c.GetRaw(k, vet); ok && !validEntry(raw) {
+				t.Fatalf("GetRaw served unusable entry %q: %q", k, raw)
+			}
 		}
 		var absent payload
 		if c.Get("\x00no-such-key", &absent) {

@@ -10,6 +10,19 @@
 // train.ObservationFileVersion. A cache whose file carries a different
 // version is loaded empty rather than trusted.
 //
+// Get and Put store typed values: Put marshals, Get unmarshals into the
+// caller's value on every hit. GetRaw and PutRaw store and return the
+// encoded bytes themselves, for callers such as dorad whose answer is
+// the encoded value: a hit then costs one map lookup. The slices are
+// shared, not copied — a slice handed to PutRaw or returned by GetRaw
+// must never be mutated.
+//
+// Every entry is usable JSON because every writer checks it: Open drops
+// entries that are empty, invalid or the null literal, and Put and
+// PutRaw refuse to store them. Lookups therefore trust the map. Only
+// the shape is unknown for entries that Open read from disk, which
+// GetRaw vets on their first hit through the caller's vet function.
+//
 // A nil *Cache is a valid disabled cache: every method is a no-op, so
 // call sites need no conditionals. All methods are safe for concurrent
 // use by the worker pool.
@@ -48,7 +61,10 @@ type Cache struct {
 
 	mu      sync.Mutex
 	entries map[string]json.RawMessage
-	dirty   bool
+	// unvetted holds the keys of entries Open loaded that GetRaw has not
+	// yet passed through a vet function.
+	unvetted map[string]struct{}
+	dirty    bool
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -88,6 +104,10 @@ func Open(path string) (*Cache, error) {
 	}
 	if f.Entries != nil {
 		c.entries = f.Entries
+		c.unvetted = make(map[string]struct{}, len(f.Entries))
+		for k := range f.Entries {
+			c.unvetted[k] = struct{}{}
+		}
 	}
 	return c, nil
 }
@@ -124,7 +144,7 @@ func (c *Cache) Get(key string, v any) bool {
 	c.mu.Lock()
 	raw, ok := c.entries[key]
 	c.mu.Unlock()
-	if !ok || !validEntry(raw) {
+	if !ok {
 		c.misses.Add(1)
 		return false
 	}
@@ -138,6 +158,53 @@ func (c *Cache) Get(key string, v any) bool {
 	return true
 }
 
+// GetRaw returns the stored bytes for key and reports whether it was
+// present; the caller must not mutate them. An entry stored by this
+// process is returned as it is. An entry Open read from disk is first
+// passed to vet, once: vet decodes it into the caller's type and
+// returns the canonical encoding, which replaces the entry (marking
+// the cache dirty only when the bytes changed). If vet rejects it the
+// lookup misses and the entry stays unvetted, for the caller to
+// overwrite. A nil cache always misses without counting stats.
+func (c *Cache) GetRaw(key string, vet func(raw []byte) ([]byte, bool)) ([]byte, bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.mu.Lock()
+	raw, ok := c.entries[key]
+	_, unvetted := c.unvetted[key]
+	c.mu.Unlock()
+	if ok && unvetted {
+		raw, ok = c.vet(key, raw, vet)
+	}
+	if !ok {
+		c.misses.Add(1)
+		return nil, false
+	}
+	c.hits.Add(1)
+	return raw, true
+}
+
+// vet runs the first-hit check on an entry loaded from disk. It calls
+// vet outside the lock and installs the result only if no writer or
+// other vetter replaced the entry meanwhile.
+func (c *Cache) vet(key string, raw []byte, vet func([]byte) ([]byte, bool)) ([]byte, bool) {
+	canon, ok := vet(raw)
+	if !ok {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, still := c.unvetted[key]; still {
+		delete(c.unvetted, key)
+		if !bytes.Equal(canon, raw) {
+			c.entries[key] = canon
+			c.dirty = true
+		}
+	}
+	return canon, true
+}
+
 // Put stores v under key. Marshal failures (e.g. NaN floats) and
 // values that encode to JSON null (nil pointers, untyped nil) are
 // swallowed: the run simply is not cached, since a null entry could
@@ -147,11 +214,22 @@ func (c *Cache) Put(key string, v any) {
 		return
 	}
 	raw, err := json.Marshal(v)
-	if err != nil || !validEntry(raw) {
+	if err != nil {
+		return
+	}
+	c.PutRaw(key, raw)
+}
+
+// PutRaw stores the encoded value raw under key, as it is; the caller
+// must not mutate raw afterwards. Empty, invalid and null JSON is
+// swallowed, as in Put.
+func (c *Cache) PutRaw(key string, raw []byte) {
+	if c == nil || !validEntry(raw) {
 		return
 	}
 	c.mu.Lock()
 	c.entries[key] = raw
+	delete(c.unvetted, key)
 	c.dirty = true
 	c.mu.Unlock()
 	c.stores.Add(1)

@@ -412,21 +412,33 @@ func (s *Server) loadKey(req LoadRequest) string {
 // cache. It is deliberately independent of admission: both transports
 // call it before taking a semaphore slot, so a warm hit is never
 // queued behind in-flight simulations — on repeat-heavy traffic the
-// cache path's latency is pure transport. With a cache configured it
+// cache path's latency is pure transport. A hit returns the stored
+// body itself: an entry this process stored is the leader's response,
+// and an entry loaded from disk is replaced by its canonical encoding
+// on its first hit (canonicalResult). With a cache configured it
 // counts every lookup as a hit or a miss.
 func (s *Server) cacheGet(key string) ([]byte, bool) {
 	if s.cfg.Cache == nil {
 		return nil, false
 	}
-	var r sim.Result
-	if s.cfg.Cache.Get(key, &r) {
-		if b, err := json.Marshal(r); err == nil {
-			s.mCacheHits.Inc()
-			return b, true
-		}
+	if b, ok := s.cfg.Cache.GetRaw(key, canonicalResult); ok {
+		s.mCacheHits.Inc()
+		return b, true
 	}
 	s.mCacheMisses.Inc()
 	return nil, false
+}
+
+// canonicalResult vets a run-cache entry read from disk: it must decode
+// as a sim.Result, and its re-encoding is the body every hit serves, so
+// a hand-edited entry answers with the bytes a simulation would.
+func canonicalResult(raw []byte) ([]byte, bool) {
+	var r sim.Result
+	if json.Unmarshal(raw, &r) != nil {
+		return nil, false
+	}
+	b, err := json.Marshal(r)
+	return b, err == nil
 }
 
 // simulate serves one normalized load request: persistent-cache warm
@@ -477,11 +489,11 @@ func (s *Server) simulateKey(ctx context.Context, key string, req LoadRequest) (
 const CodeAborted = "aborted"
 
 // lead is the singleflight leader: it executes the simulation under
-// simCtx (cancelled when the last waiter leaves or the server closes),
-// stores the result in the persistent cache, and returns the encoded
-// body every waiter writes verbatim, so N deduplicated responses are
-// byte-identical by construction. Every error it returns is an
-// *APIError.
+// simCtx (cancelled when the last waiter leaves or the server closes)
+// and encodes the result once. That body is what every waiter writes
+// verbatim and what the persistent cache stores, so N deduplicated
+// responses and every later cache hit are byte-identical by
+// construction. Every error it returns is an *APIError.
 func (s *Server) lead(simCtx context.Context, key string, req LoadRequest) ([]byte, error) {
 	if hook := s.cfg.BeforeSimHook; hook != nil {
 		hook(key)
@@ -494,7 +506,7 @@ func (s *Server) lead(simCtx context.Context, key string, req LoadRequest) ([]by
 		if merr != nil {
 			return nil, &APIError{Status: http.StatusInternalServerError, Code: CodeInternal, Message: "encode result: " + merr.Error()}
 		}
-		s.cfg.Cache.Put(key, res)
+		s.cfg.Cache.PutRaw(key, body)
 		return body, nil
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		return nil, &APIError{Status: http.StatusServiceUnavailable, Code: CodeAborted, Message: "simulation aborted: " + err.Error()}
