@@ -75,11 +75,6 @@ type Config struct {
 	DefaultFidelity string
 	// MaxBodyBytes bounds inbound request bodies (default 1 MiB).
 	MaxBodyBytes int64
-	// MaxWorkerBodyBytes bounds a worker's response body on the JSON
-	// transport and the pages proxy (default wire.DefaultMaxFrameBytes,
-	// the stream transport's bound). A longer body is a failed forward,
-	// never a truncated answer.
-	MaxWorkerBodyBytes int64
 	// RetryAfter is the advisory backoff on 429/503 (default 1s).
 	RetryAfter time.Duration
 	// HTTPClient forwards JSON requests and probes (nil = a dedicated
@@ -113,6 +108,12 @@ type Gateway struct {
 	mono   clock.MonoClock
 
 	retryAfterSecs int // Retry-After on 429/503, cfg.RetryAfter in whole seconds
+
+	// maxWorkerBody bounds a worker's response body on the JSON
+	// transport and the pages proxy: wire.DefaultMaxFrameBytes, the
+	// stream transport's bound (tests lower it). A longer body is a
+	// failed forward, never a truncated answer.
+	maxWorkerBody int64
 
 	fpMu sync.Mutex
 	fp   string
@@ -156,9 +157,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
 	}
-	if cfg.MaxWorkerBodyBytes <= 0 {
-		cfg.MaxWorkerBodyBytes = wire.DefaultMaxFrameBytes
-	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
 	}
@@ -181,6 +179,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		streamClients: make(map[string]*wire.Client),
 
 		retryAfterSecs: int(cfg.RetryAfter.Round(time.Second) / time.Second),
+		maxWorkerBody:  wire.DefaultMaxFrameBytes,
 
 		mRequests:   reg.Counter("dora_gate_requests_total", "requests received by the gateway (load + campaign)"),
 		mForwards:   reg.Counter("dora_gate_forwards_total", "forward attempts to workers"),
@@ -457,16 +456,16 @@ func (g *Gateway) forwardJSON(ctx context.Context, name string, req serve.LoadRe
 }
 
 // errWorkerBodyTooLarge marks a worker response longer than
-// MaxWorkerBodyBytes.
+// maxWorkerBody.
 var errWorkerBodyTooLarge = errors.New("cluster: worker response body over limit")
 
 // readWorkerBody reads and closes a worker's response body. It reads
-// one byte past MaxWorkerBodyBytes, so an over-limit body is reported
-// as errWorkerBodyTooLarge instead of being cut short.
+// one byte past maxWorkerBody, so an over-limit body is reported as
+// errWorkerBodyTooLarge instead of being cut short.
 func (g *Gateway) readWorkerBody(resp *http.Response) ([]byte, error) {
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxWorkerBodyBytes+1))
-	if err == nil && int64(len(body)) > g.cfg.MaxWorkerBodyBytes {
+	body, err := io.ReadAll(io.LimitReader(resp.Body, g.maxWorkerBody+1))
+	if err == nil && int64(len(body)) > g.maxWorkerBody {
 		return nil, errWorkerBodyTooLarge
 	}
 	return body, err

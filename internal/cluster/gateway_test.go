@@ -190,13 +190,14 @@ func fakeWorkers(t *testing.T, limit int64, bad *string, good string) []Member {
 }
 
 // TestGatewayOverLimitLoadReroutes: a worker whose response body runs
-// one byte past MaxWorkerBodyBytes is a failed forward, not a truncated
-// 200, so the load re-routes to the next-ranked worker.
+// one byte past the gateway's worker-body limit is a failed forward,
+// not a truncated 200, so the load re-routes to the next-ranked worker.
 func TestGatewayOverLimitLoadReroutes(t *testing.T) {
 	const limit = 64
 	const good = `{"LoadTime":1}`
 	var bad string
-	g := newTestGateway(t, Config{Members: fakeWorkers(t, limit, &bad, good), MaxWorkerBodyBytes: limit})
+	g := newTestGateway(t, Config{Members: fakeWorkers(t, limit, &bad, good)})
+	g.maxWorkerBody = limit
 	const body = `{"page":"Alipay","seed":1}`
 	req, apiErr := serve.DecodeLoadRequestDefault([]byte(body), g.cfg.DefaultFidelity)
 	if apiErr != nil {
@@ -218,13 +219,14 @@ func TestGatewayOverLimitLoadReroutes(t *testing.T) {
 }
 
 // TestGatewayOverLimitPagesMovesOn: the pages proxy bounds worker
-// bodies by MaxWorkerBodyBytes, not the inbound request limit, and
+// bodies by the worker-body limit, not the inbound request limit, and
 // moves on to the next worker past an over-limit one.
 func TestGatewayOverLimitPagesMovesOn(t *testing.T) {
 	const limit = 64
 	const good = `{"pages":["Alipay"]}`
 	var bad string
-	g := newTestGateway(t, Config{Members: fakeWorkers(t, limit, &bad, good), MaxWorkerBodyBytes: limit})
+	g := newTestGateway(t, Config{Members: fakeWorkers(t, limit, &bad, good)})
+	g.maxWorkerBody = limit
 	rank := Rank("v1-pages", g.ms.Live())
 	bad = rank[0]
 

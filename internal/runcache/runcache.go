@@ -18,8 +18,9 @@
 // must never be mutated.
 //
 // Every entry is usable JSON because every writer checks it: Open drops
-// entries that are empty, invalid or the null literal, and Put and
-// PutRaw refuse to store them. Lookups therefore trust the map. Only
+// entries that are empty, invalid or the null literal, Put and PutRaw
+// refuse to store them, and GetRaw checks what a vet function returns
+// before it replaces an entry. Lookups therefore trust the map. Only
 // the shape is unknown for entries that Open read from disk, which
 // GetRaw vets on their first hit through the caller's vet function.
 //
@@ -190,7 +191,7 @@ func (c *Cache) GetRaw(key string, vet func(raw []byte) ([]byte, bool)) ([]byte,
 // other vetter replaced the entry meanwhile.
 func (c *Cache) vet(key string, raw []byte, vet func([]byte) ([]byte, bool)) ([]byte, bool) {
 	canon, ok := vet(raw)
-	if !ok {
+	if !ok || !validEntry(canon) {
 		return nil, false
 	}
 	c.mu.Lock()
