@@ -176,7 +176,7 @@ func (c *Cache) GetRaw(key string, vet func(raw []byte) ([]byte, bool)) ([]byte,
 	_, unvetted := c.unvetted[key]
 	c.mu.Unlock()
 	if ok && unvetted {
-		raw, ok = c.vet(key, raw, vet)
+		raw, ok = c.vetFirstHit(key, raw, vet)
 	}
 	if !ok {
 		c.misses.Add(1)
@@ -186,10 +186,10 @@ func (c *Cache) GetRaw(key string, vet func(raw []byte) ([]byte, bool)) ([]byte,
 	return raw, true
 }
 
-// vet runs the first-hit check on an entry loaded from disk. It calls
-// vet outside the lock and installs the result only if no writer or
-// other vetter replaced the entry meanwhile.
-func (c *Cache) vet(key string, raw []byte, vet func([]byte) ([]byte, bool)) ([]byte, bool) {
+// vetFirstHit runs the first-hit check on an entry loaded from disk.
+// It calls vet outside the lock and installs the result only if no
+// writer or other vetter replaced the entry meanwhile.
+func (c *Cache) vetFirstHit(key string, raw []byte, vet func([]byte) ([]byte, bool)) ([]byte, bool) {
 	canon, ok := vet(raw)
 	if !ok || !validEntry(canon) {
 		return nil, false
