@@ -532,3 +532,54 @@ func TestOpenEntriesNotAnObject(t *testing.T) {
 		})
 	}
 }
+
+// TestGetRawConcurrentFirstHits races first hits on disk entries
+// against each other and against PutRaw overwrites (run under -race).
+// Every hit must be either the vetted disk entry or the overwrite.
+func TestGetRawConcurrentFirstHits(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.json")
+	const n = 32
+	var entries bytes.Buffer
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			entries.WriteByte(',')
+		}
+		fmt.Fprintf(&entries, `"k%d":{ "Name": "disk" }`, i)
+	}
+	content := fmt.Sprintf(`{"version":%d,"entries":{%s}}`, SchemaVersion, entries.String())
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const vetted, fresh = `{"Name":"disk","Value":0,"Tags":null}`, `{"Name":"fresh"}`
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				key := fmt.Sprint("k", i)
+				if g == 0 && i%2 == 0 {
+					c.PutRaw(key, []byte(fresh))
+				}
+				got, ok := c.GetRaw(key, reencode)
+				if !ok || (string(got) != vetted && string(got) != fresh) {
+					t.Errorf("%s = %s (hit %v)", key, got, ok)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		want := vetted
+		if i%2 == 0 {
+			want = fresh
+		}
+		if got, _ := c.GetRaw(fmt.Sprint("k", i), reencode); string(got) != want {
+			t.Fatalf("k%d = %s, want %s", i, got, want)
+		}
+	}
+}
