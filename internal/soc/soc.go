@@ -376,6 +376,21 @@ func (m *Machine) AssignSource(core int, src workload.Source) error {
 	if core < 0 || core >= len(m.cores) {
 		return fmt.Errorf("soc: core %d out of range", core)
 	}
+	m.resetCore(core, src)
+	return nil
+}
+
+// ClearSource idles a core.
+func (m *Machine) ClearSource(core int) {
+	if core >= 0 && core < len(m.cores) {
+		m.resetCore(core, nil)
+	}
+}
+
+// resetCore closes the core's open trace span and restarts it on src
+// (nil idles it) with no segment, no pending work and no walk
+// positions; counters and the reference-batch scratch are kept.
+func (m *Machine) resetCore(core int, src workload.Source) {
 	c := &m.cores[core]
 	m.closeSegSpanAt(core, c)
 	c.src = src
@@ -389,27 +404,6 @@ func (m *Machine) AssignSource(core int, src workload.Source) error {
 	c.nextCalls = 0
 	if m.ff != nil {
 		m.ff[core] = ffCore{}
-	}
-	return nil
-}
-
-// ClearSource idles a core.
-func (m *Machine) ClearSource(core int) {
-	if core >= 0 && core < len(m.cores) {
-		c := &m.cores[core]
-		m.closeSegSpanAt(core, c)
-		c.src = nil
-		c.done = false
-		c.seg = workload.Segment{}
-		c.remSamples, c.remOps, c.idleNs = 0, 0, 0
-		c.chunkOpsRem, c.pendingStall = 0, 0
-		c.blkPos, c.blkLen, c.genRem = 0, 0, 0
-		c.posBases = c.posBases[:0]
-		c.posVals = c.posVals[:0]
-		c.nextCalls = 0
-		if m.ff != nil {
-			m.ff[core] = ffCore{}
-		}
 	}
 }
 
@@ -509,10 +503,21 @@ func (m *Machine) Step(d time.Duration) {
 
 func (m *Machine) stepSlice() {
 	quanta := m.cfg.SliceNs / m.cfg.QuantumNs
-	l2Before := m.l2.TotalStats().Accesses
+	l2Before, switchStall := m.beginSlice()
+	for q := int64(0); q < quanta; q++ {
+		for i := range m.cores {
+			m.advanceCore(i, m.quantumBudget(i, q, switchStall))
+		}
+	}
+	m.endSlice(l2Before)
+}
 
-	// Hoist the memory-latency terms that are invariant for the whole
-	// slice out of the miss path (see the Machine field comments).
+// beginSlice hoists the memory-latency terms that are invariant for the
+// whole slice out of the miss path (see the Machine field comments) and
+// takes the pending DVFS-switch stall. It returns the L2 access count
+// before the slice and the stall to apply in the slice's first quantum.
+func (m *Machine) beginSlice() (l2Before uint64, switchStall int64) {
+	l2Before = m.l2.TotalStats().Accesses
 	if m.banks != nil {
 		m.xferNs = m.bus.TransferSeconds() * 1e9
 		m.queueF1 = 1 + m.bus.QueueFactor()
@@ -522,28 +527,31 @@ func (m *Machine) stepSlice() {
 			m.missStallNs[p] = int64(lat / m.mlpTab[p] * m.scaleF)
 		}
 	}
-
-	// Apply any pending DVFS stall once, to all cores, as idle-like
-	// busy time (the core is halted mid-transition).
-	switchStall := m.stallAllNs
+	switchStall = m.stallAllNs
 	m.stallAllNs = 0
+	return l2Before, switchStall
+}
 
-	for q := int64(0); q < quanta; q++ {
-		for i := range m.cores {
-			budget := m.cfg.QuantumNs
-			if q == 0 && switchStall > 0 {
-				st := min(switchStall, budget)
-				c := &m.cores[i]
-				c.counters.BusyNs += st
-				c.counters.StallNs += st
-				c.sliceBusyNs += st
-				c.sliceStallNs += st
-				budget -= st
-			}
-			m.advanceCore(i, budget)
-		}
+// quantumBudget returns core i's run budget for quantum q. A pending
+// DVFS stall is applied once, to all cores, in the first quantum, as
+// idle-like busy time (the core is halted mid-transition).
+func (m *Machine) quantumBudget(i int, q, switchStall int64) int64 {
+	budget := m.cfg.QuantumNs
+	if q == 0 && switchStall > 0 {
+		st := min(switchStall, budget)
+		c := &m.cores[i]
+		c.counters.BusyNs += st
+		c.counters.StallNs += st
+		c.sliceBusyNs += st
+		c.sliceStallNs += st
+		budget -= st
 	}
+	return budget
+}
 
+// endSlice closes the slice: bus window, power, thermal, the clock and
+// the per-slice telemetry.
+func (m *Machine) endSlice(l2Before uint64) {
 	slice := time.Duration(m.cfg.SliceNs)
 	// Close the bus window: its utilization shapes next-slice latency.
 	busWin, _ := m.bus.EndWindow(slice)
@@ -690,6 +698,51 @@ func (m *Machine) advanceCore(i int, budget int64) {
 			ipc = m.cfg.DefaultIPC
 		}
 		opsPerNs := ipc * freqGHz
+
+		// Touch arm: at a chunk boundary with sampled touches left, run
+		// whole chunks one pass per touch — opsPerSamp instructions, d0
+		// busy ns, the touch, and its stall paid up to the budget. The
+		// loop takes only chunks the general path below would run
+		// unsplit: for an integer P >= 1, float64(budget)*opsPerNs >= P
+		// implies opsPossible >= P, so ops == P and d == d0 <= budget.
+		// Split chunks, the pure-compute remainder and zero-ops touches
+		// fall through to the general path.
+		if c.chunkOpsRem == 0 && c.remSamples > 0 && c.opsPerSamp > 0 {
+			pf := float64(c.opsPerSamp)
+			d0 := max(1, int64(pf/opsPerNs))
+			start, left := budget, c.remSamples
+			var stall int64
+			for left > 0 && budget >= d0 && float64(budget)*opsPerNs >= pf {
+				budget -= d0
+				left--
+				if st := m.access(i, c); st > 0 {
+					d := min(st, budget)
+					stall += d
+					budget -= d
+					if st > d {
+						c.pendingStall = st - d
+						break
+					}
+				}
+			}
+			// The counters access leaves alone are summed in locals
+			// and stored once.
+			if n := c.remSamples - left; n > 0 {
+				busy := start - budget
+				c.counters.Instructions += uint64(n * c.opsPerSamp)
+				c.counters.BusyNs += busy
+				c.counters.StallNs += stall
+				c.sliceBusyNs += busy
+				c.sliceStallNs += stall
+				c.sliceTouches += n
+				c.remSamples = left
+				if left == 0 && c.remOps == 0 {
+					c.idleNs += c.seg.IdleNs
+					c.seg.IdleNs = 0 // pay the gap once
+				}
+				continue
+			}
+		}
 
 		// Start a new ops chunk if needed: the ops leading up to the
 		// next sampled touch, or the pure-compute remainder.
