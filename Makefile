@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short race lint lint-report bench bench-pr2 bench-pr3 bench-sampled bench-ab serve-test stream-test cluster-test fuzz-smoke load
+.PHONY: build test test-short race lint lint-report bench bench-sampled bench-ab serve-test stream-test cluster-test fuzz-smoke load
 
 build:
 	$(GO) build ./...
@@ -60,16 +60,6 @@ stream-test:
 	$(GO) test -race -v ./internal/wire/
 	$(GO) test -race -run '^TestStream|^TestServeCampaignFingerprintGoldenStream$$' -v ./internal/serve/
 
-# Record the PR 2 performance trajectory (suite-build speedup and
-# telemetry overhead) into BENCH_PR2.json.
-bench-pr2:
-	scripts/bench_pr2.sh
-
-# Record the PR 3 simulation-kernel trajectory (fingerprint check,
-# ns/simulated-ms, allocs/op, speedup vs. seed) into BENCH_PR3.json.
-bench-pr3:
-	scripts/bench_pr3.sh
-
 # Record the sampled-fidelity validation trajectory: the full page ×
 # co-run matrix in both modes, gated on the ≤2%/≤5% error budget and
 # the ≥5x campaign speedup, into BENCH_SAMPLED.json.
@@ -95,6 +85,9 @@ load:
 		$(GO) run ./cmd/doraload -self $(ARGS); \
 	fi
 
-# The current performance record: re-measures the simulation kernel and
-# refreshes BENCH_PR3.json.
-bench: bench-pr3
+# The current kernel performance record: 10 alternated pairs of
+# dorabench's campaign-exact between HEAD~1 and HEAD, into
+# BENCH_KERNEL.json. Bit identity is checked by TestCampaignFingerprintGolden
+# (tier-1) and by dorabench's per-grid SHA-256 check on every run.
+bench:
+	scripts/bench_ab.sh -k 10 -o BENCH_KERNEL.json campaign-exact

@@ -141,8 +141,8 @@ func BenchmarkComplexitySweep(b *testing.B) {
 // BenchmarkLoadPage is the headline single-run metric: one complete
 // measured page load (warmup, governor, browser threads, co-runner)
 // per iteration. The ns/sim-ms metric is wall-clock nanoseconds per
-// simulated millisecond — the number scripts/bench_pr3.sh tracks
-// across PRs.
+// simulated millisecond. Kernel speedups are claimed with
+// scripts/bench_ab.sh rows (BENCH_KERNEL.json), not with this number.
 func BenchmarkLoadPage(b *testing.B) {
 	k, err := corun.ByName("backprop")
 	if err != nil {
