@@ -141,7 +141,8 @@ func TestRouteKeyTimeoutInvariant(t *testing.T) {
 // TestRouteKeyGolden pins Gateway.routeKey for two fully populated
 // requests, one per fidelity: routing keys hash the request's JSON
 // encoding, so a change to the request type's shape would move every
-// placement (and with it every worker's warm cache).
+// placement (and with it every worker's warm cache). A
+// runcache.SchemaVersion bump moves both keys on purpose.
 func TestRouteKeyGolden(t *testing.T) {
 	g := newTestGateway(t, Config{Fingerprint: "golden-fp"})
 	reqs := []serve.LoadRequest{
@@ -157,8 +158,8 @@ func TestRouteKeyGolden(t *testing.T) {
 		},
 	}
 	want := []string{
-		"ea6ad51e1f9d3972b604cb41fdfdf56d256ae23ccca46160f5dccc3404979d92",
-		"5d1884e84b0fadd8b013969d18c8aceb022f4d665d616ccc3348b25b8cdf43cf",
+		"83b5581ccadd76baf0abdf348f57e6723e594376b47cd984b4b099fca112270f",
+		"dab5fd3ac48a471a78f2c97c14b436a2665606e0bcd72bad15fb51b63247c164",
 	}
 	for i, req := range reqs {
 		if got := g.routeKey(req); got != want[i] {

@@ -197,8 +197,13 @@ func (d *Detector) Observe(sig uint64, unstable bool) {
 // the phase has been stable for Stable consecutive detailed slices and
 // the periodic detail cadence is not yet due.
 func (d *Detector) CanExtrapolate() bool {
-	return d.streak >= d.p.Stable && d.sinceDetail < d.p.Interval-1
+	return d.Stable() && d.sinceDetail < d.p.Interval-1
 }
+
+// Stable reports whether the phase has held for Stable consecutive
+// detailed slices. When CanExtrapolate is false, it tells a slice run
+// for an unstable phase from one run because the cadence is due.
+func (d *Detector) Stable() bool { return d.streak >= d.p.Stable }
 
 // NoteExtrapolated accounts one fast-forwarded slice.
 func (d *Detector) NoteExtrapolated() {
@@ -213,14 +218,6 @@ func (d *Detector) NoteExtrapolated() {
 func (d *Detector) ForceDetail() {
 	d.streak = 0
 	d.sinceDetail = 0
-}
-
-// ForceSample makes the next slice detailed without discarding the
-// established phase: used at governor decision points, where a fresh
-// measurement is wanted but a no-op decision has not actually changed
-// machine behavior.
-func (d *Detector) ForceSample() {
-	d.sinceDetail = d.p.Interval
 }
 
 // Counts returns the cumulative (detailed, extrapolated) slice counts.

@@ -163,33 +163,31 @@ func TestDetectorCadence(t *testing.T) {
 	}
 }
 
-func TestForceDetailAndForceSample(t *testing.T) {
+func TestForceDetail(t *testing.T) {
 	d := NewDetector(Params{Interval: 4, Stable: 2})
 	run(d, "aa")
-	if !d.CanExtrapolate() {
+	if !d.CanExtrapolate() || !d.Stable() {
 		t.Fatal("phase not established")
-	}
-	// ForceSample wants one fresh measurement but keeps the phase.
-	d.ForceSample()
-	if d.CanExtrapolate() {
-		t.Fatal("ForceSample must make the next slice detailed")
-	}
-	d.Observe('a', false)
-	if !d.CanExtrapolate() {
-		t.Fatal("one detailed slice after ForceSample must resume extrapolation")
 	}
 	// ForceDetail discards the phase: Stable fresh slices are needed.
 	d.ForceDetail()
-	if d.CanExtrapolate() {
+	if d.CanExtrapolate() || d.Stable() {
 		t.Fatal("ForceDetail must make the next slice detailed")
 	}
 	d.Observe('a', false)
-	if d.CanExtrapolate() {
+	if d.CanExtrapolate() || d.Stable() {
 		t.Fatal("ForceDetail must discard the stability streak")
 	}
 	d.Observe('a', false)
 	if !d.CanExtrapolate() {
 		t.Fatal("Stable slices after ForceDetail must re-establish the phase")
+	}
+	// A due cadence slice is detailed inside a phase that stays stable.
+	for range 3 {
+		d.NoteExtrapolated()
+	}
+	if d.CanExtrapolate() || !d.Stable() {
+		t.Fatal("a due cadence must stop extrapolation without unsettling the phase")
 	}
 }
 

@@ -143,8 +143,8 @@ type TransportReport struct {
 	// cells arrive incrementally so the two diverge on multi-cell
 	// grids; the JSON transport delivers one blob, so they coincide.
 	// Present only when the mix issued campaigns.
-	CampaignFirstResult *LatencySummary `json:"campaign_first_result,omitempty"`
-	CampaignFull        *LatencySummary `json:"campaign_full,omitempty"`
+	CampaignFirstResult *LatencySummary   `json:"campaign_first_result,omitempty"`
+	CampaignFull        *LatencySummary   `json:"campaign_full,omitempty"`
 	Status              map[string]uint64 `json:"status"`
 	// Sources classifies every 2xx response (see Report.SourcesNote).
 	Sources      map[string]uint64 `json:"sources"`

@@ -48,7 +48,10 @@ import (
 //
 // v2: the key schema is namespaced by simulation fidelity — exact and
 // sampled measurements of the same cell must never alias.
-const SchemaVersion = 2
+//
+// v3: the sampled-mode detector no longer runs a detailed slice at
+// governor decisions that keep the OPP, so sampled results changed.
+const SchemaVersion = 3
 
 // file is the on-disk format.
 type file struct {

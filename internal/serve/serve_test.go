@@ -626,12 +626,13 @@ var goldenKeyRequests = []LoadRequest{
 }
 
 // TestLoadKeyGolden pins Server.loadKey for goldenKeyRequests on the
-// default device.
+// default device. A runcache.SchemaVersion bump moves both keys on
+// purpose (every cached result misses).
 func TestLoadKeyGolden(t *testing.T) {
 	s := NewServer(Config{})
 	want := []string{
-		"a6b3bddb01323e199fd5fe6cdfa0ea7f1826ed6580ef9524e9ea5b2f603e5fc2",
-		"cdbd6af1be5b92bb19239d1e48c88335e9ea206be06b8a91d5c83dca1065fcac",
+		"049166f16000b42b9ceb399324b8d15506fa4c986912f6b1e3137a95ac13a223",
+		"bd94c3c14cae4a8110473c97dfb255fbe5142b5a49c47d90878e47f997ee08a0",
 	}
 	for i, req := range goldenKeyRequests {
 		if got := s.loadKey(req); got != want[i] {

@@ -159,12 +159,23 @@ func loadPageSampled(ctx context.Context, opts Options, wl Workload) (Result, er
 		mpkiH      *telemetry.Histogram
 		freqG      *telemetry.Gauge
 		tempG      *telemetry.Gauge
+
+		// Slices by how the driver ran them: extrapolated, or detailed
+		// for one of three reasons.
+		noRatesC  *telemetry.Counter
+		unstableC *telemetry.Counter
+		cadenceC  *telemetry.Counter
+		extrapC   *telemetry.Counter
 	)
 	if reg := opts.Metrics; reg != nil {
 		decisionsC = reg.Counter("dora_governor_decisions_total", "governor decision intervals executed")
 		mpkiH = reg.Histogram("dora_decision_corun_mpki", "co-run L2 MPKI observed at decision points", telemetry.LinearBuckets(0, 4, 12))
 		freqG = reg.Gauge("dora_core_freq_mhz", "core frequency chosen at the last decision")
 		tempG = reg.Gauge("dora_soc_temp_c", "SoC temperature at the last decision")
+		noRatesC = reg.Counter("dora_sampled_no_rates_slices_total", "sampled-mode detailed slices run before any extrapolation rates existed")
+		unstableC = reg.Counter("dora_sampled_unstable_slices_total", "sampled-mode detailed slices run because the phase was not yet stable")
+		cadenceC = reg.Counter("dora_sampled_cadence_slices_total", "sampled-mode detailed slices run because the periodic cadence was due")
+		extrapC = reg.Counter("dora_sampled_extrapolated_slices_total", "sampled-mode slices fast-forwarded from measured rates")
 	}
 	decideName := "decide:" + gov.Name()
 
@@ -208,7 +219,9 @@ func loadPageSampled(ctx context.Context, opts Options, wl Workload) (Result, er
 	}
 
 	// The sampled slice driver: one detailed or extrapolated slice per
-	// call, with OPP changes forcing a return to detailed sampling.
+	// call, with OPP changes forcing a return to detailed sampling. A
+	// governor decision that keeps the OPP changes nothing the detector
+	// measures, so it costs no detailed slice.
 	det := fidelity.NewDetector(opts.FidelityParams)
 	stats := &soc.SliceStats{Cores: make([]soc.CoreSliceStats, cores)}
 	rates := make([]soc.CoreRates, cores)
@@ -224,7 +237,20 @@ func loadPageSampled(ctx context.Context, opts Options, wl Workload) (Result, er
 		if ratesValid && det.CanExtrapolate() {
 			m.FastForwardSlice(rates)
 			det.NoteExtrapolated()
+			if opts.Metrics != nil {
+				extrapC.Inc()
+			}
 			return
+		}
+		if opts.Metrics != nil {
+			switch {
+			case !ratesValid:
+				noRatesC.Inc()
+			case !det.Stable():
+				unstableC.Inc()
+			default:
+				cadenceC.Inc()
+			}
 		}
 		m.StepSliceStats(stats)
 		for i := range kinds {
@@ -276,7 +302,6 @@ func loadPageSampled(ctx context.Context, opts Options, wl Workload) (Result, er
 			}
 			if m.Now() >= nextDecision {
 				decide(nil, 0)
-				det.ForceSample()
 				nextDecision = m.Now() + opts.DecisionInterval
 			}
 			stepSampled()
@@ -342,7 +367,6 @@ func loadPageSampled(ctx context.Context, opts Options, wl Workload) (Result, er
 		}
 		if m.Now() >= nextDecision {
 			decide(features, m.Now()-start)
-			det.ForceSample()
 			nextDecision = m.Now() + opts.DecisionInterval
 		}
 		res.FreqResidency[m.OPP().FreqMHz] += slice

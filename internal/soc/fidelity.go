@@ -19,12 +19,6 @@ package soc
 // per-core state, so a fixed seed gives bit-identical extrapolation on
 // any host or worker count.
 
-import (
-	"time"
-
-	"dora/internal/power"
-)
-
 // CoreSliceStats is one core's activity during one detailed slice, in
 // the machine's scaled-up counter units. The sampled-fidelity layer
 // derives phase signatures and extrapolation rates from it.
@@ -144,73 +138,16 @@ func (m *Machine) FastForwardSlice(rates []CoreRates) {
 	// a rarely taken consistency path.
 	switchStall := m.stallAllNs
 	m.stallAllNs = 0
-	if switchStall > m.cfg.QuantumNs {
-		switchStall = m.cfg.QuantumNs
-	}
 
 	var ffL2Acc float64 // this slice's extrapolated L2 traffic, for power
 	for i := range m.cores {
-		c := &m.cores[i]
-		budget := m.cfg.SliceNs
-		if switchStall > 0 {
-			c.counters.BusyNs += switchStall
-			c.counters.StallNs += switchStall
-			c.sliceBusyNs += switchStall
-			c.sliceStallNs += switchStall
-			budget -= switchStall
-		}
+		// The whole slice is one budget: the first quantum's, less the
+		// stall, plus the rest.
+		budget := m.cfg.SliceNs - m.cfg.QuantumNs + m.quantumBudget(i, 0, switchStall)
 		ffL2Acc += m.fastForwardCore(i, budget, &rates[i])
 	}
 
-	slice := time.Duration(m.cfg.SliceNs)
-	busWin, _ := m.bus.EndWindow(slice)
-
-	var bd power.Breakdown
-	volt := m.opp.VoltageV
-	fHz := m.opp.FreqHz()
-	corePowers := m.corePowers
-	for i := range m.cores {
-		c := &m.cores[i]
-		busy := float64(c.sliceBusyNs) / float64(m.cfg.SliceNs)
-		stall := 0.0
-		if c.sliceBusyNs > 0 {
-			stall = float64(c.sliceStallNs) / float64(c.sliceBusyNs)
-		}
-		p := m.cfg.Power.Core.Dynamic(volt, fHz, busy, stall)
-		corePowers[i] = p
-		bd.CoreDynamicW += p
-		c.sliceBusyNs, c.sliceStallNs = 0, 0
-	}
-	bd.L2W = ffL2Acc * m.cfg.Power.L2EnergyPerAccessJ / slice.Seconds()
-	bd.UncoreW = m.cfg.Power.UncoreIdleW + (busWin.EnergyJ+m.switchEJ)/slice.Seconds()
-	m.switchEJ = 0
-	bd.LeakageW = m.cfg.Power.Leakage.Power(volt, m.thermal.SoCTemp())
-	bd.BaselineW = m.cfg.Power.BaselineW
-	m.lastPower = bd
-	m.meter.Record(slice, bd.Total())
-
-	m.thermal.Step(slice, bd.SoC(), corePowers)
-	m.now += m.cfg.SliceNs
-
-	if m.tracer != nil && m.cfg.ThermalTripC > 0 {
-		m.checkThermalTrip()
-	}
-	if m.traceFn != nil || m.sink != nil {
-		s := TraceSample{
-			Now:       time.Duration(m.now),
-			FreqMHz:   m.opp.FreqMHz,
-			PowerW:    bd.Total(),
-			SoCTempC:  m.thermal.SoCTemp(),
-			BusUtil:   busWin.Utilization,
-			LeakageW:  bd.LeakageW,
-			CoreDynW:  bd.CoreDynamicW,
-			BaselineW: bd.BaselineW,
-		}
-		if m.traceFn != nil {
-			m.traceFn(s)
-		}
-		m.sink.Publish(s)
-	}
+	m.endSlice(ffL2Acc)
 }
 
 // fastForwardCore runs core i for up to budget nanoseconds with the

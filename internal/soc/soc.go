@@ -509,7 +509,13 @@ func (m *Machine) stepSlice() {
 			m.advanceCore(i, m.quantumBudget(i, q, switchStall))
 		}
 	}
-	m.endSlice(l2Before)
+	m.endSlice(m.l2TrafficSince(l2Before))
+}
+
+// l2TrafficSince returns the L2 accesses counted since l2Before, in
+// scaled units.
+func (m *Machine) l2TrafficSince(l2Before uint64) float64 {
+	return float64((m.l2.TotalStats().Accesses - l2Before) * uint64(m.scale))
 }
 
 // beginSlice hoists the memory-latency terms that are invariant for the
@@ -550,8 +556,11 @@ func (m *Machine) quantumBudget(i int, q, switchStall int64) int64 {
 }
 
 // endSlice closes the slice: bus window, power, thermal, the clock and
-// the per-slice telemetry.
-func (m *Machine) endSlice(l2Before uint64) {
+// the per-slice telemetry. l2Acc is the slice's L2 traffic in scaled
+// (full-reference) units: counted accesses times the sampling scale
+// for a detailed slice, the extrapolated traffic for a fast-forwarded
+// one.
+func (m *Machine) endSlice(l2Acc float64) {
 	slice := time.Duration(m.cfg.SliceNs)
 	// Close the bus window: its utilization shapes next-slice latency.
 	busWin, _ := m.bus.EndWindow(slice)
@@ -573,8 +582,7 @@ func (m *Machine) endSlice(l2Before uint64) {
 		bd.CoreDynamicW += p
 		c.sliceBusyNs, c.sliceStallNs = 0, 0
 	}
-	l2Acc := m.l2.TotalStats().Accesses - l2Before
-	bd.L2W = float64(l2Acc*uint64(m.scale)) * m.cfg.Power.L2EnergyPerAccessJ / slice.Seconds()
+	bd.L2W = l2Acc * m.cfg.Power.L2EnergyPerAccessJ / slice.Seconds()
 	bd.UncoreW = m.cfg.Power.UncoreIdleW + (busWin.EnergyJ+m.switchEJ)/slice.Seconds()
 	m.switchEJ = 0
 	bd.LeakageW = m.cfg.Power.Leakage.Power(volt, m.thermal.SoCTemp())

@@ -250,8 +250,8 @@ func TestTouchArmMatchesChunkModel(t *testing.T) {
 						}
 					}
 				}
-				arm.endSlice(lA)
-				ref.endSlice(lB)
+				arm.endSlice(arm.l2TrafficSince(lA))
+				ref.endSlice(ref.l2TrafficSince(lB))
 				if arm.Now() != ref.Now() {
 					t.Fatalf("slice %d: Now %v vs %v", s, arm.Now(), ref.Now())
 				}

@@ -181,10 +181,11 @@ func WriteFrame(w io.Writer, f *Frame, payload []byte) error {
 	return nil
 }
 
-//dora:hotpath
 // writeFrameBuffered encodes the header directly into bw's free space
 // (bufio guarantees a buffer of at least HeaderSize bytes), so a
 // stack-staged header never escapes through the io.Writer interface.
+//
+//dora:hotpath
 func writeFrameBuffered(bw *bufio.Writer, f *Frame, payload []byte) error {
 	if bw.Available() < HeaderSize {
 		if err := bw.Flush(); err != nil {

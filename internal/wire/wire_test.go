@@ -123,9 +123,9 @@ func TestLoadRequestRoundTrip(t *testing.T) {
 
 func TestCampaignRequestRoundTrip(t *testing.T) {
 	in := CampaignRequest{
-		Pages:     []string{"Alipay", "Reddit"},
-		CoRunners: []string{"", "backprop"},
-		Governors: []string{"interactive"},
+		Pages:      []string{"Alipay", "Reddit"},
+		CoRunners:  []string{"", "backprop"},
+		Governors:  []string{"interactive"},
 		DeadlineMs: 16, WarmupMs: 100, Seed: 3, TimeoutMs: 60_000,
 		Fidelity: "exact",
 	}
