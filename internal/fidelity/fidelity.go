@@ -161,11 +161,6 @@ type Detector struct {
 	sig         uint64
 	streak      int
 	sinceDetail int
-
-	// Cumulative accounting, for diagnostics and the validation
-	// harness.
-	detailed     int64
-	extrapolated int64
 }
 
 // NewDetector builds a detector with p (zero fields take defaults).
@@ -179,7 +174,6 @@ func NewDetector(p Params) *Detector {
 //
 //dora:hotpath
 func (d *Detector) Observe(sig uint64, unstable bool) {
-	d.detailed++
 	d.sinceDetail = 0
 	if unstable {
 		d.streak = 0
@@ -207,7 +201,6 @@ func (d *Detector) Stable() bool { return d.streak >= d.p.Stable }
 
 // NoteExtrapolated accounts one fast-forwarded slice.
 func (d *Detector) NoteExtrapolated() {
-	d.extrapolated++
 	d.sinceDetail++
 }
 
@@ -220,13 +213,7 @@ func (d *Detector) ForceDetail() {
 	d.sinceDetail = 0
 }
 
-// Counts returns the cumulative (detailed, extrapolated) slice counts.
-func (d *Detector) Counts() (detailed, extrapolated int64) {
-	return d.detailed, d.extrapolated
-}
-
-// State is the detector's checkpointable phase state (the cumulative
-// counts are diagnostics and are not part of it).
+// State is the detector's checkpointable phase state.
 type State struct {
 	Sig         uint64
 	Streak      int
