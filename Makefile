@@ -48,11 +48,12 @@ fuzz-smoke:
 
 # Sharded-cluster suite under the race detector: HRW placement and
 # membership unit tests, gateway refusal paths, and the in-process
-# multi-node harness e2e — fault injection (kill/hang/5xx/latency/
-# drain) plus the golden campaign fingerprint replayed through the
-# gateway at widths 1, 2, and 4 over both transports (not -short).
+# multi-node harness e2e — fault injection (kill/hang/fault bursts/
+# latency/drain) on both transports plus the golden campaign
+# fingerprint replayed through the gateway at widths 1, 2, and 4 over
+# both transports (not -short) — and doragate's run seam.
 cluster-test:
-	$(GO) test -race -v ./internal/cluster/...
+	$(GO) test -race -v ./internal/cluster/... ./cmd/doragate/
 
 # Wire codec + stream e2e suites under the race detector, the same
 # slice the CI `stream` job runs.

@@ -20,13 +20,22 @@
 // dorad), GET /v1/pages (proxied), GET /v1/cluster (membership
 // snapshot), GET /healthz (503 until a worker is live), GET /metrics.
 //
+// Gateway→worker forwarding defaults to the binary wire stream (one
+// pipelined connection per worker). It dials plain http:// only, so
+// workers behind https, or behind a proxy that cannot pass an HTTP
+// Upgrade, need -transport json (POST /v1/load per request); an https
+// worker under the stream is refused at startup.
+//
 // Usage:
 //
 //	doragate -workers http://w1:8077,http://w2:8077 [-addr :8070]
-//	         [-transport json|stream] [-probe-interval 2s]
+//	         [-transport stream|json] [-probe-interval 2s]
 //	         [-probe-timeout 1s] [-fail-threshold 3]
 //	         [-forward-timeout 0] [-fanout N] [-fidelity exact]
 //	         [-log-level info,access=warn] [-log-file doragate.log]
+//
+// Exit status: 0 after a clean shutdown (SIGINT/SIGTERM), 2 for bad
+// flags or configuration, 1 when serving fails.
 package main
 
 import (
@@ -34,8 +43,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -49,28 +59,33 @@ import (
 	"dora/internal/telemetry"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("doragate: ")
-	addr := flag.String("addr", ":8070", "listen address")
-	workers := flag.String("workers", "", "comma-separated dorad worker base URLs (required)")
-	transport := flag.String("transport", cluster.TransportJSON, "worker transport: json (POST /v1/load) or stream (internal/wire)")
-	fingerprint := flag.String("fingerprint", "", "expected device fingerprint (default: adopt from the first probe)")
-	probeInterval := flag.Duration("probe-interval", 2*time.Second, "health probe cadence")
-	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-worker probe deadline")
-	failThreshold := flag.Int("fail-threshold", 3, "consecutive probe failures before a worker is evicted")
-	forwardTimeout := flag.Duration("forward-timeout", 0, "per-attempt forward deadline; a slow worker turns into a re-route (0 = request deadline only)")
-	fanout := flag.Int("fanout", 0, "campaign cells forwarded concurrently (0 = one per CPU)")
-	fidelityFlag := flag.String("fidelity", "exact", "default simulation fidelity for requests that omit the field: exact|sampled")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight proxied requests")
-	logFlags := obslog.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+func main() { os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)) }
 
-	logger, logCloser, err := logFlags.Open("doragate")
-	if err != nil {
-		log.Fatal(err)
+// run is doragate's whole life: parse args, serve until ctx is
+// cancelled or a SIGINT/SIGTERM arrives, then shut down. It returns the
+// process exit status.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	logf := log.New(stderr, "doragate: ", 0)
+	fs := flag.NewFlagSet("doragate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8070", "listen address")
+	workers := fs.String("workers", "", "comma-separated dorad worker base URLs (required)")
+	transport := fs.String("transport", cluster.TransportStream, "worker transport: stream (internal/wire, http:// workers only) or json (POST /v1/load; for https or Upgrade-blocking proxies)")
+	fingerprint := fs.String("fingerprint", "", "expected device fingerprint (default: adopt from the first probe)")
+	probeInterval := fs.Duration("probe-interval", 2*time.Second, "health probe cadence")
+	probeTimeout := fs.Duration("probe-timeout", time.Second, "per-worker probe deadline")
+	failThreshold := fs.Int("fail-threshold", 3, "consecutive probe failures before a worker is evicted")
+	forwardTimeout := fs.Duration("forward-timeout", 0, "per-attempt forward deadline; a slow worker turns into a re-route (0 = request deadline only)")
+	fanout := fs.Int("fanout", 0, "campaign cells forwarded concurrently (0 = one per CPU)")
+	fidelityFlag := fs.String("fidelity", "exact", "default simulation fidelity for requests that omit the field: exact|sampled")
+	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight proxied requests")
+	logFlags := obslog.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	defer logCloser.Close()
 
 	var members []cluster.Member
 	for _, raw := range strings.Split(*workers, ",") {
@@ -81,13 +96,21 @@ func main() {
 		members = append(members, cluster.Member{URL: u})
 	}
 	if len(members) == 0 {
-		log.Fatal("no workers: pass -workers http://host:8077[,...]")
+		logf.Print("no workers: pass -workers http://host:8077[,...]")
+		return 2
 	}
-
 	fid, err := fidelity.ParseMode(*fidelityFlag)
 	if err != nil {
-		log.Fatal(err)
+		logf.Print(err)
+		return 2
 	}
+
+	logger, logCloser, err := logFlags.Open("doragate")
+	if err != nil {
+		logf.Print(err)
+		return 2
+	}
+	defer logCloser.Close()
 
 	gw, err := cluster.NewGateway(cluster.Config{
 		Members:         members,
@@ -103,45 +126,60 @@ func main() {
 		Log:             logger,
 	})
 	if err != nil {
-		log.Fatal(err)
+		logf.Print(err)
+		return 2
 	}
 	defer gw.Close()
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logf.Print(err)
+		return 1
+	}
+
+	ctx, stopSignals := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
+
 	// Background membership loop: probe immediately, then on the
 	// configured cadence until shutdown.
-	probeCtx, stopProbes := context.WithCancel(context.Background())
-	defer stopProbes()
-	go gw.Run(probeCtx)
+	probeCtx, stopProbes := context.WithCancel(ctx)
+	probesDone := make(chan struct{})
+	go func() {
+		defer close(probesDone)
+		gw.Run(probeCtx)
+	}()
+	defer func() {
+		stopProbes()
+		<-probesDone
+	}()
 
 	hs := serve.NewHTTPServer(*addr, gw.Handler())
 	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
-	log.Printf("listening on %s (%d workers, transport=%s)", *addr, len(members), *transport)
+	go func() { errCh <- hs.Serve(ln) }()
+	bound := ln.Addr().String()
+	logf.Printf("listening on %s (%d workers, transport=%s)", bound, len(members), *transport)
 	logger.Info().
-		Str("addr", *addr).
+		Str("addr", bound).
 		Int("workers", len(members)).
 		Str("transport", *transport).
 		Msg("listening")
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
-	case sig := <-sigCh:
-		log.Printf("%s: shutting down (up to %s)...", sig, *drainTimeout)
-		logger.Info().Str("signal", sig.String()).Msg("shutting down")
+	case <-ctx.Done():
+		logf.Printf("shutting down (up to %s)...", *drainTimeout)
+		logger.Info().Msg("shutting down")
 	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
-		}
-		return
+		logf.Print(err)
+		return 1
 	}
 
 	stopProbes()
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		log.Printf("shutdown: %v (forcing)", err)
+	if err := hs.Shutdown(shutCtx); err != nil {
+		logf.Printf("shutdown: %v (forcing)", err)
 		logger.Warn().Err(err).Msg("shutdown forced")
 	}
-	fmt.Println("doragate: stopped")
+	fmt.Fprintln(stdout, "doragate: stopped")
+	return 0
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -44,9 +45,11 @@ type Config struct {
 	// Members is the static worker list (required, non-empty).
 	Members []Member
 	// Transport selects how requests are forwarded to workers:
-	// TransportJSON (default) posts to each worker's /v1/load;
-	// TransportStream pipelines over one long-lived internal/wire
-	// connection per worker.
+	// TransportStream (default) pipelines over one long-lived
+	// internal/wire connection per worker; TransportJSON posts to each
+	// worker's /v1/load. The stream dials plain http:// only, so
+	// workers behind https, or behind a proxy that cannot pass an
+	// Upgrade, need TransportJSON.
 	Transport string
 	// Fingerprint is the device fingerprint every worker must report
 	// on /healthz (sim.ConfigFingerprint of the cluster's device). It
@@ -109,10 +112,10 @@ type Gateway struct {
 
 	retryAfterSecs int // Retry-After on 429/503, cfg.RetryAfter in whole seconds
 
-	// maxWorkerBody bounds a worker's response body on the JSON
-	// transport and the pages proxy: wire.DefaultMaxFrameBytes, the
-	// stream transport's bound (tests lower it). A longer body is a
-	// failed forward, never a truncated answer.
+	// maxWorkerBody bounds a worker's response on both transports and
+	// the pages proxy: wire.DefaultMaxFrameBytes (tests lower it). A
+	// longer body or frame is a failed forward, never a truncated
+	// answer.
 	maxWorkerBody int64
 
 	fpMu sync.Mutex
@@ -143,10 +146,17 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	}
 	switch cfg.Transport {
 	case "":
-		cfg.Transport = TransportJSON
+		cfg.Transport = TransportStream
 	case TransportJSON, TransportStream:
 	default:
 		return nil, fmt.Errorf("cluster: unknown transport %q (json|stream)", cfg.Transport)
+	}
+	if cfg.Transport == TransportStream {
+		for _, m := range cfg.Members {
+			if u, err := url.Parse(m.URL); err != nil || u.Scheme != "http" {
+				return nil, fmt.Errorf("cluster: worker %q: the stream transport dials plain http:// only; use -transport json", m.URL)
+			}
+		}
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 2 * time.Second
@@ -406,7 +416,7 @@ func (g *Gateway) forwardOnce(parent context.Context, name string, req serve.Loa
 		defer cancel()
 	}
 	if g.cfg.Transport == TransportStream {
-		return g.forwardStream(ctx, name, req)
+		return g.forwardStream(parent, ctx, name, req)
 	}
 	return g.forwardJSON(ctx, name, req)
 }
@@ -500,10 +510,18 @@ func (g *Gateway) transportFailure(ctx context.Context, name string, err error) 
 }
 
 // forwardStream forwards over the worker's long-lived wire connection,
-// dialing (or redialing) on demand.
-func (g *Gateway) forwardStream(ctx context.Context, name string, req serve.LoadRequest) (forwarded, *serve.APIError, bool) {
+// dialing (or redialing) on demand. ctx is the attempt's context,
+// parent the request's.
+func (g *Gateway) forwardStream(parent, ctx context.Context, name string, req serve.LoadRequest) (forwarded, *serve.APIError, bool) {
 	c, err := g.streamClient(ctx, name)
 	if err != nil {
+		var werr *wire.Error
+		if errors.As(err, &werr) && retryableStatus(werr.Status) {
+			// The worker refused the upgrade with its error envelope
+			// (draining, shedding): re-route without failure accounting,
+			// as the JSON path does for the same answer.
+			return forwarded{}, &serve.APIError{Status: werr.Status, Code: werr.Code, Message: werr.Message}, true
+		}
 		return g.transportFailure(ctx, name, err)
 	}
 	payload, source, err := c.Load(ctx, &req)
@@ -522,13 +540,14 @@ func (g *Gateway) forwardStream(ctx context.Context, name string, req serve.Load
 		return forwarded{}, &serve.APIError{Status: http.StatusServiceUnavailable, Code: serve.CodeDraining, Message: "worker is draining"}, true
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		if g.cfg.ForwardTimeout > 0 && ctx.Err() != nil {
-			// Per-attempt budget expired: the worker is hung or slow —
-			// treat like a transport failure and re-route.
-			g.dropStreamClient(name, c)
-			return g.transportFailure(context.Background(), name, err)
+		// Only this call was abandoned (the client deregistered it); the
+		// connection and every other call in flight on it carry on.
+		if parent.Err() != nil {
+			return forwarded{}, serve.CtxErrToAPI(parent), false
 		}
-		return forwarded{}, serve.CtxErrToAPI(ctx), false
+		// The per-attempt budget expired: the worker is hung or slow —
+		// count it against the member and re-route.
+		return g.transportFailure(parent, name, err)
 	}
 	// Connection-level failure: drop the client so the next attempt
 	// redials, and count it against the member.
@@ -550,7 +569,7 @@ func (g *Gateway) streamClient(ctx context.Context, name string) (*wire.Client, 
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown worker %q", name)
 	}
-	nc, err := wire.Dial(ctx, url, wire.Options{})
+	nc, err := wire.Dial(ctx, url, wire.Options{MaxFrameBytes: g.maxWorkerBody})
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"dora/internal/serve"
+	"dora/internal/telemetry"
 )
 
 // newTestGateway builds a gateway over workers that don't exist —
@@ -52,6 +54,17 @@ func TestNewGatewayValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("gateway with unknown transport built")
 	}
+	// The stream dials plain http:// only: an https worker under the
+	// default transport is refused up front, naming the way out.
+	https := []Member{{URL: "http://a:8077"}, {URL: "https://b:8077"}}
+	if _, err := NewGateway(Config{Members: https}); err == nil || !strings.Contains(err.Error(), "-transport json") {
+		t.Fatalf("https worker under the stream transport: err = %v, want one naming -transport json", err)
+	}
+	g, err := NewGateway(Config{Members: https, Transport: TransportJSON})
+	if err != nil {
+		t.Fatalf("https worker under the JSON transport: %v", err)
+	}
+	g.Close()
 }
 
 // TestGatewayRefusals covers the request-level refusals the gateway
@@ -197,7 +210,8 @@ func TestGatewayOverLimitLoadReroutes(t *testing.T) {
 	const limit = 64
 	const good = `{"LoadTime":1}`
 	var bad string
-	g := newTestGateway(t, Config{Members: fakeWorkers(t, limit, &bad, good)})
+	// The fake workers speak JSON only.
+	g := newTestGateway(t, Config{Members: fakeWorkers(t, limit, &bad, good), Transport: TransportJSON})
 	g.maxWorkerBody = limit
 	const body = `{"page":"Alipay","seed":1}`
 	req, apiErr := serve.DecodeLoadRequestDefault([]byte(body), g.cfg.DefaultFidelity)
@@ -216,6 +230,41 @@ func TestGatewayOverLimitLoadReroutes(t *testing.T) {
 	}
 	if n := g.mFwdErrors.Value(); n != 1 {
 		t.Fatalf("forward errors = %d, want 1", n)
+	}
+}
+
+// TestGatewayOverLimitStreamFails is the stream twin of
+// TestGatewayOverLimitLoadReroutes, over real workers: a result frame
+// past the worker-body limit fails the forward on every worker it is
+// tried on, and the load is refused, never answered with a truncated
+// 200.
+func TestGatewayOverLimitStreamFails(t *testing.T) {
+	var members []Member
+	for _, name := range []string{"w0", "w1"} {
+		srv := serve.NewServer(serve.Config{Metrics: telemetry.NewRegistry()})
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() {
+			ts.Close()
+			if err := srv.Drain(context.Background()); err != nil {
+				t.Errorf("drain %s: %v", name, err)
+			}
+		})
+		members = append(members, Member{Name: name, URL: ts.URL})
+	}
+	g := newTestGateway(t, Config{Members: members, Transport: TransportStream})
+	g.maxWorkerBody = 64 // a load result is a few KiB
+	resp, got := doReq(t, g.Handler(), http.MethodPost, "/v1/load", `{"page":"Alipay","seed":1}`)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("load = %d %q, want 503 after both workers failed", resp.StatusCode, got)
+	}
+	if code := resp.Header.Get(serve.ErrorCodeHeader); code != CodeNoWorkers {
+		t.Fatalf("code = %q, want %q", code, CodeNoWorkers)
+	}
+	if n := g.mForwards.Value(); n != 2 {
+		t.Fatalf("forward attempts = %d, want 2 (both workers tried)", n)
+	}
+	if n := g.mFwdErrors.Value(); n != 2 {
+		t.Fatalf("forward errors = %d, want 2", n)
 	}
 }
 

@@ -3,9 +3,10 @@
 // singleflight, runcache, drain) behind httptest listeners, fronted by
 // a cluster.Gateway on its own listener. Each node sits behind a fault
 // proxy that can kill it (sever TCP, fail new connections), hang it
-// (handlers block until released), burst 5xx, or inject latency — so
-// e2e tests drive real network round trips through real failures, all
-// under -race, with no subprocesses and no real daemons.
+// (handlers and stream writes block until released), burst failures,
+// or inject latency — on the JSON path and on the wire stream alike —
+// so e2e tests drive real network round trips through real failures,
+// all under -race, with no subprocesses and no real daemons.
 //
 // Probe cadence is manual: the gateway is built with no background
 // probe loop and a locked manual clock, and tests step membership with
@@ -31,13 +32,14 @@ import (
 )
 
 // Options configures a test cluster. The zero value is a usable
-// default: NexusFive workers, JSON transport, fail threshold 3.
+// default: NexusFive workers, the gateway's default (stream)
+// transport, fail threshold 3.
 type Options struct {
 	// Device is the simulated device on every worker (zero value =
 	// soc.NexusFive(), like serve.Config).
 	Device soc.Config
 	// Transport selects the gateway→worker transport:
-	// cluster.TransportJSON (default) or cluster.TransportStream.
+	// cluster.TransportStream (default) or cluster.TransportJSON.
 	Transport string
 	// FailThreshold is the gateway's consecutive-failure eviction
 	// threshold (0 = cluster default of 3).
@@ -147,10 +149,12 @@ func New(t testing.TB, n int, opts Options) *Cluster {
 		}
 		// The listener is wrapped before starting so Kill can sever
 		// every connection — including stream connections the HTTP
-		// server stops tracking once they are hijacked.
+		// server stops tracking once they are hijacked — and so the
+		// other faults reach those streams too.
 		node.TS = httptest.NewUnstartedServer(node.faults.middleware(node.Server.Handler()))
-		node.tracker = newConnTracker(node.TS.Listener)
+		node.tracker = newConnTracker(node.TS.Listener, node.faults)
 		node.TS.Listener = node.tracker
+		node.TS.Config.ConnState = node.tracker.connState
 		node.TS.Start()
 		members[i] = cluster.Member{Name: node.Name, URL: node.TS.URL}
 		c.Nodes = append(c.Nodes, node)
@@ -238,21 +242,23 @@ func (c *Cluster) Kill(i int) {
 func (c *Cluster) Revive(i int) { c.node(i).faults.setKilled(false) }
 
 // Hang makes node i accept requests and then block them (including
-// health probes) until ReleaseHang — a live-locked process: TCP up,
-// nothing answering.
+// health probes), and block every write on its open streams, until
+// ReleaseHang — a live-locked process: TCP up, nothing answering.
 func (c *Cluster) Hang(i int) { c.node(i).faults.hang() }
 
 // ReleaseHang unblocks a hung node; blocked requests resume and
 // complete normally.
 func (c *Cluster) ReleaseHang(i int) { c.node(i).faults.releaseHang() }
 
-// FailNext makes node i answer its next k requests with a bare
-// (non-JSON) HTTP 500 — an injected fault burst in front of a healthy
-// process.
+// FailNext makes node i fail its next k requests — an injected fault
+// burst in front of a healthy process. An HTTP request is answered with
+// a bare (non-JSON) 500; a request arriving on an open stream severs
+// that stream.
 func (c *Cluster) FailNext(i, k int) { c.node(i).faults.failNext(k) }
 
-// SetLatency delays every response from node i by d (0 restores).
-// Pair with Options.ForwardTimeout to test slow-worker re-routes.
+// SetLatency delays every response and every stream write from node i
+// by d (0 restores). Pair with Options.ForwardTimeout to test
+// slow-worker re-routes.
 func (c *Cluster) SetLatency(i int, d time.Duration) { c.node(i).faults.setLatency(d) }
 
 // Drain puts node i into real graceful drain: it refuses new work

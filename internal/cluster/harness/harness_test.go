@@ -75,6 +75,14 @@ func findSeedFor(t *testing.T, c *harness.Cluster, want string) int64 {
 	return 0
 }
 
+// forEachTransport runs fn as one subtest per gateway→worker
+// transport: the cluster must behave the same on either.
+func forEachTransport(t *testing.T, fn func(t *testing.T, transport string)) {
+	for _, transport := range []string{cluster.TransportJSON, cluster.TransportStream} {
+		t.Run(transport, func(t *testing.T) { fn(t, transport) })
+	}
+}
+
 func lruDevice() soc.Config {
 	cfg := soc.NexusFive()
 	cfg.L2Replacement = cache.LRU
@@ -125,30 +133,21 @@ func gatewayFingerprint(t *testing.T, width int, transport string) string {
 
 // TestGatewayCampaignFingerprintGolden is the cluster's headline
 // contract: the golden campaign replayed through the gateway is
-// byte-identical to a single in-process node at every cluster width —
-// placement only decides *where* a cell runs, never what it computes.
+// byte-identical to a single in-process node at every cluster width,
+// over either transport — placement only decides *where* a cell runs,
+// never what it computes.
 func TestGatewayCampaignFingerprintGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second campaigns; skipped in -short")
 	}
 	for _, width := range []int{1, 2, 4} {
-		width := width
 		t.Run(fmt.Sprintf("width-%d", width), func(t *testing.T) {
-			if got := gatewayFingerprint(t, width, cluster.TransportJSON); got != goldenCampaignFingerprint {
-				t.Fatalf("gateway campaign fingerprint drifted at width %d:\n got  %s\n want %s\nrouting is no longer observable-preserving", width, got, goldenCampaignFingerprint)
-			}
+			forEachTransport(t, func(t *testing.T, transport string) {
+				if got := gatewayFingerprint(t, width, transport); got != goldenCampaignFingerprint {
+					t.Fatalf("gateway campaign fingerprint drifted at width %d over %s:\n got  %s\n want %s\nrouting is no longer observable-preserving", width, transport, got, goldenCampaignFingerprint)
+				}
+			})
 		})
-	}
-}
-
-// TestGatewayCampaignFingerprintGoldenStream is the same contract over
-// the binary stream transport.
-func TestGatewayCampaignFingerprintGoldenStream(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second campaigns; skipped in -short")
-	}
-	if got := gatewayFingerprint(t, 2, cluster.TransportStream); got != goldenCampaignFingerprint {
-		t.Fatalf("stream-transport gateway campaign fingerprint drifted:\n got  %s\n want %s", got, goldenCampaignFingerprint)
 	}
 }
 
@@ -156,30 +155,38 @@ func TestGatewayCampaignFingerprintGoldenStream(t *testing.T) {
 // the byte-identity and fault tests.
 const campaignBody = `{"pages":["Alipay","Reddit"],"governors":["interactive","powersave"],"seed":11}`
 
+// singleNodeCampaign is campaignBody's response from one dorad node,
+// the reference a cluster's aggregate must match byte for byte.
+func singleNodeCampaign(t *testing.T) (body []byte, source string) {
+	t.Helper()
+	single := harness.New(t, 1, harness.Options{})
+	resp, body := postJSON(t, single.Nodes[0].TS.URL+"/v1/campaign", campaignBody)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("single-node campaign: %d %s", resp.StatusCode, body)
+	}
+	return body, resp.Header.Get(serve.SourceHeader)
+}
+
 // TestGatewayCampaignBytesMatchSingleNode asserts the strongest
 // transport property short of the golden campaign: the gateway's
 // assembled /v1/campaign response — cells fanned out across three
 // workers — is byte-for-byte the response one dorad node writes for
 // the same request.
 func TestGatewayCampaignBytesMatchSingleNode(t *testing.T) {
-	single := harness.New(t, 1, harness.Options{})
-	resp, want := postJSON(t, single.Nodes[0].TS.URL+"/v1/campaign", campaignBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("single-node campaign: %d %s", resp.StatusCode, want)
-	}
-	wantSource := resp.Header.Get(serve.SourceHeader)
-
-	c := harness.New(t, 3, harness.Options{})
-	resp, got := postJSON(t, c.URL()+"/v1/campaign", campaignBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("gateway campaign: %d %s", resp.StatusCode, got)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("gateway campaign differs from single node:\n gate   %s\n single %s", got, want)
-	}
-	if src := resp.Header.Get(serve.SourceHeader); src != wantSource {
-		t.Fatalf("aggregate source = %q, want %q", src, wantSource)
-	}
+	want, wantSource := singleNodeCampaign(t)
+	forEachTransport(t, func(t *testing.T, transport string) {
+		c := harness.New(t, 3, harness.Options{Transport: transport})
+		resp, got := postJSON(t, c.URL()+"/v1/campaign", campaignBody)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("gateway campaign: %d %s", resp.StatusCode, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("gateway campaign differs from single node:\n gate   %s\n single %s", got, want)
+		}
+		if src := resp.Header.Get(serve.SourceHeader); src != wantSource {
+			t.Fatalf("aggregate source = %q, want %q", src, wantSource)
+		}
+	})
 }
 
 // TestWorkerKilledMidCampaign kills a worker the moment it starts
@@ -187,33 +194,31 @@ func TestGatewayCampaignBytesMatchSingleNode(t *testing.T) {
 // to surviving workers and the final aggregate must still be
 // byte-identical to a healthy single node's.
 func TestWorkerKilledMidCampaign(t *testing.T) {
-	single := harness.New(t, 1, harness.Options{})
-	resp, want := postJSON(t, single.Nodes[0].TS.URL+"/v1/campaign", campaignBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("single-node campaign: %d %s", resp.StatusCode, want)
-	}
-
-	var (
-		c    *harness.Cluster
-		once sync.Once
-	)
-	const victim = 1
-	c = harness.New(t, 3, harness.Options{
-		Serve: func(i int, cfg *serve.Config) {
-			if i == victim {
-				cfg.BeforeSimHook = func(string) {
-					once.Do(func() { c.Kill(victim) })
+	want, _ := singleNodeCampaign(t)
+	forEachTransport(t, func(t *testing.T, transport string) {
+		var (
+			c    *harness.Cluster
+			once sync.Once
+		)
+		const victim = 1
+		c = harness.New(t, 3, harness.Options{
+			Transport: transport,
+			Serve: func(i int, cfg *serve.Config) {
+				if i == victim {
+					cfg.BeforeSimHook = func(string) {
+						once.Do(func() { c.Kill(victim) })
+					}
 				}
-			}
-		},
+			},
+		})
+		resp, got := postJSON(t, c.URL()+"/v1/campaign", campaignBody)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("gateway campaign with killed worker: %d %s", resp.StatusCode, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("aggregate diverged after mid-campaign kill:\n gate   %s\n single %s", got, want)
+		}
 	})
-	resp, got := postJSON(t, c.URL()+"/v1/campaign", campaignBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("gateway campaign with killed worker: %d %s", resp.StatusCode, got)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("aggregate diverged after mid-campaign kill:\n gate   %s\n single %s", got, want)
-	}
 }
 
 // TestAllWorkersDrained asserts the cluster-wide refusal: with every
@@ -221,34 +226,42 @@ func TestWorkerKilledMidCampaign(t *testing.T) {
 // its own no_live_workers code — before probes notice (each forward
 // comes back "draining") and after (placement set empty).
 func TestAllWorkersDrained(t *testing.T) {
-	c := harness.New(t, 2, harness.Options{})
-	c.Drain(0)
-	c.Drain(1)
+	forEachTransport(t, func(t *testing.T, transport string) {
+		c := harness.New(t, 2, harness.Options{Transport: transport})
+		c.Drain(0)
+		c.Drain(1)
 
-	resp, body := postJSON(t, c.URL()+"/v1/load", `{"page":"Alipay","seed":3}`)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503 (body %s)", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After")
-	}
-	if code := resp.Header.Get(serve.ErrorCodeHeader); code != cluster.CodeNoWorkers {
-		t.Fatalf("error code = %q, want %q (body %s)", code, cluster.CodeNoWorkers, body)
-	}
+		resp, body := postJSON(t, c.URL()+"/v1/load", `{"page":"Alipay","seed":3}`)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("status = %d, want 503 (body %s)", resp.StatusCode, body)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatal("503 without Retry-After")
+		}
+		if code := resp.Header.Get(serve.ErrorCodeHeader); code != cluster.CodeNoWorkers {
+			t.Fatalf("error code = %q, want %q (body %s)", code, cluster.CodeNoWorkers, body)
+		}
+		// A draining worker is not a failing one, on either transport.
+		for _, st := range c.Gateway.Membership().Snapshot() {
+			if st.Fails != 0 {
+				t.Fatalf("%s has %d failures after answering draining", st.Name, st.Fails)
+			}
+		}
 
-	// After a probe round both workers report draining, placement is
-	// empty, and the gateway's own health flips to 503.
-	c.ProbeRounds(1)
-	if live := c.Gateway.Membership().Live(); len(live) != 0 {
-		t.Fatalf("live = %v, want none (all draining)", live)
-	}
-	resp, body = postJSON(t, c.URL()+"/v1/load", `{"page":"Alipay","seed":3}`)
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("post-probe refusal: %d %s", resp.StatusCode, body)
-	}
-	if resp, body := getJSON(t, c.URL()+"/healthz"); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("gateway healthz with no workers: %d %s", resp.StatusCode, body)
-	}
+		// After a probe round both workers report draining, placement is
+		// empty, and the gateway's own health flips to 503.
+		c.ProbeRounds(1)
+		if live := c.Gateway.Membership().Live(); len(live) != 0 {
+			t.Fatalf("live = %v, want none (all draining)", live)
+		}
+		resp, body = postJSON(t, c.URL()+"/v1/load", `{"page":"Alipay","seed":3}`)
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("post-probe refusal: %d %s", resp.StatusCode, body)
+		}
+		if resp, body := getJSON(t, c.URL()+"/healthz"); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("gateway healthz with no workers: %d %s", resp.StatusCode, body)
+		}
+	})
 }
 
 // TestHungWorkerEvictedAndRejoins hangs a worker (TCP up, nothing
@@ -256,57 +269,62 @@ func TestAllWorkersDrained(t *testing.T) {
 // threshold evicts it, verifies traffic flows on the survivor, then
 // releases the hang and verifies one good probe restores placement.
 func TestHungWorkerEvictedAndRejoins(t *testing.T) {
-	c := harness.New(t, 2, harness.Options{FailThreshold: 2})
-	c.Hang(0)
+	forEachTransport(t, func(t *testing.T, transport string) {
+		c := harness.New(t, 2, harness.Options{Transport: transport, FailThreshold: 2})
+		c.Hang(0)
 
-	c.ProbeRounds(1)
-	if st, _ := c.Gateway.Membership().Get("w0"); st.State != cluster.StateAlive {
-		t.Fatalf("w0 after 1 failed probe: %v, want still alive (threshold 2)", st.StateName)
-	}
-	c.ProbeRounds(1)
-	if st, _ := c.Gateway.Membership().Get("w0"); st.State != cluster.StateDead {
-		t.Fatalf("w0 after 2 failed probes: %v, want dead", st.StateName)
-	}
-
-	// Every key now lands on the survivor, first attempt.
-	for seed := int64(1); seed <= 4; seed++ {
-		_, worker, attempts := loadVia(t, c, fmt.Sprintf(`{"page":"Alipay","seed":%d}`, seed))
-		if worker != "w1" || attempts != 1 {
-			t.Fatalf("seed %d: worker=%s attempts=%d, want w1 in 1 attempt", seed, worker, attempts)
+		c.ProbeRounds(1)
+		if st, _ := c.Gateway.Membership().Get("w0"); st.State != cluster.StateAlive {
+			t.Fatalf("w0 after 1 failed probe: %v, want still alive (threshold 2)", st.StateName)
 		}
-	}
+		c.ProbeRounds(1)
+		if st, _ := c.Gateway.Membership().Get("w0"); st.State != cluster.StateDead {
+			t.Fatalf("w0 after 2 failed probes: %v, want dead", st.StateName)
+		}
 
-	c.ReleaseHang(0)
-	c.ProbeRounds(1)
-	if st, _ := c.Gateway.Membership().Get("w0"); st.State != cluster.StateAlive {
-		t.Fatalf("w0 after release + probe: %v, want alive", st.StateName)
-	}
-	findSeedFor(t, c, "w0") // traffic reaches the rejoined worker again
+		// Every key now lands on the survivor, first attempt.
+		for seed := int64(1); seed <= 4; seed++ {
+			_, worker, attempts := loadVia(t, c, fmt.Sprintf(`{"page":"Alipay","seed":%d}`, seed))
+			if worker != "w1" || attempts != 1 {
+				t.Fatalf("seed %d: worker=%s attempts=%d, want w1 in 1 attempt", seed, worker, attempts)
+			}
+		}
+
+		c.ReleaseHang(0)
+		c.ProbeRounds(1)
+		if st, _ := c.Gateway.Membership().Get("w0"); st.State != cluster.StateAlive {
+			t.Fatalf("w0 after release + probe: %v, want alive", st.StateName)
+		}
+		findSeedFor(t, c, "w0") // traffic reaches the rejoined worker again
+	})
 }
 
-// TestFaultBurstReroutes injects a one-shot bare 500 in front of a
-// healthy worker: the gateway re-routes to the next-ranked worker,
-// which computes byte-identical results (same key, same bytes — on
-// any worker).
+// TestFaultBurstReroutes injects a one-shot failure in front of a
+// healthy worker — a bare 500 on JSON, a severed connection on the
+// stream: the gateway re-routes to the next-ranked worker, which
+// computes byte-identical results (same key, same bytes — on any
+// worker).
 func TestFaultBurstReroutes(t *testing.T) {
-	c := harness.New(t, 2, harness.Options{})
-	body := `{"page":"Alipay","seed":5}`
-	want, first, attempts := loadVia(t, c, body)
-	if attempts != 1 {
-		t.Fatalf("healthy load took %d attempts", attempts)
-	}
-	victim := 0
-	if first == "w1" {
-		victim = 1
-	}
-	c.FailNext(victim, 1)
-	got, worker, attempts := loadVia(t, c, body)
-	if worker == first || attempts != 2 {
-		t.Fatalf("after 500 burst: worker=%s attempts=%d, want re-route off %s in 2 attempts", worker, attempts, first)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("re-routed result differs:\n %s\n %s", got, want)
-	}
+	forEachTransport(t, func(t *testing.T, transport string) {
+		c := harness.New(t, 2, harness.Options{Transport: transport})
+		body := `{"page":"Alipay","seed":5}`
+		want, first, attempts := loadVia(t, c, body)
+		if attempts != 1 {
+			t.Fatalf("healthy load took %d attempts", attempts)
+		}
+		victim := 0
+		if first == "w1" {
+			victim = 1
+		}
+		c.FailNext(victim, 1)
+		got, worker, attempts := loadVia(t, c, body)
+		if worker == first || attempts != 2 {
+			t.Fatalf("after fault burst: worker=%s attempts=%d, want re-route off %s in 2 attempts", worker, attempts, first)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("re-routed result differs:\n %s\n %s", got, want)
+		}
+	})
 }
 
 // TestSlowWorkerRerouted injects response latency above the gateway's
@@ -321,25 +339,118 @@ func TestSlowWorkerRerouted(t *testing.T) {
 		forwardTimeout  = 2 * time.Second
 		injectedLatency = 60 * time.Second
 	)
-	c := harness.New(t, 2, harness.Options{ForwardTimeout: forwardTimeout})
-	body := `{"page":"Alipay","seed":6}`
-	want, first, _ := loadVia(t, c, body)
-	victim := 0
-	if first == "w1" {
-		victim = 1
-	}
-	c.SetLatency(victim, injectedLatency)
-	start := time.Now()
-	got, worker, attempts := loadVia(t, c, body)
-	if worker == first || attempts < 2 {
-		t.Fatalf("slow worker not re-routed: worker=%s attempts=%d", worker, attempts)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("re-routed result differs:\n %s\n %s", got, want)
-	}
-	if elapsed := time.Since(start); elapsed >= injectedLatency {
-		t.Fatalf("request waited out the injected latency (%s); forward deadline did not fire", elapsed)
-	}
+	forEachTransport(t, func(t *testing.T, transport string) {
+		c := harness.New(t, 2, harness.Options{Transport: transport, ForwardTimeout: forwardTimeout})
+		body := `{"page":"Alipay","seed":6}`
+		want, first, _ := loadVia(t, c, body)
+		victim := 0
+		if first == "w1" {
+			victim = 1
+		}
+		c.SetLatency(victim, injectedLatency)
+		start := time.Now()
+		got, worker, attempts := loadVia(t, c, body)
+		if worker == first || attempts < 2 {
+			t.Fatalf("slow worker not re-routed: worker=%s attempts=%d", worker, attempts)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("re-routed result differs:\n %s\n %s", got, want)
+		}
+		if elapsed := time.Since(start); elapsed >= injectedLatency {
+			t.Fatalf("request waited out the injected latency (%s); forward deadline did not fire", elapsed)
+		}
+	})
+}
+
+// loadResult is one background load's answer.
+type loadResult struct {
+	status   int
+	worker   string
+	attempts string
+	body     []byte
+	err      error
+}
+
+// startLoad posts one load through the gateway in the background.
+func startLoad(c *harness.Cluster, body string) <-chan loadResult {
+	out := make(chan loadResult, 1)
+	go func() {
+		resp, err := http.Post(c.URL()+"/v1/load", "application/json", strings.NewReader(body))
+		if err != nil {
+			out <- loadResult{err: err}
+			return
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		out <- loadResult{status: resp.StatusCode, worker: resp.Header.Get(cluster.WorkerHeader),
+			attempts: resp.Header.Get(cluster.AttemptsHeader), body: data, err: err}
+	}()
+	return out
+}
+
+// TestTimedOutForwardFailsOnlyItsRequest: a load whose own deadline
+// expires while its worker simulates answers 504 alone. Another load
+// in flight to the same worker — on the stream, over the same
+// connection — still completes there on its first attempt, instead of
+// being failed and re-routed with it.
+func TestTimedOutForwardFailsOnlyItsRequest(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, transport string) {
+		parked := make(chan struct{}, 1)
+		release := make(chan struct{})
+		releaseAll := sync.OnceFunc(func() { close(release) })
+		// Worker w0 parks every simulation until released; w1 runs them.
+		c := harness.New(t, 2, harness.Options{
+			Transport:      transport,
+			ForwardTimeout: 30 * time.Second,
+			Serve: func(i int, cfg *serve.Config) {
+				if i == 0 {
+					cfg.BeforeSimHook = func(string) {
+						select {
+						case parked <- struct{}{}:
+						case <-release:
+						}
+						<-release
+					}
+				}
+			},
+		})
+		t.Cleanup(releaseAll)
+
+		// parkOnW0 tries seeds from `from` until a load parks on w0
+		// (one routed to w1 just completes there) and returns its answer.
+		parkOnW0 := func(from int64, timeoutMs int) <-chan loadResult {
+			t.Helper()
+			for seed := from; seed < from+32; seed++ {
+				body := fmt.Sprintf(`{"page":"Alipay","seed":%d,"timeout_ms":%d}`, seed, timeoutMs)
+				res := startLoad(c, body)
+				select {
+				case <-parked:
+					return res
+				case r := <-res:
+					if r.err != nil {
+						t.Fatalf("load %s: %v", body, r.err)
+					}
+				}
+			}
+			t.Fatalf("no seed in %d..%d routed to w0", from, from+31)
+			return nil
+		}
+		second := parkOnW0(100, 0)
+		first := parkOnW0(200, 200)
+
+		r := <-first
+		if r.err != nil || r.status != http.StatusGatewayTimeout {
+			t.Fatalf("timed-out load = %d %s (%v), want 504", r.status, r.body, r.err)
+		}
+		releaseAll()
+		r = <-second
+		if r.err != nil || r.status != http.StatusOK {
+			t.Fatalf("load beside the timed-out one = %d %s (%v), want 200", r.status, r.body, r.err)
+		}
+		if r.worker != "w0" || r.attempts != "1" {
+			t.Fatalf("load beside the timed-out one answered by %s after %s attempts, want w0 after 1", r.worker, r.attempts)
+		}
+	})
 }
 
 // TestStreamTransportKillReroute exercises the wire transport end to
@@ -379,7 +490,12 @@ func TestStreamTransportKillReroute(t *testing.T) {
 // TestGatewayDiscoveryAndClusterEndpoints covers the proxied and
 // gateway-local read endpoints.
 func TestGatewayDiscoveryAndClusterEndpoints(t *testing.T) {
-	c := harness.New(t, 2, harness.Options{})
+	forEachTransport(t, func(t *testing.T, transport string) {
+		testDiscoveryAndClusterEndpoints(t, harness.New(t, 2, harness.Options{Transport: transport}), transport)
+	})
+}
+
+func testDiscoveryAndClusterEndpoints(t *testing.T, c *harness.Cluster, transport string) {
 
 	resp, body := getJSON(t, c.URL()+"/v1/pages")
 	if resp.StatusCode != http.StatusOK {
@@ -401,6 +517,7 @@ func TestGatewayDiscoveryAndClusterEndpoints(t *testing.T) {
 	}
 	var snap struct {
 		Fingerprint string `json:"fingerprint"`
+		Transport   string `json:"transport"`
 		Members     []struct {
 			Name  string `json:"name"`
 			State string `json:"state"`
@@ -411,6 +528,9 @@ func TestGatewayDiscoveryAndClusterEndpoints(t *testing.T) {
 	}
 	if snap.Fingerprint != sim.ConfigFingerprint(soc.NexusFive()) {
 		t.Fatalf("cluster fingerprint = %q, want pinned device fingerprint", snap.Fingerprint)
+	}
+	if snap.Transport != transport {
+		t.Fatalf("cluster transport = %q, want %q", snap.Transport, transport)
 	}
 	if len(snap.Members) != 2 || snap.Members[0].Name != "w0" || snap.Members[0].State != "alive" {
 		t.Fatalf("cluster members unexpected: %s", body)
