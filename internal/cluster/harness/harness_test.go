@@ -491,56 +491,52 @@ func TestStreamTransportKillReroute(t *testing.T) {
 // gateway-local read endpoints.
 func TestGatewayDiscoveryAndClusterEndpoints(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, transport string) {
-		testDiscoveryAndClusterEndpoints(t, harness.New(t, 2, harness.Options{Transport: transport}), transport)
+		c := harness.New(t, 2, harness.Options{Transport: transport})
+		resp, body := getJSON(t, c.URL()+"/v1/pages")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("pages: %d %s", resp.StatusCode, body)
+		}
+		if resp.Header.Get(cluster.WorkerHeader) == "" {
+			t.Fatal("proxied pages response without worker attribution")
+		}
+		var pages struct {
+			Pages []string `json:"pages"`
+		}
+		if err := json.Unmarshal(body, &pages); err != nil || len(pages.Pages) == 0 {
+			t.Fatalf("pages body: %v (%s)", err, body)
+		}
+
+		resp, body = getJSON(t, c.URL()+"/v1/cluster")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cluster: %d %s", resp.StatusCode, body)
+		}
+		var snap struct {
+			Fingerprint string `json:"fingerprint"`
+			Transport   string `json:"transport"`
+			Members     []struct {
+				Name  string `json:"name"`
+				State string `json:"state"`
+			} `json:"members"`
+		}
+		if err := json.Unmarshal(body, &snap); err != nil {
+			t.Fatalf("cluster body: %v (%s)", err, body)
+		}
+		if snap.Fingerprint != sim.ConfigFingerprint(soc.NexusFive()) {
+			t.Fatalf("cluster fingerprint = %q, want pinned device fingerprint", snap.Fingerprint)
+		}
+		if snap.Transport != transport {
+			t.Fatalf("cluster transport = %q, want %q", snap.Transport, transport)
+		}
+		if len(snap.Members) != 2 || snap.Members[0].Name != "w0" || snap.Members[0].State != "alive" {
+			t.Fatalf("cluster members unexpected: %s", body)
+		}
+
+		if resp, body := getJSON(t, c.URL()+"/healthz"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("gateway healthz: %d %s", resp.StatusCode, body)
+		}
+		if resp, body := getJSON(t, c.URL()+"/metrics"); resp.StatusCode != http.StatusOK ||
+			!bytes.Contains(body, []byte("dora_gate_requests_total")) {
+			t.Fatalf("gateway metrics: %d %s", resp.StatusCode, body)
+		}
 	})
-}
-
-func testDiscoveryAndClusterEndpoints(t *testing.T, c *harness.Cluster, transport string) {
-
-	resp, body := getJSON(t, c.URL()+"/v1/pages")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pages: %d %s", resp.StatusCode, body)
-	}
-	if resp.Header.Get(cluster.WorkerHeader) == "" {
-		t.Fatal("proxied pages response without worker attribution")
-	}
-	var pages struct {
-		Pages []string `json:"pages"`
-	}
-	if err := json.Unmarshal(body, &pages); err != nil || len(pages.Pages) == 0 {
-		t.Fatalf("pages body: %v (%s)", err, body)
-	}
-
-	resp, body = getJSON(t, c.URL()+"/v1/cluster")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cluster: %d %s", resp.StatusCode, body)
-	}
-	var snap struct {
-		Fingerprint string `json:"fingerprint"`
-		Transport   string `json:"transport"`
-		Members     []struct {
-			Name  string `json:"name"`
-			State string `json:"state"`
-		} `json:"members"`
-	}
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("cluster body: %v (%s)", err, body)
-	}
-	if snap.Fingerprint != sim.ConfigFingerprint(soc.NexusFive()) {
-		t.Fatalf("cluster fingerprint = %q, want pinned device fingerprint", snap.Fingerprint)
-	}
-	if snap.Transport != transport {
-		t.Fatalf("cluster transport = %q, want %q", snap.Transport, transport)
-	}
-	if len(snap.Members) != 2 || snap.Members[0].Name != "w0" || snap.Members[0].State != "alive" {
-		t.Fatalf("cluster members unexpected: %s", body)
-	}
-
-	if resp, body := getJSON(t, c.URL()+"/healthz"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("gateway healthz: %d %s", resp.StatusCode, body)
-	}
-	if resp, body := getJSON(t, c.URL()+"/metrics"); resp.StatusCode != http.StatusOK ||
-		!bytes.Contains(body, []byte("dora_gate_requests_total")) {
-		t.Fatalf("gateway metrics: %d %s", resp.StatusCode, body)
-	}
 }
