@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short race lint lint-report bench bench-sampled bench-ab serve-test stream-test cluster-test fuzz-smoke load
+.PHONY: build test test-short race lint lint-report bench bench-sampled bench-ab serve-test stream-test cluster-test fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -51,9 +51,9 @@ fuzz-smoke:
 # multi-node harness e2e — fault injection (kill/hang/fault bursts/
 # latency/drain) on both transports plus the golden campaign
 # fingerprint replayed through the gateway at widths 1, 2, and 4 over
-# both transports (not -short) — and doragate's run seam.
+# both transports (not -short) — and the doragate and dorad run seams.
 cluster-test:
-	$(GO) test -race -v ./internal/cluster/... ./cmd/doragate/
+	$(GO) test -race -v ./internal/cluster/... ./cmd/doragate/ ./cmd/dorad/
 
 # Wire codec + stream e2e suites under the race detector, the same
 # slice the CI `stream` job runs.
@@ -71,20 +71,9 @@ bench-sampled:
 # HEAD, 10 alternated pairs of each BENCHMARK.json workload, runs of its
 # run_seconds) into BENCH_AB.json.
 #   make bench-ab ARGS="-k 10 -o BENCH_KERNEL.json campaign-exact"
+ARGS ?=
 bench-ab:
 	scripts/bench_ab.sh $(ARGS)
-
-# Ad-hoc load generation against a running daemon:
-#   make load TARGET=http://127.0.0.1:8077 [ARGS="-duration 10s -qps 50"]
-# With no TARGET, boots an in-process dorad and drives that.
-TARGET ?=
-ARGS ?=
-load:
-	@if [ -n "$(TARGET)" ]; then \
-		$(GO) run ./cmd/doraload -target "$(TARGET)" $(ARGS); \
-	else \
-		$(GO) run ./cmd/doraload -self $(ARGS); \
-	fi
 
 # The current kernel performance record: 10 alternated pairs of
 # dorabench's campaign-exact between HEAD~1 and HEAD, into

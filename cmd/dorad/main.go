@@ -25,6 +25,9 @@
 //	      [-workers N] [-concurrency N] [-queue N]
 //	      [-timeout 30s] [-drain-timeout 30s] [-pprof]
 //	      [-log-level info,access=warn] [-log-file dorad.log]
+//
+// Exit status: 0 after a drained shutdown (SIGINT/SIGTERM), 2 for bad
+// flags or configuration, 1 when listening or serving fails.
 package main
 
 import (
@@ -33,8 +36,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -49,42 +53,55 @@ import (
 	"dora/internal/telemetry"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("dorad: ")
-	addr := flag.String("addr", ":8077", "listen address")
-	modelsPath := flag.String("models", "", "trained models JSON; enables the DORA/DL/EE governors")
-	cachePath := flag.String("runcache", "", "persistent run cache file (saved on shutdown)")
-	workers := flag.Int("workers", 0, "campaign fan-out width (0 = one per CPU or $DORA_WORKERS)")
-	concurrency := flag.Int("concurrency", 0, "requests simulated at once (0 = serve default)")
-	queue := flag.Int("queue", 0, "admitted requests waiting beyond -concurrency before 429 (0 = serve default)")
-	timeout := flag.Duration("timeout", 0, "default per-request processing deadline when the request sets no timeout_ms (0 = none)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight simulations")
-	pprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (exposes profiling internals; opt-in)")
-	fidelityFlag := flag.String("fidelity", "exact", "default simulation fidelity for requests that omit the field: exact|sampled")
-	logFlags := obslog.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+func main() { os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)) }
 
-	logger, logCloser, err := logFlags.Open("dorad")
-	if err != nil {
-		log.Fatal(err)
+// run is dorad's whole life: parse args, serve until ctx is cancelled
+// or a SIGINT/SIGTERM arrives, then drain. It returns the process exit
+// status.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	logf := log.New(stderr, "dorad: ", 0)
+	fs := flag.NewFlagSet("dorad", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8077", "listen address")
+	modelsPath := fs.String("models", "", "trained models JSON; enables the DORA/DL/EE governors")
+	cachePath := fs.String("runcache", "", "persistent run cache file (saved on shutdown)")
+	workers := fs.Int("workers", 0, "campaign fan-out width (0 = one per CPU or $DORA_WORKERS)")
+	concurrency := fs.Int("concurrency", 0, "requests simulated at once (0 = serve default)")
+	queue := fs.Int("queue", 0, "admitted requests waiting beyond -concurrency before 429 (0 = serve default)")
+	timeout := fs.Duration("timeout", 0, "default per-request processing deadline when the request sets no timeout_ms (0 = none)")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight simulations")
+	pprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (exposes profiling internals; opt-in)")
+	fidelityFlag := fs.String("fidelity", "exact", "default simulation fidelity for requests that omit the field: exact|sampled")
+	logFlags := obslog.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	defer logCloser.Close()
 
 	nworkers, err := pool.ResolveWorkers(*workers)
 	if err != nil {
-		log.Fatal(err)
+		logf.Print(err)
+		return 2
+	}
+	fid, err := fidelity.ParseMode(*fidelityFlag)
+	if err != nil {
+		logf.Print(err)
+		return 2
 	}
 
 	var models *core.Models
 	if *modelsPath != "" {
 		data, err := os.ReadFile(*modelsPath)
 		if err != nil {
-			log.Fatal(err)
+			logf.Print(err)
+			return 2
 		}
 		var m core.Models
 		if err := json.Unmarshal(data, &m); err != nil {
-			log.Fatalf("parse %s: %v", *modelsPath, err)
+			logf.Printf("parse %s: %v", *modelsPath, err)
+			return 2
 		}
 		models = &m
 	}
@@ -93,14 +110,23 @@ func main() {
 	if *cachePath != "" {
 		cache, err = runcache.Open(*cachePath)
 		if err != nil {
-			log.Fatal(err)
+			logf.Print(err)
+			return 2
 		}
-		log.Printf("run cache %s: %d entries", *cachePath, cache.Len())
+		logf.Printf("run cache %s: %d entries", *cachePath, cache.Len())
 	}
 
-	fid, err := fidelity.ParseMode(*fidelityFlag)
+	logger, logCloser, err := logFlags.Open("dorad")
 	if err != nil {
-		log.Fatal(err)
+		logf.Print(err)
+		return 2
+	}
+	defer logCloser.Close()
+
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logf.Print(err)
+		return 1
 	}
 
 	srv := serve.NewServer(serve.Config{
@@ -116,53 +142,53 @@ func main() {
 		EnablePprof:     *pprof,
 	})
 
+	ctx, stopSignals := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
+
 	// Hardened listener: header/read/write/idle deadlines plus a header
 	// budget, so slow or hostile clients cannot pin connections (or a
 	// later drain) open indefinitely. The stream transport applies its
 	// own frame-level deadlines after the upgrade.
 	hs := serve.NewHTTPServer(*addr, srv.Handler())
 	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
-	log.Printf("listening on %s (workers=%d, models=%v, cache=%v, pprof=%v)",
-		*addr, nworkers, models != nil, cache != nil, *pprof)
+	go func() { errCh <- hs.Serve(ln) }()
+	bound := ln.Addr().String()
+	logf.Printf("listening on %s (workers=%d, models=%v, cache=%v, pprof=%v)",
+		bound, nworkers, models != nil, cache != nil, *pprof)
 	logger.Info().
-		Str("addr", *addr).
+		Str("addr", bound).
 		Int("workers", nworkers).
 		Bool("models", models != nil).
 		Bool("cache", cache != nil).
 		Bool("pprof", *pprof).
 		Msg("listening")
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
-	case sig := <-sigCh:
-		log.Printf("%s: draining (up to %s)...", sig, *drainTimeout)
-		logger.Info().Str("signal", sig.String()).Dur("drain_timeout_ms", *drainTimeout).Msg("draining")
+	case <-ctx.Done():
+		logf.Printf("draining (up to %s)...", *drainTimeout)
+		logger.Info().Dur("drain_timeout_ms", *drainTimeout).Msg("draining")
 	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
-		}
-		return
+		logf.Print(err)
+		return 1
 	}
 
 	// Drain order: refuse new simulation work first, then let the HTTP
 	// server wait out open connections (whose handlers finish their
 	// simulations), then mop up detached flight leaders.
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	srv.BeginDrain()
-	if err := hs.Shutdown(ctx); err != nil {
-		log.Printf("shutdown: %v (forcing)", err)
+	if err := hs.Shutdown(drainCtx); err != nil {
+		logf.Printf("shutdown: %v (forcing)", err)
 		logger.Warn().Err(err).Msg("shutdown forced")
 	}
-	if err := srv.Drain(ctx); err != nil {
-		log.Printf("drain: %v", err)
+	if err := srv.Drain(drainCtx); err != nil {
+		logf.Printf("drain: %v", err)
 		logger.Warn().Err(err).Msg("drain incomplete")
 	}
 	if cache != nil {
 		if err := cache.Save(); err != nil {
-			log.Print(err)
+			logf.Print(err)
 		}
 	}
 
@@ -180,12 +206,13 @@ func main() {
 		Uint64("cache_misses", st.CacheMisses).
 		Uint64("campaign_cells", st.CampaignCells).
 		Msg("shutdown summary")
-	fmt.Printf("served %d requests (%d sims, %d dedup joins, %d cache hits, %d campaign cells; shed %d, drain-refused %d, deadline-expired %d)\n",
+	fmt.Fprintf(stdout, "served %d requests (%d sims, %d dedup joins, %d cache hits, %d campaign cells; shed %d, drain-refused %d, deadline-expired %d)\n",
 		st.Requests, st.SimExecutions, st.DedupJoins, st.CacheHits,
 		st.CampaignCells, st.AdmissionRejects, st.DrainRejects, st.DeadlineExpired)
 	if cache != nil {
 		hits, misses, stores := cache.Stats()
-		fmt.Printf("run cache %s: %d hits, %d misses, %d new entries\n",
+		fmt.Fprintf(stdout, "run cache %s: %d hits, %d misses, %d new entries\n",
 			cache.Path(), hits, misses, stores)
 	}
+	return 0
 }

@@ -534,8 +534,10 @@ func (g *Gateway) forwardStream(parent, ctx context.Context, name string, req se
 	}
 	if errors.Is(err, wire.ErrDraining) {
 		// The worker said goodbye: leave placement now, let probes
-		// rejoin it if it comes back.
-		g.dropStreamClient(name, c)
+		// rejoin it if it comes back. The client is forgotten, not
+		// closed: the calls already in flight on it finish there, and
+		// the connection closes when the worker hangs up.
+		g.forgetStreamClient(name, c)
 		g.ms.ReportDraining(name, "")
 		return forwarded{}, &serve.APIError{Status: http.StatusServiceUnavailable, Code: serve.CodeDraining, Message: "worker is draining"}, true
 	}
@@ -551,7 +553,8 @@ func (g *Gateway) forwardStream(parent, ctx context.Context, name string, req se
 	}
 	// Connection-level failure: drop the client so the next attempt
 	// redials, and count it against the member.
-	g.dropStreamClient(name, c)
+	g.forgetStreamClient(name, c)
+	c.Close()
 	return g.transportFailure(ctx, name, err)
 }
 
@@ -584,15 +587,14 @@ func (g *Gateway) streamClient(ctx context.Context, name string) (*wire.Client, 
 	return nc, nil
 }
 
-// dropStreamClient forgets a failed client (if still current) and
-// closes it outside the lock.
-func (g *Gateway) dropStreamClient(name string, c *wire.Client) {
+// forgetStreamClient removes a worker's client (if still current), so
+// the next forward to that worker redials.
+func (g *Gateway) forgetStreamClient(name string, c *wire.Client) {
 	g.scMu.Lock()
 	if g.streamClients[name] == c {
 		delete(g.streamClients, name)
 	}
 	g.scMu.Unlock()
-	c.Close()
 }
 
 // --- handlers ---------------------------------------------------------

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -451,6 +452,75 @@ func TestTimedOutForwardFailsOnlyItsRequest(t *testing.T) {
 			t.Fatalf("load beside the timed-out one answered by %s after %s attempts, want w0 after 1", r.worker, r.attempts)
 		}
 	})
+}
+
+// TestDrainKeepsInFlightStreamCalls: a worker that starts draining
+// says goodbye on its stream, and the gateway stops placing new loads
+// on it. A load already in flight on that connection still completes
+// there on its first attempt, as it would over JSON, instead of being
+// failed with the connection and recomputed elsewhere.
+func TestDrainKeepsInFlightStreamCalls(t *testing.T) {
+	parked := make(chan struct{}, 1)
+	release := make(chan struct{})
+	releaseAll := sync.OnceFunc(func() { close(release) })
+	var armed atomic.Bool
+	// Once armed, worker w0 parks its next simulation until released.
+	c := harness.New(t, 2, harness.Options{
+		Transport: cluster.TransportStream,
+		Serve: func(i int, cfg *serve.Config) {
+			if i == 0 {
+				cfg.BeforeSimHook = func(string) {
+					if armed.CompareAndSwap(true, false) {
+						parked <- struct{}{}
+						<-release
+					}
+				}
+			}
+		},
+	})
+	t.Cleanup(releaseAll)
+
+	// Two seeds that route to w0 (placement is deterministic per key).
+	var seeds []int64
+	for seed := int64(1); seed <= 32 && len(seeds) < 2; seed++ {
+		if _, worker, _ := loadVia(t, c, fmt.Sprintf(`{"page":"Alipay","seed":%d}`, seed)); worker == "w0" {
+			seeds = append(seeds, seed)
+		}
+	}
+	if len(seeds) < 2 {
+		t.Fatalf("seeds routed to w0 in 1..32: %v, want 2", seeds)
+	}
+
+	armed.Store(true)
+	inFlight := startLoad(c, fmt.Sprintf(`{"page":"Alipay","seed":%d}`, seeds[0]))
+	<-parked
+	c.Drain(0)
+
+	// The next load for w0 re-routes. Repeat until the gateway has
+	// seen w0's goodbye on the stream (and so left it out of
+	// placement), not only a per-request draining refusal.
+	next := fmt.Sprintf(`{"page":"Alipay","seed":%d}`, seeds[1])
+	for i := 0; ; i++ {
+		if _, worker, _ := loadVia(t, c, next); worker != "w1" {
+			t.Fatalf("load for draining w0 answered by %s, want w1", worker)
+		}
+		if st, _ := c.Gateway.Membership().Get("w0"); st.State == cluster.StateDraining {
+			break
+		}
+		if i == 20 {
+			t.Fatal("gateway never saw w0's goodbye on the stream")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	releaseAll()
+	r := <-inFlight
+	if r.err != nil || r.status != http.StatusOK {
+		t.Fatalf("in-flight load = %d %s (%v), want 200", r.status, r.body, r.err)
+	}
+	if r.worker != "w0" || r.attempts != "1" {
+		t.Fatalf("in-flight load answered by %s after %s attempts, want w0 after 1", r.worker, r.attempts)
+	}
 }
 
 // TestStreamTransportKillReroute exercises the wire transport end to

@@ -13,7 +13,7 @@ package lint
 // reachable from G (following call and nested spawn edges) while F is
 // not — if F were reachable, close and send could be ordered by the
 // same goroutine and the shape is the ordinary producer-closes-its-own
-// -channel idiom (loadgen's token channel).
+// -channel idiom (the tokens case in the stream fixture).
 var ChanClose = &Analyzer{
 	Name: RuleChanClose,
 	Doc: "flags close(ch) when a send on ch is reachable from a goroutine " +

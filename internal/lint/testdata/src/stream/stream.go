@@ -89,3 +89,18 @@ func (w *writer) run() {
 	w.enqueue(frame{payload: []byte("hello")})
 	w.goodbye()
 }
+
+// tokens is the producer-closes-its-own-channel idiom: the spawned
+// producer sends every value and then closes the channel itself, so
+// close and send are ordered by one goroutine. This must produce no
+// finding.
+func tokens(n int) <-chan int {
+	ch := make(chan int)
+	go func() {
+		for i := 0; i < n; i++ {
+			ch <- i
+		}
+		close(ch)
+	}()
+	return ch
+}

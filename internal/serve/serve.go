@@ -646,8 +646,8 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, apiErr)
 		return
 	}
-	// Aggregate provenance mirrors /v1/load's header so clients (and
-	// doraload's source accounting) see every 2xx response classified.
+	// Aggregate provenance mirrors /v1/load's header so clients see
+	// every 2xx response classified.
 	if agg := AggregateSource(sources); agg != "" {
 		w.Header().Set(SourceHeader, agg)
 	}

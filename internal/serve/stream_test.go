@@ -134,6 +134,73 @@ func TestStreamCampaignByteIdentity(t *testing.T) {
 	}
 }
 
+func TestAggregateSource(t *testing.T) {
+	cases := []struct {
+		name    string
+		sources []string
+		want    string
+	}{
+		{"empty grid", nil, ""},
+		{"no cell answered", []string{"", ""}, ""},
+		{"all sim", []string{"sim", "sim", "sim"}, "sim"},
+		{"all cache", []string{"cache", "cache"}, "cache"},
+		{"mixed", []string{"sim", "cache"}, "mixed"},
+		{"errored cells skipped", []string{"", "sim", "", "sim"}, "sim"},
+		{"mixed around an errored cell", []string{"dedup", "", "cache"}, "mixed"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := AggregateSource(tc.sources); got != tc.want {
+				t.Fatalf("AggregateSource(%q) = %q, want %q", tc.sources, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestCampaignSourceBothTransports: a JSON /v1/campaign 2xx carries the
+// grid's aggregate X-Dora-Source, and it equals the stream campaign
+// summary's source for the same grid at the same cache state. Each
+// transport gets its own server and cache, driven through the same
+// sequence: a cold grid, the same grid again, and a grid whose first
+// cell is warm.
+func TestCampaignSourceBothTransports(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives real simulations")
+	}
+	grids := []struct {
+		name string
+		req  wire.CampaignRequest
+		want string
+	}{
+		{"cold", wire.CampaignRequest{Pages: []string{"Alipay"}, Governors: []string{"interactive", "powersave"}, Seed: 21}, "sim"},
+		{"repeat", wire.CampaignRequest{Pages: []string{"Alipay"}, Governors: []string{"interactive", "powersave"}, Seed: 21}, "cache"},
+		// Cell 0 (Alipay, interactive, seed 21) is the cold grid's
+		// cell 0; cell 1 (Reddit) is new.
+		{"one warm cell", wire.CampaignRequest{Pages: []string{"Alipay", "Reddit"}, Governors: []string{"interactive"}, Seed: 21}, "mixed"},
+	}
+	_, jsonTS := newTestServer(t, withCache(t, Config{}), nil)
+	_, streamTS := newTestServer(t, withCache(t, Config{}), nil)
+	c := dialStream(t, streamTS, wire.Options{})
+	for _, g := range grids {
+		body, err := json.Marshal(&g.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, data := postJSON(t, jsonTS.URL+"/v1/campaign", string(body))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: JSON campaign %d %s", g.name, resp.StatusCode, data)
+		}
+		jsonSource := resp.Header.Get(SourceHeader)
+		_, streamSource, err := c.Campaign(context.Background(), &g.req, nil)
+		if err != nil {
+			t.Fatalf("%s: stream campaign: %v", g.name, err)
+		}
+		if jsonSource != g.want || streamSource != g.want {
+			t.Fatalf("%s: source json %q, stream %q, want %q on both", g.name, jsonSource, streamSource, g.want)
+		}
+	}
+}
+
 // TestStreamPipeliningOutOfOrder: a request issued *after* a slow one
 // on the same connection completes *before* it — the head-of-line
 // unblocking that request pipelining with completion ids buys.

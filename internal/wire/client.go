@@ -275,6 +275,9 @@ func (c *Client) Close() error {
 	c.mu.Unlock()
 	err := c.conn.Close()
 	<-c.readDone
+	if errors.Is(err, net.ErrClosed) {
+		err = nil // the read loop closed it first
+	}
 	return err
 }
 
@@ -313,9 +316,12 @@ func (c *Client) peek(id uint64) *call {
 }
 
 // readLoop demultiplexes completion frames onto pending calls until
-// the connection dies or the server says goodbye and closes.
+// the connection dies or the server says goodbye and closes. It closes
+// the connection on exit, so a client nobody closes (one dropped after
+// a goodbye) holds no socket once the server hangs up.
 func (c *Client) readLoop(br *bufio.Reader) {
 	defer close(c.readDone)
+	defer c.conn.Close()
 	for {
 		f, payload, err := ReadFrame(br, c.maxFrame)
 		if err != nil {
