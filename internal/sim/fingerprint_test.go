@@ -1,6 +1,12 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"dora/internal/fidelity"
+	"dora/internal/governor"
+	"dora/internal/soc"
+)
 
 // goldenCampaignFingerprint was recorded against the pre-optimization
 // simulator (PR 2 head) and must never change: the fast quantum loop,
@@ -41,5 +47,39 @@ func TestCampaignFingerprintSeedSensitivity(t *testing.T) {
 	}
 	if a == b {
 		t.Fatalf("fingerprint insensitive to seed: %s", a)
+	}
+}
+
+// goldenSampledCampaignFingerprint pins the sampled-fidelity driver and
+// the machine's fast-forward path bit for bit: the same campaign as
+// the exact golden, run at fidelity.Sampled with one checkpoint store
+// shared across the cells, so phase detection, extrapolation and
+// warm-state restore are all on the pinned path. Like the exact value,
+// a performance or refactoring change must not move it.
+const goldenSampledCampaignFingerprint = "470415fcb4873d6e28d0152edddb8636f28283bc3c77f1053a79d2f823f6566c"
+
+func TestSampledCampaignFingerprintGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second campaign; skipped in -short")
+	}
+	ckpts := NewCheckpointStore()
+	got, err := CampaignFingerprintVia(1, func(cfg soc.Config, page, kern string, seed int64) (Result, error) {
+		return LoadPage(Options{
+			SoC:         cfg,
+			Governor:    governor.NewInteractive(governor.DefaultInteractiveConfig()),
+			Seed:        seed,
+			Fidelity:    fidelity.Sampled,
+			Checkpoints: ckpts,
+		}, fidelityWorkload(t, page, kern))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("sampled campaign fingerprint: %s", got)
+	if ckpts.Len() == 0 {
+		t.Error("no warm checkpoint stored: the restore path is not pinned")
+	}
+	if got != goldenSampledCampaignFingerprint {
+		t.Fatalf("sampled campaign fingerprint drifted:\n got  %s\n want %s\nsampled observables are no longer bit-identical", got, goldenSampledCampaignFingerprint)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -134,5 +135,76 @@ func TestSampledOPPSwitchForcesDetail(t *testing.T) {
 	}
 	if s.Extrapolated == 0 {
 		t.Error("no slice was extrapolated between switches")
+	}
+}
+
+// neverExtrapolate is a detector setting under which no phase ever
+// becomes stable, so every slice of a sampled run is detailed.
+var neverExtrapolate = fidelity.Params{Stable: math.MaxInt32}
+
+// TestSampledWithoutExtrapolationIsExact pins that fidelity changes
+// only how a slice advances: a sampled run whose detector can never
+// extrapolate, with no checkpoints, is the exact run, for the
+// interactive governor and for a fixed OPP with a co-runner.
+func TestSampledWithoutExtrapolationIsExact(t *testing.T) {
+	cfg := soc.NexusFive()
+	cases := []struct {
+		name string
+		gov  governor.Governor
+		wl   Workload
+	}{
+		{"interactive", governor.NewInteractive(governor.DefaultInteractiveConfig()), fidelityWorkload(t, "Alipay", "")},
+		{"fixed+corun", governor.NewFixed(cfg.OPPs.Ceil(1190)), fidelityWorkload(t, "Reddit", "kmeans")},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{SoC: cfg, Governor: tc.gov, Seed: 1}
+			exact, err := LoadPage(opts, tc.wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Fidelity, opts.FidelityParams = fidelity.Sampled, neverExtrapolate
+			samp, err := LoadPage(opts, tc.wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(exact, samp) {
+				t.Errorf("all-detailed sampled run differs from the exact run:\nexact:   %+v\nsampled: %+v", exact, samp)
+			}
+		})
+	}
+}
+
+// TestWarmupShape pins the one place the fidelities' protocols differ:
+// exact mode warms up in whole decision intervals, so a 30 ms warmup at
+// a 20 ms cadence runs to 40 ms, while sampled mode stops at the first
+// slice at or past Warmup. A fixed OPP makes the decision interval
+// itself irrelevant, which isolates where the warmup ends.
+func TestWarmupShape(t *testing.T) {
+	cfg := soc.NexusFive()
+	wl := fidelityWorkload(t, "Alipay", "backprop")
+	run := func(mode fidelity.Mode, warmup, interval time.Duration) Result {
+		t.Helper()
+		res, err := LoadPage(Options{
+			SoC: cfg, Governor: governor.NewFixed(cfg.OPPs.Ceil(1190)), Seed: 1,
+			Warmup: warmup, DecisionInterval: interval,
+			Fidelity: mode, FidelityParams: neverExtrapolate,
+		}, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	const ms = time.Millisecond
+	exact30 := run(fidelity.Exact, 30*ms, 20*ms)
+	if !reflect.DeepEqual(exact30, run(fidelity.Exact, 40*ms, 20*ms)) {
+		t.Error("exact mode at a 30 ms warmup and 20 ms cadence did not warm up to 40 ms")
+	}
+	sampled30 := run(fidelity.Sampled, 30*ms, 20*ms)
+	if !reflect.DeepEqual(sampled30, run(fidelity.Exact, 30*ms, 10*ms)) {
+		t.Error("sampled mode at a 30 ms warmup did not stop at 30 ms")
+	}
+	if reflect.DeepEqual(exact30, sampled30) {
+		t.Error("a 30 ms and a 40 ms warmup gave the same result: the test cannot tell them apart")
 	}
 }
