@@ -1,33 +1,20 @@
 package sim
 
-// Sampled-fidelity page loads: the same experiment protocol as the
-// exact path in sim.go — identical core placement, governor cadence,
-// warmup, and observable assembly — but driven slice by slice through
-// the phase detector, so stable phases are extrapolated from measured
-// rates instead of simulated in detail, and warmups shared between
-// campaign grid points are restored from warm-state checkpoints.
-//
-// The exact path's body is deliberately left untouched (it is pinned
-// by the golden campaign fingerprint); this file duplicates its
-// skeleton rather than threading fidelity branches through it.
+// Sampled fidelity's part of the page-load driver: the slice stepper
+// that runs the phase detector, detailing or extrapolating each slice,
+// and the warm-state checkpoints that let runs with the same warmup
+// share it.
 
 import (
-	"context"
 	"fmt"
 	"sync"
-	"time"
 
-	"dora/internal/corun"
 	"dora/internal/fidelity"
 	"dora/internal/governor"
 	"dora/internal/perfmon"
-	"dora/internal/power"
-	"dora/internal/render"
 	"dora/internal/runcache"
 	"dora/internal/soc"
 	"dora/internal/telemetry"
-	"dora/internal/webdoc"
-	"dora/internal/workload"
 )
 
 // checkpoint is one shared warm state: the machine snapshot plus the
@@ -96,321 +83,148 @@ func warmKey(opts *Options, corunName, govKey string) string {
 		opts.FidelityParams)
 }
 
-// loadPageSampled is the sampled-fidelity twin of LoadPageCtx's exact
-// body.
-func loadPageSampled(ctx context.Context, opts Options, wl Workload) (Result, error) {
-	rcfg := render.DefaultConfig()
-	if opts.RenderConfig != nil {
-		rcfg = *opts.RenderConfig
-	}
-	doc, err := webdoc.Parse(wl.Page.HTML())
-	if err != nil {
-		return Result{}, fmt.Errorf("sim: parse %s: %w", wl.Page.Name, err)
-	}
-	plan, err := render.BuildPlan(rcfg, doc)
-	if err != nil {
-		return Result{}, fmt.Errorf("sim: plan %s: %w", wl.Page.Name, err)
-	}
+// sampledStepper advances a sampled run one slice at a time: detailed
+// slices feed the phase detector and refresh the per-core rates, and
+// slices inside a stable phase are fast-forwarded from those rates. An
+// OPP change forces a return to detailed slices; a governor decision
+// that keeps the OPP changes nothing the detector measures, so it
+// costs no detailed slice.
+type sampledStepper struct {
+	m          *soc.Machine
+	det        *fidelity.Detector
+	stats      *soc.SliceStats
+	rates      []soc.CoreRates
+	kinds      []string
+	ratesValid bool
+	lastFreq   int
+	sliceNs    int64
 
-	m, err := soc.New(opts.SoC, opts.Seed)
-	if err != nil {
-		return Result{}, err
-	}
-	if opts.AmbientC != 0 {
-		m.SetAmbient(opts.AmbientC)
-	}
-	m.Prewarm(opts.StartTempC)
-	if opts.TraceFn != nil {
-		m.SetTraceFn(opts.TraceFn)
-	}
-	m.SetSink(opts.Sink)
-	m.SetTracer(opts.Tracer)
-	tr := opts.Tracer
-	if tr != nil {
-		tr.NameThread(BrowserMainCore, "core0 browser-main")
-		tr.NameThread(BrowserHelperCore, "core1 browser-helper")
-		tr.NameThread(CoRunCore, "core2 corun")
-		tr.NameThread(OffCore, "core3 off")
-		tr.NameThread(telemetry.TidGovernor, "governor")
-		tr.NameThread(telemetry.TidDVFS, "dvfs")
-		tr.NameThread(telemetry.TidThermal, "thermal")
-		tr.NameThread(telemetry.TidRun, "run")
-	}
-	gov := governor.WithDecisionLog(opts.Governor, opts.Decisions)
-	gov.Reset()
+	// Slices by how they ran: extrapolated, or detailed for one of
+	// three reasons. Nil without a metrics registry.
+	noRatesC, unstableC, cadenceC, extrapC *telemetry.Counter
+}
 
-	res := Result{
-		Page:          wl.Page.Name,
-		Governor:      gov.Name(),
-		Intensity:     corun.None,
-		Features:      plan.Features,
-		FreqResidency: map[int]time.Duration{},
+func newSampledStepper(m *soc.Machine, opts *Options) *sampledStepper {
+	cores, reg := opts.SoC.Cores, opts.Metrics
+	return &sampledStepper{
+		m:         m,
+		det:       fidelity.NewDetector(opts.FidelityParams),
+		stats:     &soc.SliceStats{Cores: make([]soc.CoreSliceStats, cores)},
+		rates:     make([]soc.CoreRates, cores),
+		kinds:     make([]string, cores),
+		lastFreq:  m.OPP().FreqMHz,
+		sliceNs:   opts.SoC.SliceNs,
+		noRatesC:  reg.Counter("dora_sampled_no_rates_slices_total", "sampled-mode detailed slices run before any extrapolation rates existed"),
+		unstableC: reg.Counter("dora_sampled_unstable_slices_total", "sampled-mode detailed slices run because the phase was not yet stable"),
+		cadenceC:  reg.Counter("dora_sampled_cadence_slices_total", "sampled-mode detailed slices run because the periodic cadence was due"),
+		extrapC:   reg.Counter("dora_sampled_extrapolated_slices_total", "sampled-mode slices fast-forwarded from measured rates"),
 	}
-	if wl.CoRun != nil {
-		res.CoRunName = wl.CoRun.Name
-		res.Intensity = wl.CoRun.Intensity
-		if err := m.AssignSource(CoRunCore, workload.Loop(wl.CoRun.New(opts.Seed+1))); err != nil {
-			return Result{}, err
-		}
-	}
+}
 
-	var (
-		decisionsC *telemetry.Counter
-		mpkiH      *telemetry.Histogram
-		freqG      *telemetry.Gauge
-		tempG      *telemetry.Gauge
+// step advances one slice, detailed or extrapolated.
+func (s *sampledStepper) step() {
+	m := s.m
+	if f := m.OPP().FreqMHz; f != s.lastFreq {
+		s.det.ForceDetail()
+		s.lastFreq = f
+	}
+	if s.ratesValid && s.det.CanExtrapolate() {
+		m.FastForwardSlice(s.rates)
+		s.det.NoteExtrapolated()
+		s.extrapC.Inc()
+		return
+	}
+	switch {
+	case !s.ratesValid:
+		s.noRatesC.Inc()
+	case !s.det.Stable():
+		s.unstableC.Inc()
+	default:
+		s.cadenceC.Inc()
+	}
+	m.StepSliceStats(s.stats)
+	for i := range s.kinds {
+		s.kinds[i] = m.CoreSegKind(i)
+	}
+	s.det.Observe(fidelity.Signature(s.stats, s.sliceNs, s.kinds), s.stats.SwitchStall)
+	if !s.stats.SwitchStall {
+		for i := range s.rates {
+			s.rates[i] = soc.RatesFrom(s.stats.Cores[i])
+		}
+		s.ratesValid = true
+	}
+}
 
-		// Slices by how the driver ran them: extrapolated, or detailed
-		// for one of three reasons.
-		noRatesC  *telemetry.Counter
-		unstableC *telemetry.Counter
-		cadenceC  *telemetry.Counter
-		extrapC   *telemetry.Counter
-	)
-	if reg := opts.Metrics; reg != nil {
-		decisionsC = reg.Counter("dora_governor_decisions_total", "governor decision intervals executed")
-		mpkiH = reg.Histogram("dora_decision_corun_mpki", "co-run L2 MPKI observed at decision points", telemetry.LinearBuckets(0, 4, 12))
-		freqG = reg.Gauge("dora_core_freq_mhz", "core frequency chosen at the last decision")
-		tempG = reg.Gauge("dora_soc_temp_c", "SoC temperature at the last decision")
-		noRatesC = reg.Counter("dora_sampled_no_rates_slices_total", "sampled-mode detailed slices run before any extrapolation rates existed")
-		unstableC = reg.Counter("dora_sampled_unstable_slices_total", "sampled-mode detailed slices run because the phase was not yet stable")
-		cadenceC = reg.Counter("dora_sampled_cadence_slices_total", "sampled-mode detailed slices run because the periodic cadence was due")
-		extrapC = reg.Counter("dora_sampled_extrapolated_slices_total", "sampled-mode slices fast-forwarded from measured rates")
+// forceDetail reports a phase discontinuity (new or finished sources).
+// It does nothing in exact mode, where s is nil.
+func (s *sampledStepper) forceDetail() {
+	if s != nil {
+		s.det.ForceDetail()
 	}
-	decideName := "decide:" + gov.Name()
+}
 
-	sampler := perfmon.NewSampler()
-	cores := opts.SoC.Cores
-	decide := func(features []float64, elapsed time.Duration) {
-		windows := make([]perfmon.Counters, cores)
-		for i := 0; i < cores; i++ {
-			windows[i] = sampler.Window(i, m.Counters(i))
-		}
-		ctx := governor.Context{
-			Now:          m.Now(),
-			Elapsed:      elapsed,
-			Deadline:     opts.Deadline,
-			Table:        opts.SoC.OPPs,
-			Current:      m.OPP(),
-			Windows:      windows,
-			BrowserCores: []int{BrowserMainCore, BrowserHelperCore},
-			CoRunCores:   []int{CoRunCore},
-			PageFeatures: features,
-			SoCTempC:     m.SoCTemp(),
-		}
-		chosen := gov.Decide(ctx)
-		if tr != nil {
-			tr.Span("governor", decideName, telemetry.TidGovernor,
-				m.Now(), m.Now()+opts.DecisionInterval, map[string]float64{
-					"corun_mpki": ctx.CoRunMPKI(),
-					"corun_util": ctx.CoRunUtilization(),
-					"soc_temp_c": ctx.SoCTempC,
-					"chosen_mhz": float64(chosen.FreqMHz),
-				})
-			tr.Counter("core_freq_mhz", m.Now(), map[string]float64{"freq": float64(chosen.FreqMHz)})
-		}
-		if opts.Metrics != nil {
-			decisionsC.Inc()
-			mpkiH.Observe(ctx.CoRunMPKI())
-			freqG.Set(float64(chosen.FreqMHz))
-			tempG.Set(ctx.SoCTempC)
-		}
-		m.SetOPP(chosen)
-	}
+// warmSlot is one run's entry in a checkpoint store.
+type warmSlot struct {
+	store *CheckpointStore
+	key   string
+	snap  governor.Snapshotter
+}
 
-	// The sampled slice driver: one detailed or extrapolated slice per
-	// call, with OPP changes forcing a return to detailed sampling. A
-	// governor decision that keeps the OPP changes nothing the detector
-	// measures, so it costs no detailed slice.
-	det := fidelity.NewDetector(opts.FidelityParams)
-	stats := &soc.SliceStats{Cores: make([]soc.CoreSliceStats, cores)}
-	rates := make([]soc.CoreRates, cores)
-	kinds := make([]string, cores)
-	ratesValid := false
-	lastFreq := m.OPP().FreqMHz
-	sliceNs := opts.SoC.SliceNs
-	stepSampled := func() {
-		if f := m.OPP().FreqMHz; f != lastFreq {
-			det.ForceDetail()
-			lastFreq = f
-		}
-		if ratesValid && det.CanExtrapolate() {
-			m.FastForwardSlice(rates)
-			det.NoteExtrapolated()
-			if opts.Metrics != nil {
-				extrapC.Inc()
-			}
-			return
-		}
-		if opts.Metrics != nil {
-			switch {
-			case !ratesValid:
-				noRatesC.Inc()
-			case !det.Stable():
-				unstableC.Inc()
-			default:
-				cadenceC.Inc()
-			}
-		}
-		m.StepSliceStats(stats)
-		for i := range kinds {
-			kinds[i] = m.CoreSegKind(i)
-		}
-		det.Observe(fidelity.Signature(stats, sliceNs, kinds), stats.SwitchStall)
-		if !stats.SwitchStall {
-			for i := range rates {
-				rates[i] = soc.RatesFrom(stats.Cores[i])
-			}
-			ratesValid = true
-		}
+// warmSlotFor returns the run's checkpoint slot, or nil when the run
+// may not use one: checkpoints are sampled-only, need a governor whose
+// state can be snapshotted, and are only sound when nothing observes
+// the warmup, since every observer would miss the warmup's samples on
+// a checkpoint hit.
+func warmSlotFor(opts *Options, gov governor.Governor, corunName string) *warmSlot {
+	if opts.Fidelity != fidelity.Sampled || opts.Checkpoints == nil ||
+		opts.TraceFn != nil || opts.Sink != nil || opts.Tracer != nil ||
+		opts.Decisions != nil || opts.Metrics != nil {
+		return nil
 	}
+	snap, ok := gov.(governor.Snapshotter)
+	if !ok {
+		return nil
+	}
+	return &warmSlot{store: opts.Checkpoints, key: warmKey(opts, corunName, snap.StateKey()), snap: snap}
+}
 
-	// Warm-state checkpointing is only sound when nothing observes the
-	// warmup: every observer would otherwise miss the warmup's samples
-	// on a checkpoint hit.
-	useCkpt := opts.Checkpoints != nil && opts.TraceFn == nil && opts.Sink == nil &&
-		opts.Tracer == nil && opts.Decisions == nil && opts.Metrics == nil
-	snap, _ := gov.(governor.Snapshotter)
-	useCkpt = useCkpt && snap != nil
+// restore loads the slot's checkpoint into the run and reports whether
+// there was one. On a miss it starts the machine's RNG log, so that
+// save can record the warm state. A nil slot restores nothing.
+func (w *warmSlot) restore(m *soc.Machine, sampler *perfmon.Sampler, s *sampledStepper) (bool, error) {
+	if w == nil {
+		return false, nil
+	}
+	ck := w.store.get(w.key)
+	if ck == nil {
+		m.StartRNGLog()
+		return false, nil
+	}
+	if err := m.RestoreSnapshot(ck.mach); err != nil {
+		return false, fmt.Errorf("sim: restore warm checkpoint: %w", err)
+	}
+	sampler.Restore(ck.sampler)
+	w.snap.RestoreState(ck.govState)
+	s.det.RestoreState(ck.det)
+	copy(s.rates, ck.rates)
+	s.ratesValid = ck.ratesValid
+	s.lastFreq = m.OPP().FreqMHz
+	return true, nil
+}
 
-	var key string
-	warmed := false
-	if useCkpt {
-		key = warmKey(&opts, res.CoRunName, snap.StateKey())
-		if ck := opts.Checkpoints.get(key); ck != nil {
-			if err := m.RestoreSnapshot(ck.mach); err != nil {
-				return Result{}, fmt.Errorf("sim: restore warm checkpoint: %w", err)
-			}
-			sampler.Restore(ck.sampler)
-			snap.RestoreState(ck.govState)
-			det.RestoreState(ck.det)
-			copy(rates, ck.rates)
-			ratesValid = ck.ratesValid
-			lastFreq = m.OPP().FreqMHz
-			warmed = true
-		} else {
-			m.StartRNGLog()
-		}
+// save stores the run's warm state under the slot's key and stops the
+// RNG log restore started. A nil slot saves nothing.
+func (w *warmSlot) save(m *soc.Machine, sampler *perfmon.Sampler, s *sampledStepper) {
+	if w == nil {
+		return
 	}
-
-	// Warmup: the co-runner (if any) runs alone; the governor is live.
-	if !warmed {
-		nextDecision := m.Now()
-		for m.Now() < opts.Warmup {
-			if err := ctx.Err(); err != nil {
-				return Result{}, fmt.Errorf("sim: load aborted during warmup: %w", err)
-			}
-			if m.Now() >= nextDecision {
-				decide(nil, 0)
-				nextDecision = m.Now() + opts.DecisionInterval
-			}
-			stepSampled()
-		}
-		if useCkpt {
-			ck := &checkpoint{
-				mach:       m.Snapshot(),
-				sampler:    sampler.Snapshot(),
-				govState:   snap.StateSnapshot(),
-				det:        det.State(),
-				rates:      append([]soc.CoreRates(nil), rates...),
-				ratesValid: ratesValid,
-			}
-			opts.Checkpoints.put(key, ck)
-			m.StopRNGLog()
-		}
-	}
-	if tr != nil && m.Now() > 0 {
-		tr.Span("run", "warmup", telemetry.TidRun, 0, m.Now(), nil)
-	}
-
-	// Page load begins.
-	start := m.Now()
-	startEnergy := m.EnergyJ()
-	startSwitches := m.Switches()
-	res.StartTempC = m.SoCTemp()
-	res.MaxSoCTempC = res.StartTempC
-	coRunStart := m.Counters(CoRunCore)
-	features := plan.Features.Vector()
-	if err := m.AssignSource(BrowserMainCore, plan.MainSource()); err != nil {
-		return Result{}, err
-	}
-	if len(plan.Helper) > 0 {
-		if err := m.AssignSource(BrowserHelperCore, plan.HelperSource()); err != nil {
-			return Result{}, err
-		}
-	}
-	// New sources start executing: the phase is discontinuous.
-	det.ForceDetail()
-	doneMain := m.CoreDone(BrowserMainCore)
-	doneHelper := m.CoreDone(BrowserHelperCore)
-
-	slice := time.Duration(opts.SoC.SliceNs)
-	var tempSum float64
-	var tempN int
-	nextDecision := m.Now() // decide immediately at load start
-	for {
-		if err := ctx.Err(); err != nil {
-			return Result{}, fmt.Errorf("sim: load aborted: %w", err)
-		}
-		dm, dh := m.CoreDone(BrowserMainCore), m.CoreDone(BrowserHelperCore)
-		if dm && dh {
-			break
-		}
-		if dm != doneMain || dh != doneHelper {
-			// A browser core completed: the workload mix changed.
-			det.ForceDetail()
-			doneMain, doneHelper = dm, dh
-		}
-		if m.Now()-start >= opts.MaxLoadTime {
-			res.TimedOut = true
-			break
-		}
-		if m.Now() >= nextDecision {
-			decide(features, m.Now()-start)
-			nextDecision = m.Now() + opts.DecisionInterval
-		}
-		res.FreqResidency[m.OPP().FreqMHz] += slice
-		stepSampled()
-		t := m.SoCTemp()
-		tempSum += t
-		tempN++
-		if t > res.MaxSoCTempC {
-			res.MaxSoCTempC = t
-		}
-	}
-	if tempN > 0 {
-		res.AvgSoCTempC = tempSum / float64(tempN)
-	} else {
-		res.AvgSoCTempC = res.StartTempC
-	}
-
-	res.LoadTime = m.Now() - start
-	res.DeadlineMet = !res.TimedOut && res.LoadTime <= opts.Deadline
-	res.EnergyJ = m.EnergyJ() - startEnergy
-	if res.LoadTime > 0 {
-		res.AvgPowerW = res.EnergyJ / res.LoadTime.Seconds()
-	}
-	res.PPW = power.PPW(res.LoadTime, res.AvgPowerW)
-	res.Switches = m.Switches() - startSwitches
-
-	coRunDelta := m.Counters(CoRunCore).Sub(coRunStart)
-	res.AvgCoRunMPKI = coRunDelta.MPKI()
-	res.AvgCoRunUtil = coRunDelta.Utilization()
-	res.CoRunInstructions = coRunDelta.Instructions
-
-	if tr != nil {
-		tr.Span("run", "load:"+wl.Page.Name, telemetry.TidRun, start, m.Now(), map[string]float64{
-			"load_ms":  float64(res.LoadTime) / 1e6,
-			"energy_j": res.EnergyJ,
-		})
-	}
-	m.FlushTrace()
-	if reg := opts.Metrics; reg != nil {
-		reg.Counter("dora_page_loads_total", "page loads completed").Inc()
-		reg.Counter("dora_dvfs_switches_total", "OPP transitions performed").Add(uint64(res.Switches))
-		reg.Gauge("dora_last_load_time_s", "load time of the most recent page load").Set(res.LoadTime.Seconds())
-		reg.Gauge("dora_last_energy_j", "whole-device energy of the most recent page load").Set(res.EnergyJ)
-		reg.Histogram("dora_load_time_s", "page load time distribution", telemetry.LinearBuckets(0, 0.5, 12)).Observe(res.LoadTime.Seconds())
-	}
-	return res, nil
+	w.store.put(w.key, &checkpoint{
+		mach:       m.Snapshot(),
+		sampler:    sampler.Snapshot(),
+		govState:   w.snap.StateSnapshot(),
+		det:        s.det.State(),
+		rates:      append([]soc.CoreRates(nil), s.rates...),
+		ratesValid: s.ratesValid,
+	})
+	m.StopRNGLog()
 }

@@ -77,11 +77,13 @@ type Options struct {
 	// calibrated defaults.
 	FidelityParams fidelity.Params
 	// Checkpoints, when set in sampled mode, shares warm-state
-	// checkpoints across runs: grid points with an identical warm
-	// prefix (same config, seed, co-runner, governor, warmup) restore
-	// it instead of re-simulating the warmup. Ignored in exact mode
-	// and whenever any observer (TraceFn/Sink/Tracer/Decisions/
-	// Metrics) is attached.
+	// checkpoints across runs: runs with an identical warm prefix
+	// (device, seed, co-runner, governor configuration and cadence,
+	// warmup, thermal start, fidelity parameters — see warmKey) restore
+	// it instead of re-simulating the warmup. Ignored in exact mode,
+	// when the governor does not implement governor.Snapshotter, and
+	// whenever any observer (TraceFn/Sink/Tracer/Decisions/Metrics) is
+	// attached, since a restored run would hide the warmup from it.
 	Checkpoints *CheckpointStore
 }
 
@@ -162,10 +164,6 @@ func LoadPageCtx(ctx context.Context, opts Options, wl Workload) (Result, error)
 	if wl.Page.Name == "" {
 		return Result{}, errors.New("sim: empty page")
 	}
-	if opts.Fidelity == fidelity.Sampled {
-		return loadPageSampled(ctx, opts, wl)
-	}
-
 	rcfg := render.DefaultConfig()
 	if opts.RenderConfig != nil {
 		rcfg = *opts.RenderConfig
@@ -274,13 +272,37 @@ func LoadPageCtx(ctx context.Context, opts Options, wl Workload) (Result, error)
 		m.SetOPP(chosen)
 	}
 
+	// Fidelity changes only how a slice advances: exact mode simulates
+	// every slice in detail, sampled mode lets the phase detector
+	// extrapolate stable ones and may restore a shared warm state.
+	slice := time.Duration(opts.SoC.SliceNs)
+	step := func() { m.Step(slice) }
+	var smp *sampledStepper
+	if opts.Fidelity == fidelity.Sampled {
+		smp = newSampledStepper(m, &opts)
+		step = smp.step
+	}
+	slot := warmSlotFor(&opts, gov, res.CoRunName)
+	warmed, err := slot.restore(m, sampler, smp)
+	if err != nil {
+		return Result{}, err
+	}
+
 	// Warmup: the co-runner (if any) runs alone; the governor is live.
-	for m.Now() < opts.Warmup {
-		if err := ctx.Err(); err != nil {
-			return Result{}, fmt.Errorf("sim: load aborted during warmup: %w", err)
+	if !warmed {
+		end := warmupEnd(&opts)
+		nextDecision := m.Now()
+		for m.Now() < end {
+			if err := ctx.Err(); err != nil {
+				return Result{}, fmt.Errorf("sim: load aborted during warmup: %w", err)
+			}
+			if m.Now() >= nextDecision {
+				decide(nil, 0)
+				nextDecision = m.Now() + opts.DecisionInterval
+			}
+			step()
 		}
-		decide(nil, 0)
-		m.Step(opts.DecisionInterval)
+		slot.save(m, sampler, smp)
 	}
 	if tr != nil && m.Now() > 0 {
 		tr.Span("run", "warmup", telemetry.TidRun, 0, m.Now(), nil)
@@ -302,8 +324,11 @@ func LoadPageCtx(ctx context.Context, opts Options, wl Workload) (Result, error)
 			return Result{}, err
 		}
 	}
+	// New sources start executing: the phase is discontinuous.
+	smp.forceDetail()
+	doneMain := m.CoreDone(BrowserMainCore)
+	doneHelper := m.CoreDone(BrowserHelperCore)
 
-	slice := time.Duration(opts.SoC.SliceNs)
 	var tempSum float64
 	var tempN int
 	nextDecision := m.Now() // decide immediately at load start
@@ -311,8 +336,14 @@ func LoadPageCtx(ctx context.Context, opts Options, wl Workload) (Result, error)
 		if err := ctx.Err(); err != nil {
 			return Result{}, fmt.Errorf("sim: load aborted: %w", err)
 		}
-		if m.CoreDone(BrowserMainCore) && m.CoreDone(BrowserHelperCore) {
+		dm, dh := m.CoreDone(BrowserMainCore), m.CoreDone(BrowserHelperCore)
+		if dm && dh {
 			break
+		}
+		if dm != doneMain || dh != doneHelper {
+			// A browser core completed: the workload mix changed.
+			smp.forceDetail()
+			doneMain, doneHelper = dm, dh
 		}
 		if m.Now()-start >= opts.MaxLoadTime {
 			res.TimedOut = true
@@ -323,7 +354,7 @@ func LoadPageCtx(ctx context.Context, opts Options, wl Workload) (Result, error)
 			nextDecision = m.Now() + opts.DecisionInterval
 		}
 		res.FreqResidency[m.OPP().FreqMHz] += slice
-		m.Step(slice)
+		step()
 		t := m.SoCTemp()
 		tempSum += t
 		tempN++
@@ -366,6 +397,24 @@ func LoadPageCtx(ctx context.Context, opts Options, wl Workload) (Result, error)
 		reg.Histogram("dora_load_time_s", "page load time distribution", telemetry.LinearBuckets(0, 0.5, 12)).Observe(res.LoadTime.Seconds())
 	}
 	return res, nil
+}
+
+// warmupEnd returns the simulated time at which the warmup stops.
+// Sampled mode stops at the first slice at or past Warmup. Exact mode
+// warms up in whole decision periods (DecisionInterval rounded up to
+// whole slices), so it stops at the first period boundary at or past
+// Warmup. The two agree whenever Warmup is a multiple of the period.
+func warmupEnd(opts *Options) time.Duration {
+	unit := time.Duration(opts.SoC.SliceNs)
+	if opts.Fidelity == fidelity.Exact {
+		unit = max(roundUp(opts.DecisionInterval, unit), unit)
+	}
+	return roundUp(opts.Warmup, unit)
+}
+
+// roundUp rounds d up to a multiple of unit.
+func roundUp(d, unit time.Duration) time.Duration {
+	return (d + unit - 1) / unit * unit
 }
 
 // RunKernelInstructions runs a co-run kernel alone until it has

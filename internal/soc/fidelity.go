@@ -151,13 +151,12 @@ func (m *Machine) FastForwardSlice(rates []CoreRates) {
 }
 
 // fastForwardCore runs core i for up to budget nanoseconds with the
-// memory system replaced by rates. It mirrors advanceCore's structure
-// — pending stall, idle gaps, segment loading, ops chunks — and adds a
-// bulk arm that advances whole runs of identical chunk+touch cycles in
-// O(1), which is what makes an extrapolated slice cheap. Returns the
-// slice's extrapolated L2 traffic (scaled counter units) for the power
-// model, and flushes whole-unit traffic into the counters and the bus
-// window.
+// memory system replaced by rates. It shares advanceCore's segment
+// skeleton (settle, opsChunk, segmentGap) and adds a bulk arm that
+// advances whole runs of identical chunk+touch cycles in O(1), which is
+// what makes an extrapolated slice cheap. Returns the slice's
+// extrapolated L2 traffic (scaled counter units) for the power model,
+// and flushes whole-unit traffic into the counters and the bus window.
 //
 //dora:hotpath
 func (m *Machine) fastForwardCore(i int, budget int64, rate *CoreRates) float64 {
@@ -165,48 +164,11 @@ func (m *Machine) fastForwardCore(i int, budget int64, rate *CoreRates) float64 
 	f := &m.ff[i]
 	freqGHz := m.opp.FreqGHz()
 	var touchesF float64 // touches extrapolated this slice (real-valued charge basis)
-	for budget > 0 {
-		if c.pendingStall > 0 {
-			d := min(c.pendingStall, budget)
-			c.pendingStall -= d
-			c.counters.BusyNs += d
-			c.counters.StallNs += d
-			c.sliceBusyNs += d
-			c.sliceStallNs += d
-			budget -= d
-			continue
+	for {
+		if budget = m.settle(i, c, budget); budget == 0 {
+			break
 		}
-		if c.idleNs > 0 {
-			d := min(c.idleNs, budget)
-			c.idleNs -= d
-			c.counters.IdleNs += d
-			budget -= d
-			continue
-		}
-		if c.remSamples == 0 && c.remOps == 0 && c.chunkOpsRem == 0 {
-			if c.src == nil || c.done {
-				c.counters.IdleNs += budget
-				break
-			}
-			seg, ok := c.src.Next()
-			c.nextCalls++
-			if !ok {
-				c.done = true
-				if m.tracer != nil {
-					m.closeSegSpanAt(i, c)
-				}
-				c.counters.IdleNs += budget
-				break
-			}
-			m.loadSegment(i, c, seg)
-			continue
-		}
-
-		ipc := c.seg.IPC
-		if ipc <= 0 {
-			ipc = m.cfg.DefaultIPC
-		}
-		opsPerNs := ipc * freqGHz
+		opsPerNs := m.opsRate(c, freqGHz)
 
 		// Bulk arm: at a cycle boundary with touches remaining, whole
 		// chunk+touch cycles are identical, so n of them advance in one
@@ -247,44 +209,15 @@ func (m *Machine) fastForwardCore(i int, budget int64, rate *CoreRates) float64 
 				c.remSamples -= n
 				touchesF += nF
 				ffConsumeTouches(c, n)
-				if c.remSamples == 0 && c.remOps == 0 {
-					c.idleNs += c.seg.IdleNs
-					c.seg.IdleNs = 0
-				}
+				c.segmentGap()
 				continue
 			}
 		}
 
-		// Scalar arm: chunk splitting at budget boundaries, exactly as
-		// the detailed path, with the touch stall drawn from the rate.
-		if c.chunkOpsRem == 0 {
-			if c.remSamples > 0 {
-				c.chunkOpsRem = c.opsPerSamp
-			} else {
-				c.chunkOpsRem = c.remOps
-				c.remOps = 0
-			}
-			if c.chunkOpsRem == 0 {
-				c.chunkOpsRem = 1
-			}
-		}
-		opsPossible := int64(float64(budget) * opsPerNs)
-		if opsPossible < 1 {
-			opsPossible = 1
-		}
-		ops := min(c.chunkOpsRem, opsPossible)
-		d := int64(float64(ops) / opsPerNs)
-		if d < 1 {
-			d = 1
-		}
-		d = min(d, budget)
-		c.counters.Instructions += uint64(ops)
-		c.counters.BusyNs += d
-		c.sliceBusyNs += d
-		c.chunkOpsRem -= ops
-		budget -= d
-
-		if c.chunkOpsRem == 0 {
+		// Scalar arm: the detailed path's ops chunk, with the touch
+		// stall drawn from the rate.
+		var done bool
+		if budget, done = m.opsChunk(c, budget, opsPerNs); done {
 			if c.remSamples > 0 {
 				st := rate.StallPerTouchNs + f.pendCarry
 				sti := int64(st)
@@ -294,10 +227,7 @@ func (m *Machine) fastForwardCore(i int, budget int64, rate *CoreRates) float64 
 				touchesF++
 				ffConsumeTouches(c, 1)
 			}
-			if c.remSamples == 0 && c.remOps == 0 {
-				c.idleNs += c.seg.IdleNs
-				c.seg.IdleNs = 0
-			}
+			c.segmentGap()
 		}
 	}
 

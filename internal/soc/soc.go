@@ -661,51 +661,11 @@ func (m *Machine) advanceCore(i int, budget int64) {
 	// The OPP cannot change mid-call (SetOPP runs between Step calls),
 	// so the frequency term of the ops rate is loop-invariant.
 	freqGHz := m.opp.FreqGHz()
-	for budget > 0 {
-		// Pay off stall from the last memory touch.
-		if c.pendingStall > 0 {
-			d := min(c.pendingStall, budget)
-			c.pendingStall -= d
-			c.counters.BusyNs += d
-			c.counters.StallNs += d
-			c.sliceBusyNs += d
-			c.sliceStallNs += d
-			budget -= d
-			continue
+	for {
+		if budget = m.settle(i, c, budget); budget == 0 {
+			return
 		}
-		// Pending idle gap?
-		if c.idleNs > 0 {
-			d := min(c.idleNs, budget)
-			c.idleNs -= d
-			c.counters.IdleNs += d
-			budget -= d
-			continue
-		}
-		// Need a new segment?
-		if c.remSamples == 0 && c.remOps == 0 && c.chunkOpsRem == 0 {
-			if c.src == nil || c.done {
-				c.counters.IdleNs += budget
-				return
-			}
-			seg, ok := c.src.Next()
-			c.nextCalls++
-			if !ok {
-				c.done = true
-				if m.tracer != nil {
-					m.closeSegSpanAt(i, c)
-				}
-				c.counters.IdleNs += budget
-				return
-			}
-			m.loadSegment(i, c, seg)
-			continue
-		}
-
-		ipc := c.seg.IPC
-		if ipc <= 0 {
-			ipc = m.cfg.DefaultIPC
-		}
-		opsPerNs := ipc * freqGHz
+		opsPerNs := m.opsRate(c, freqGHz)
 
 		// Touch arm: at a chunk boundary with sampled touches left, run
 		// whole chunks one pass per touch — opsPerSamp instructions, d0
@@ -744,57 +704,128 @@ func (m *Machine) advanceCore(i int, budget int64) {
 				c.sliceStallNs += stall
 				c.sliceTouches += n
 				c.remSamples = left
-				if left == 0 && c.remOps == 0 {
-					c.idleNs += c.seg.IdleNs
-					c.seg.IdleNs = 0 // pay the gap once
-				}
+				c.segmentGap()
 				continue
 			}
 		}
 
-		// Start a new ops chunk if needed: the ops leading up to the
-		// next sampled touch, or the pure-compute remainder.
-		if c.chunkOpsRem == 0 {
-			if c.remSamples > 0 {
-				c.chunkOpsRem = c.opsPerSamp
-			} else {
-				c.chunkOpsRem = c.remOps
-				c.remOps = 0
-			}
-			if c.chunkOpsRem == 0 {
-				c.chunkOpsRem = 1 // zero-ops touch still takes an issue slot
-			}
-		}
-
-		// Execute as much of the chunk as the budget allows.
-		opsPossible := int64(float64(budget) * opsPerNs)
-		if opsPossible < 1 {
-			opsPossible = 1
-		}
-		ops := min(c.chunkOpsRem, opsPossible)
-		d := int64(float64(ops) / opsPerNs)
-		if d < 1 {
-			d = 1
-		}
-		d = min(d, budget)
-		c.counters.Instructions += uint64(ops)
-		c.counters.BusyNs += d
-		c.sliceBusyNs += d
-		c.chunkOpsRem -= ops
-		budget -= d
-
-		if c.chunkOpsRem == 0 {
+		var done bool
+		if budget, done = m.opsChunk(c, budget, opsPerNs); done {
 			if c.remSamples > 0 {
 				// Chunk complete: issue the sampled touch.
 				c.pendingStall += m.access(i, c)
 				c.remSamples--
 				c.sliceTouches++
 			}
-			if c.remSamples == 0 && c.remOps == 0 {
-				c.idleNs += c.seg.IdleNs
-				c.seg.IdleNs = 0 // pay the gap once
-			}
+			c.segmentGap()
 		}
+	}
+}
+
+// settle pays core i's pending stall and idle gap out of budget and,
+// once its segment is spent, fetches the next one — marking the core
+// done, and closing its trace span, when the source runs out. It
+// returns the budget left for ops, 0 when the stall, the gap or the
+// end of the core's work took all of it.
+//
+//dora:hotpath
+func (m *Machine) settle(i int, c *coreState, budget int64) int64 {
+	for budget > 0 {
+		// Pay off stall from the last memory touch.
+		if c.pendingStall > 0 {
+			d := min(c.pendingStall, budget)
+			c.pendingStall -= d
+			c.counters.BusyNs += d
+			c.counters.StallNs += d
+			c.sliceBusyNs += d
+			c.sliceStallNs += d
+			budget -= d
+			continue
+		}
+		// Pending idle gap?
+		if c.idleNs > 0 {
+			d := min(c.idleNs, budget)
+			c.idleNs -= d
+			c.counters.IdleNs += d
+			budget -= d
+			continue
+		}
+		if c.remSamples > 0 || c.remOps > 0 || c.chunkOpsRem > 0 {
+			return budget
+		}
+		// Need a new segment.
+		if c.src == nil || c.done {
+			c.counters.IdleNs += budget
+			return 0
+		}
+		seg, ok := c.src.Next()
+		c.nextCalls++
+		if !ok {
+			c.done = true
+			if m.tracer != nil {
+				m.closeSegSpanAt(i, c)
+			}
+			c.counters.IdleNs += budget
+			return 0
+		}
+		m.loadSegment(i, c, seg)
+	}
+	return 0
+}
+
+// opsRate returns the core's instruction rate (ops per ns) at freqGHz.
+func (m *Machine) opsRate(c *coreState, freqGHz float64) float64 {
+	ipc := c.seg.IPC
+	if ipc <= 0 {
+		ipc = m.cfg.DefaultIPC
+	}
+	return ipc * freqGHz
+}
+
+// opsChunk executes as much of the core's current ops chunk as budget
+// allows, first opening a chunk if none is open: the ops leading up to
+// the next sampled touch, or the pure-compute remainder. It returns the
+// budget left and whether the chunk completed; the caller then issues
+// the chunk's touch, if one is due, and queues the segment gap.
+//
+//dora:hotpath
+func (m *Machine) opsChunk(c *coreState, budget int64, opsPerNs float64) (int64, bool) {
+	if c.chunkOpsRem == 0 {
+		if c.remSamples > 0 {
+			c.chunkOpsRem = c.opsPerSamp
+		} else {
+			c.chunkOpsRem = c.remOps
+			c.remOps = 0
+		}
+		if c.chunkOpsRem == 0 {
+			c.chunkOpsRem = 1 // zero-ops touch still takes an issue slot
+		}
+	}
+	opsPossible := int64(float64(budget) * opsPerNs)
+	if opsPossible < 1 {
+		opsPossible = 1
+	}
+	ops := min(c.chunkOpsRem, opsPossible)
+	d := int64(float64(ops) / opsPerNs)
+	if d < 1 {
+		d = 1
+	}
+	d = min(d, budget)
+	c.counters.Instructions += uint64(ops)
+	c.counters.BusyNs += d
+	c.sliceBusyNs += d
+	c.chunkOpsRem -= ops
+	return budget - d, c.chunkOpsRem == 0
+}
+
+// segmentGap queues the segment's trailing idle gap once its touches
+// and ops are all spent, paying it only once.
+//
+//dora:hotpath
+func (c *coreState) segmentGap() {
+	if c.remSamples == 0 && c.remOps == 0 {
+		c.idleNs += c.seg.IdleNs
+		c.seg.IdleNs = 0
 	}
 }
 
