@@ -41,6 +41,45 @@ var timeBanned = map[string]bool{"Now": true, "Since": true, "Until": true}
 // environment.
 var osBanned = map[string]bool{"Getenv": true, "LookupEnv": true, "Environ": true}
 
+// nondetInput classifies a call target as one of the nondeterministic
+// inputs both the per-package determinism rule and the call-graph
+// detflow rule ban.
+type nondetInput int
+
+const (
+	deterministic nondetInput = iota
+	wallClock                 // time.Now/Since/Until
+	globalRNG                 // top-level math/rand draws
+	processEnv                // os.Getenv/LookupEnv/Environ
+)
+
+// classifyNondet reports which nondeterministic input calling fn reads.
+// Methods — e.g. (*rand.Rand).Int63 on a seeded generator — are
+// deterministic state machines and never count.
+func classifyNondet(fn *types.Func) nondetInput {
+	if fn == nil || fn.Pkg() == nil {
+		return deterministic
+	}
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		return deterministic
+	}
+	switch fn.Pkg().Path() {
+	case "time":
+		if timeBanned[fn.Name()] {
+			return wallClock
+		}
+	case "math/rand", "math/rand/v2":
+		if !randAllowed[fn.Name()] {
+			return globalRNG
+		}
+	case "os":
+		if osBanned[fn.Name()] {
+			return processEnv
+		}
+	}
+	return deterministic
+}
+
 // monoClockIdent reports whether name is part of the monotonic side
 // of internal/clock (MonoTime, MonoClock, Mono, ManualMono, MonoOr,
 // MonoSince, ...). The deterministic Clock/Manual side stays legal.
@@ -78,33 +117,19 @@ func runDeterminism(pass *Pass) {
 				return true
 			}
 			fn := pass.Callee(call)
-			if fn == nil || fn.Pkg() == nil {
-				return true
-			}
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-				// Methods — e.g. (*rand.Rand).Int63 on a seeded
-				// generator — are deterministic state machines.
-				return true
-			}
-			switch fn.Pkg().Path() {
-			case "time":
-				if timeBanned[fn.Name()] {
-					pass.Reportf(call.Pos(),
-						"call to time.%s reads the wall clock inside simulation package %q; route it through an injectable clock (internal/clock) or annotate //doralint:allow %s <reason>",
-						fn.Name(), pass.Pkg.Base(), RuleDeterminism)
-				}
-			case "math/rand", "math/rand/v2":
-				if !randAllowed[fn.Name()] {
-					pass.Reportf(call.Pos(),
-						"call to %s.%s draws from the process-global RNG inside simulation package %q; use a seeded rand.New(rand.NewSource(seed)) instead",
-						fn.Pkg().Name(), fn.Name(), pass.Pkg.Base())
-				}
-			case "os":
-				if osBanned[fn.Name()] {
-					pass.Reportf(call.Pos(),
-						"call to os.%s makes simulation package %q depend on the process environment; plumb the value through Config instead",
-						fn.Name(), pass.Pkg.Base())
-				}
+			switch classifyNondet(fn) {
+			case wallClock:
+				pass.Reportf(call.Pos(),
+					"call to time.%s reads the wall clock inside simulation package %q; route it through an injectable clock (internal/clock) or annotate //doralint:allow %s <reason>",
+					fn.Name(), pass.Pkg.Base(), RuleDeterminism)
+			case globalRNG:
+				pass.Reportf(call.Pos(),
+					"call to %s.%s draws from the process-global RNG inside simulation package %q; use a seeded rand.New(rand.NewSource(seed)) instead",
+					fn.Pkg().Name(), fn.Name(), pass.Pkg.Base())
+			case processEnv:
+				pass.Reportf(call.Pos(),
+					"call to os.%s makes simulation package %q depend on the process environment; plumb the value through Config instead",
+					fn.Name(), pass.Pkg.Base())
 			}
 			return true
 		})

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/types"
-	"strings"
-)
+import "strings"
 
 // DetFlow treats determinism as taint. The per-package determinism
 // rule only looks inside the fingerprint-feeding package set, so a
@@ -95,30 +92,15 @@ func runDetFlow(pass *ModulePass) {
 }
 
 // detSource describes the first nondeterministic external call fi
-// makes directly, or "". Methods on external types (e.g. *rand.Rand)
-// are never sources — they are deterministic given their seed.
+// makes directly, or "" (see classifyNondet).
 func detSource(fi *FuncInfo) string {
 	for _, ext := range fi.Externals {
 		fn := ext.Fn
-		if fn.Pkg() == nil {
-			continue
-		}
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			continue
-		}
-		switch fn.Pkg().Path() {
-		case "time":
-			if timeBanned[fn.Name()] {
-				return "time." + fn.Name()
-			}
-		case "math/rand", "math/rand/v2":
-			if !randAllowed[fn.Name()] {
-				return fn.Pkg().Name() + "." + fn.Name() + " (process-global RNG)"
-			}
-		case "os":
-			if osBanned[fn.Name()] {
-				return "os." + fn.Name()
-			}
+		switch classifyNondet(fn) {
+		case wallClock, processEnv:
+			return fn.Pkg().Name() + "." + fn.Name()
+		case globalRNG:
+			return fn.Pkg().Name() + "." + fn.Name() + " (process-global RNG)"
 		}
 	}
 	return ""
