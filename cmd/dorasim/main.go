@@ -7,10 +7,15 @@
 //	dorasim -page MSN -corun bfs -governor DORA -models models.json
 //	dorasim -page ESPN -freq 1497
 //	dorasim -page Reddit -corun srad -trace out.json -decisions dec.jsonl -metrics m.prom
+//
+// Exit status: 0 on success, 2 for bad flags or configuration, 1 when
+// the run or writing its outputs fails.
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,31 +37,44 @@ import (
 	"dora/internal/tablefmt"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("dorasim: ")
-	page := flag.String("page", "Reddit", "web page to load (see -list)")
-	coRun := flag.String("corun", "", "co-scheduled kernel (empty = browser alone)")
-	govName := flag.String("governor", "interactive", strings.Join(core.GovernorNames(), "|"))
-	freq := flag.Int("freq", 0, "pin a fixed frequency in MHz instead of a governor")
-	deadline := flag.Duration("deadline", 3*time.Second, "QoS load-time target")
-	modelsPath := flag.String("models", "", "trained models JSON (required for DORA/DL/EE)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	fidelityFlag := flag.String("fidelity", "exact", "simulation fidelity: exact|sampled (sampled fast-forwards phase-stable slices)")
-	trace := flag.String("trace", "", "write a Chrome trace_event JSON file (load into Perfetto / chrome://tracing)")
-	traceCSV := flag.String("tracecsv", "", "write a per-millisecond CSV trace (time,freq,power,temp,bus_util) to this file")
-	decisions := flag.String("decisions", "", "write the governor decision log (.csv for CSV, anything else for JSONL)")
-	metrics := flag.String("metrics", "", "write run metrics (.json for JSON, anything else for Prometheus text)")
-	cachePath := flag.String("runcache", "", "persistent run cache file; repeat identical runs are served from it (ignored when trace/decision/metric outputs are requested)")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	list := flag.Bool("list", false, "list pages and kernels, then exit")
-	logFlags := obslog.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+func main() { os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is one dorasim invocation: parse args, load the page, write the
+// requested artifacts and print the report. It returns the process
+// exit status: 0 on success, 2 for bad flags or configuration, 1 when
+// the run or writing its outputs fails.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	logf := log.New(stderr, "dorasim: ", 0)
+	fs := flag.NewFlagSet("dorasim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	page := fs.String("page", "Reddit", "web page to load (see -list)")
+	coRun := fs.String("corun", "", "co-scheduled kernel (empty = browser alone)")
+	govName := fs.String("governor", "interactive", strings.Join(core.GovernorNames(), "|"))
+	freq := fs.Int("freq", 0, "pin a fixed frequency in MHz instead of a governor")
+	deadline := fs.Duration("deadline", 3*time.Second, "QoS load-time target")
+	modelsPath := fs.String("models", "", "trained models JSON (required for DORA/DL/EE)")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	fidelityFlag := fs.String("fidelity", "exact", "simulation fidelity: exact|sampled (sampled fast-forwards phase-stable slices)")
+	trace := fs.String("trace", "", "write a Chrome trace_event JSON file (load into Perfetto / chrome://tracing)")
+	traceCSV := fs.String("tracecsv", "", "write a per-millisecond CSV trace (time,freq,power,temp,bus_util) to this file")
+	decisions := fs.String("decisions", "", "write the governor decision log (.csv for CSV, anything else for JSONL)")
+	metrics := fs.String("metrics", "", "write run metrics (.json for JSON, anything else for Prometheus text)")
+	cachePath := fs.String("runcache", "", "persistent run cache file; repeat identical runs are served from it (ignored when trace/decision/metric outputs are requested)")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
+	list := fs.Bool("list", false, "list pages and kernels, then exit")
+	logFlags := obslog.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	logger, logCloser, err := logFlags.Open("dorasim")
 	if err != nil {
-		log.Fatal(err)
+		logf.Print(err)
+		return 2
 	}
 	defer logCloser.Close()
 
@@ -64,35 +82,39 @@ func main() {
 	// a configuration error the user should hear about up front, through
 	// the same validator every command shares.
 	if _, err := pool.ResolveWorkers(0); err != nil {
-		log.Fatal(err)
+		logf.Print(err)
+		return 2
 	}
 
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		log.Fatal(err)
+		logf.Print(err)
+		return 1
 	}
 	defer stopProfiles()
 
 	if *list {
-		fmt.Println("pages:")
+		fmt.Fprintln(stdout, "pages:")
 		for _, p := range dora.Pages() {
-			fmt.Printf("  %s\n", p)
+			fmt.Fprintf(stdout, "  %s\n", p)
 		}
-		fmt.Println("co-run kernels:")
+		fmt.Fprintln(stdout, "co-run kernels:")
 		for _, k := range dora.CoRunners() {
-			fmt.Printf("  %s\n", k)
+			fmt.Fprintf(stdout, "  %s\n", k)
 		}
-		return
+		return 0
 	}
 
 	dev := dora.DefaultDevice()
 	gov, interval, models, err := buildGovernor(dev, *govName, *freq, *modelsPath)
 	if err != nil {
-		log.Fatal(err)
+		logf.Print(err)
+		return 2
 	}
 	fid, err := dora.ParseFidelity(*fidelityFlag)
 	if err != nil {
-		log.Fatal(err)
+		logf.Print(err)
+		return 2
 	}
 
 	// Trace, decision-log, and metric outputs need a live simulation,
@@ -102,7 +124,8 @@ func main() {
 	if *cachePath != "" {
 		cache, err = runcache.Open(*cachePath)
 		if err != nil {
-			log.Fatal(err)
+			logf.Print(err)
+			return 2
 		}
 		if *trace == "" && *traceCSV == "" && *decisions == "" && *metrics == "" {
 			cacheKey = runcache.Key("dorasim-run", sim.ConfigFingerprint(dev),
@@ -155,13 +178,14 @@ func main() {
 		Msg("starting page load")
 	var res dora.Result
 	if cacheKey != "" && cache.Get(cacheKey, &res) {
-		fmt.Printf("run served from cache %s (sparklines need a live run)\n", cache.Path())
+		fmt.Fprintf(stdout, "run served from cache %s (sparklines need a live run)\n", cache.Path())
 		logger.Info().Str("cache", cache.Path()).Msg("run served from cache")
 	} else {
-		res, err = dora.LoadPage(opts)
+		res, err = dora.LoadPageContext(ctx, opts)
 		if err != nil {
 			logger.Error().Err(err).Str("page", *page).Msg("page load failed")
-			log.Fatal(err)
+			logf.Print(err)
+			return 1
 		}
 		logger.Info().
 			Str("page", res.Page).
@@ -173,21 +197,24 @@ func main() {
 		if cacheKey != "" {
 			cache.Put(cacheKey, res)
 			if err := cache.Save(); err != nil {
-				log.Fatal(err)
+				logf.Print(err)
+				return 1
 			}
 		}
 	}
 	if *traceCSV != "" {
 		if err := os.WriteFile(*traceCSV, []byte(traceBuf.String()), 0o644); err != nil {
-			log.Fatal(err)
+			logf.Print(err)
+			return 1
 		}
-		fmt.Printf("csv trace written to %s\n", *traceCSV)
+		fmt.Fprintf(stdout, "csv trace written to %s\n", *traceCSV)
 	}
 	if *trace != "" {
 		if err := writeFileWith(*trace, opts.Tracer.WriteJSON); err != nil {
-			log.Fatal(err)
+			logf.Print(err)
+			return 1
 		}
-		fmt.Printf("chrome trace written to %s (%d events)\n", *trace, opts.Tracer.Len())
+		fmt.Fprintf(stdout, "chrome trace written to %s (%d events)\n", *trace, opts.Tracer.Len())
 	}
 	if *decisions != "" {
 		w := opts.Decisions.WriteJSONL
@@ -195,9 +222,10 @@ func main() {
 			w = opts.Decisions.WriteCSV
 		}
 		if err := writeFileWith(*decisions, w); err != nil {
-			log.Fatal(err)
+			logf.Print(err)
+			return 1
 		}
-		fmt.Printf("decision log written to %s (%d records)\n", *decisions, opts.Decisions.Len())
+		fmt.Fprintf(stdout, "decision log written to %s (%d records)\n", *decisions, opts.Decisions.Len())
 	}
 	if *metrics != "" {
 		w := reg.WritePrometheus
@@ -205,12 +233,19 @@ func main() {
 			w = reg.WriteJSON
 		}
 		if err := writeFileWith(*metrics, w); err != nil {
-			log.Fatal(err)
+			logf.Print(err)
+			return 1
 		}
-		fmt.Printf("metrics written to %s\n", *metrics)
+		fmt.Fprintf(stdout, "metrics written to %s\n", *metrics)
 	}
+	report(stdout, res, gov.Name(), freqHist, tempHist)
+	return 0
+}
 
-	t := tablefmt.New(fmt.Sprintf("%s + %s under %s", res.Page, orNone(res.CoRunName), gov.Name()),
+// report prints the run's metric table, its frequency residency and
+// the frequency and temperature sparklines.
+func report(w io.Writer, res dora.Result, govName string, freqHist, tempHist []float64) {
+	t := tablefmt.New(fmt.Sprintf("%s + %s under %s", res.Page, orNone(res.CoRunName), govName),
 		"metric", "value")
 	t.AddRowStrings("load time", res.LoadTime.String())
 	t.AddRowStrings("deadline met", fmt.Sprint(res.DeadlineMet))
@@ -221,7 +256,7 @@ func main() {
 	t.AddRowStrings("co-run utilization", fmt.Sprintf("%.2f", res.AvgCoRunUtil))
 	t.AddRowStrings("max SoC temp", fmt.Sprintf("%.1f C", res.MaxSoCTempC))
 	t.AddRowStrings("frequency switches", fmt.Sprint(res.Switches))
-	fmt.Println(t.String())
+	fmt.Fprintln(w, t.String())
 
 	type resid struct {
 		f int
@@ -237,15 +272,15 @@ func main() {
 		rt.AddRowStrings(fmt.Sprint(r.f), r.d.String(),
 			fmt.Sprintf("%.1f", 100*float64(r.d)/float64(res.LoadTime)))
 	}
-	fmt.Println(rt.String())
+	fmt.Fprintln(w, rt.String())
 
 	if spark := asciichart.Sparkline(freqHist, 64); spark != "" {
 		lo, hi := minMax(freqHist)
-		fmt.Printf("freq MHz  %s  [%.0f..%.0f]\n", spark, lo, hi)
+		fmt.Fprintf(w, "freq MHz  %s  [%.0f..%.0f]\n", spark, lo, hi)
 	}
 	if spark := asciichart.Sparkline(tempHist, 64); spark != "" {
 		lo, hi := minMax(tempHist)
-		fmt.Printf("SoC degC  %s  [%.1f..%.1f]\n", spark, lo, hi)
+		fmt.Fprintf(w, "SoC degC  %s  [%.1f..%.1f]\n", spark, lo, hi)
 	}
 }
 
