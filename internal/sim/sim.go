@@ -406,7 +406,7 @@ func LoadPageCtx(ctx context.Context, opts Options, wl Workload) (Result, error)
 // Warmup. The two agree whenever Warmup is a multiple of the period.
 func warmupEnd(opts *Options) time.Duration {
 	unit := time.Duration(opts.SoC.SliceNs)
-	if opts.Fidelity == fidelity.Exact {
+	if opts.Fidelity != fidelity.Sampled {
 		unit = max(roundUp(opts.DecisionInterval, unit), unit)
 	}
 	return roundUp(opts.Warmup, unit)
