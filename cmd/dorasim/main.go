@@ -28,6 +28,7 @@ import (
 	"dora"
 	"dora/internal/asciichart"
 	"dora/internal/core"
+	"dora/internal/corun"
 	"dora/internal/obslog"
 	"dora/internal/pool"
 	"dora/internal/profiling"
@@ -35,6 +36,7 @@ import (
 	"dora/internal/sim"
 	"dora/internal/soc"
 	"dora/internal/tablefmt"
+	"dora/internal/webgen"
 )
 
 func main() { os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)) }
@@ -115,6 +117,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		logf.Print(err)
 		return 2
+	}
+	// An unknown page or kernel is a flag error too, not a failed run.
+	if _, err := webgen.ByName(*page); err != nil {
+		logf.Print(err)
+		return 2
+	}
+	if *coRun != "" {
+		if _, err := corun.ByName(*coRun); err != nil {
+			logf.Print(err)
+			return 2
+		}
 	}
 
 	// Trace, decision-log, and metric outputs need a live simulation,

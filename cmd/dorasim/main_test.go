@@ -20,6 +20,8 @@ func TestRunRefusals(t *testing.T) {
 		{"bad flag", []string{"-no-such-flag"}, 2, []string{"flag provided but not defined: -no-such-flag"}},
 		{"bad fidelity", []string{"-fidelity", "vague"}, 2, []string{"dorasim: ", "vague"}},
 		{"unknown governor", []string{"-governor", "nope"}, 2, []string{"dorasim: ", `"nope"`, "interactive"}},
+		{"unknown page", []string{"-page", "NoSuchPage"}, 2, []string{"dorasim: ", "NoSuchPage"}},
+		{"unknown co-runner", []string{"-corun", "nokernel"}, 2, []string{"dorasim: ", "nokernel"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
