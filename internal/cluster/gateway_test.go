@@ -171,8 +171,8 @@ func TestRouteKeyGolden(t *testing.T) {
 		},
 	}
 	want := []string{
-		"83b5581ccadd76baf0abdf348f57e6723e594376b47cd984b4b099fca112270f",
-		"dab5fd3ac48a471a78f2c97c14b436a2665606e0bcd72bad15fb51b63247c164",
+		"80f0cdceb1ded1ac47444fb026079448d8b97e56f0944bdd99e6de0e331c8dc2",
+		"557c9c5f7c85a0a11509323b931d0edf4c3b9f90042d725844f2f60db9614267",
 	}
 	for i, req := range reqs {
 		if got := g.routeKey(req); got != want[i] {

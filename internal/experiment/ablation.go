@@ -15,7 +15,6 @@ import (
 	"dora/internal/soc"
 	"dora/internal/stats"
 	"dora/internal/tablefmt"
-	"dora/internal/webdoc"
 	"dora/internal/webgen"
 	"dora/internal/workload"
 )
@@ -240,11 +239,7 @@ func victimSlowdown(cfg soc.Config, seed int64, lru bool) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		doc, err := webdoc.Parse(spec.HTML())
-		if err != nil {
-			return 0, err
-		}
-		plan, err := render.BuildPlan(render.DefaultConfig(), doc)
+		plan, err := sim.PagePlan(spec, render.DefaultConfig())
 		if err != nil {
 			return 0, err
 		}

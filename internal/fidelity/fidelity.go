@@ -64,8 +64,9 @@ type Params struct {
 	// one slice in Interval is simulated in detail, the rest are
 	// extrapolated. Higher is faster and coarser.
 	Interval int
-	// Stable is the number of consecutive slices with an identical
-	// phase signature required before extrapolation begins.
+	// Stable is the number of consecutive slices with an equal phase
+	// required before a new phase is stable and extrapolation begins.
+	// A return to the last stable phase needs only one (see Detector).
 	Stable int
 }
 
@@ -85,63 +86,102 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
+// Phase is one detailed slice's activity, quantized: per core the
+// MPKI, stall-fraction and utilization buckets and whether the core is
+// executing, plus the bus utilization bucket and the operating
+// frequency. Two slices with equal phases are "the same phase" for
+// extrapolation purposes. It is a comparable value sized for the
+// largest machine soc.Config allows, so computing and comparing phases
+// allocates nothing.
+type Phase struct {
+	cores   [soc.MaxCores]coreBuckets
+	bus     uint8
+	freqMHz uint16
+}
 
-// Signature hashes one detailed slice's activity into a quantized
-// phase signature: per-core MPKI, stall-fraction and utilization
-// buckets, a per-core activity flag, the bus utilization bucket, and
-// the operating frequency. Two slices with
-// equal signatures are "the same phase" for extrapolation purposes.
+// coreBuckets is one core's part of a Phase.
+type coreBuckets struct {
+	mpki, stall, util uint8
+	active            bool
+}
+
+// Signature quantizes one detailed slice's activity into its Phase.
 // sliceNs is the accounting-slice length the stats cover; kinds[i] is
 // core i's active segment kind (soc.Machine.CoreSegKind).
 //
 //dora:hotpath
-func Signature(stats *soc.SliceStats, sliceNs int64, kinds []string) uint64 {
-	h := uint64(fnvOffset)
+func Signature(stats *soc.SliceStats, sliceNs int64, kinds []string) Phase {
+	var p Phase
 	for i := range stats.Cores {
-		c := &stats.Cores[i]
+		c, b := &stats.Cores[i], &p.cores[i]
 		// MPKI in half-power-of-two buckets.
 		mpki := 0.0
 		if c.Instructions > 0 {
 			mpki = float64(c.L2Miss) * 1000 / float64(c.Instructions)
 		}
-		h = fnvMix(h, logBucket(mpki))
+		b.mpki = logBucket(mpki)
 		// Stall fraction and utilization in 1/16 buckets.
 		stall := 0.0
 		if c.BusyNs > 0 {
 			stall = float64(c.StallNs) / float64(c.BusyNs)
 		}
-		h = fnvMix(h, uint64(stall*16))
-		h = fnvMix(h, uint64(float64(c.BusyNs)/float64(sliceNs)*16))
+		b.stall = bucket(stall * 16)
+		b.util = bucket(float64(c.BusyNs) / float64(sliceNs) * 16)
 		// Active-kernel mix: whether the core is executing at all.
 		// Deliberately NOT the segment kind itself: kernels that
 		// alternate short segments (kmeans assign/update) would churn
-		// the signature every slice, and the quantized rate buckets
-		// above already distinguish behaviorally different segments.
-		if kinds[i] != "" {
-			h = fnvMix(h, 0xA5)
-		}
-		h = fnvMix(h, 0xFE) // per-core terminator
+		// the phase every slice, and the quantized rate buckets above
+		// already distinguish behaviorally different segments.
+		b.active = kinds[i] != ""
 	}
-	h = fnvMix(h, uint64(stats.BusUtil*32))
-	h = fnvMix(h, uint64(stats.FreqMHz))
-	return h
+	p.bus = bucket(stats.BusUtil * 32)
+	p.freqMHz = uint16(stats.FreqMHz)
+	return p
 }
 
-// fnvMix folds one value into an FNV-1a style running hash.
-func fnvMix(h, v uint64) uint64 { return (h ^ v) * fnvPrime }
+// bucket truncates a non-negative scaled value to its bucket index,
+// saturating at the largest one.
+func bucket(v float64) uint8 {
+	if v >= 255 {
+		return 255
+	}
+	return uint8(v)
+}
+
+// near reports whether q lies within one bucket, in one rate
+// component, of p: the frequency and every core's activity flag are
+// equal, and at most one MPKI, stall, utilization or bus bucket is off
+// by one.
+func near(p, q Phase) bool {
+	if p.freqMHz != q.freqMHz {
+		return false
+	}
+	moved := bucketMove(p.bus, q.bus)
+	for i := range p.cores {
+		a, b := &p.cores[i], &q.cores[i]
+		if a.active != b.active {
+			return false
+		}
+		moved += bucketMove(a.mpki, b.mpki) + bucketMove(a.stall, b.stall) + bucketMove(a.util, b.util)
+	}
+	return moved <= 1
+}
+
+// bucketMove is 0 for equal buckets, 1 for adjacent ones, and 2 (more
+// than near tolerates) otherwise.
+func bucketMove(a, b uint8) int {
+	d := int(a) - int(b)
+	return min(max(d, -d), 2)
+}
 
 // logBucket quantizes a non-negative value into half-log2 buckets
 // without calling math.Log2 on the hot path: bucket k covers
 // [2^(k/2)-1, 2^((k+1)/2)-1).
-func logBucket(v float64) uint64 {
+func logBucket(v float64) uint8 {
 	if v <= 0 {
 		return 0
 	}
-	b := uint64(0)
+	b := uint8(0)
 	threshold := 1.0
 	for v+1 >= threshold && b < 64 {
 		b++
@@ -150,7 +190,7 @@ func logBucket(v float64) uint64 {
 	return b
 }
 
-// Detector is the streaming phase detector. Feed it the signature of
+// Detector is the streaming phase detector. Feed it the phase of
 // every detailed slice via Observe; between detailed slices, ask
 // CanExtrapolate and account extrapolated slices with
 // NoteExtrapolated. External events that invalidate the phase (an OPP
@@ -158,9 +198,14 @@ func logBucket(v float64) uint64 {
 // ForceDetail.
 type Detector struct {
 	p           Params
-	sig         uint64
+	phase       Phase
 	streak      int
 	sinceDetail int
+	// anchor is the last phase that reached Stable, while anchored.
+	// A slice within one bucket of it resumes it at once, so a phase
+	// that flickers across a bucket edge and back stays stable.
+	anchor   Phase
+	anchored bool
 }
 
 // NewDetector builds a detector with p (zero fields take defaults).
@@ -168,22 +213,34 @@ func NewDetector(p Params) *Detector {
 	return &Detector{p: p.withDefaults()}
 }
 
-// Observe records a detailed slice's signature. unstable marks slices
+// Observe records a detailed slice's phase. unstable marks slices
 // whose measurements are polluted (DVFS switch stall): they reset the
-// stability streak without becoming the phase signature.
+// stability streak and the anchor without becoming the phase.
+//
+// A slice equal to the current phase extends its streak. Otherwise a
+// slice near the anchor (see near) resumes the anchor as stable, and
+// any other slice starts a new streak, which needs Stable equal slices
+// to become stable.
 //
 //dora:hotpath
-func (d *Detector) Observe(sig uint64, unstable bool) {
+func (d *Detector) Observe(ph Phase, unstable bool) {
 	d.sinceDetail = 0
-	if unstable {
+	switch {
+	case unstable:
 		d.streak = 0
+		d.anchored = false
 		return
-	}
-	if sig == d.sig && d.streak > 0 {
+	case ph == d.phase && d.streak > 0:
 		d.streak++
-	} else {
-		d.sig = sig
+	case d.anchored && near(d.anchor, ph):
+		d.phase = d.anchor
+		d.streak = max(d.streak+1, d.p.Stable)
+	default:
+		d.phase = ph
 		d.streak = 1
+	}
+	if d.Stable() {
+		d.anchor, d.anchored = d.phase, true
 	}
 }
 
@@ -204,30 +261,32 @@ func (d *Detector) NoteExtrapolated() {
 	d.sinceDetail++
 }
 
-// ForceDetail invalidates the current phase: the next slices run in
-// detail until stability is re-established. Call it on OPP changes,
-// source assignment/completion, and any other event that changes the
-// machine's behavior discontinuously.
+// ForceDetail invalidates the current phase and the anchor: the next
+// slices run in detail until Stable equal slices establish a phase
+// again. Call it on OPP changes, source assignment/completion, and any
+// other event that changes the machine's behavior discontinuously.
 func (d *Detector) ForceDetail() {
 	d.streak = 0
 	d.sinceDetail = 0
+	d.anchored = false
 }
 
 // State is the detector's checkpointable phase state.
 type State struct {
-	Sig         uint64
+	Phase       Phase
 	Streak      int
 	SinceDetail int
+	Anchor      Phase
+	Anchored    bool
 }
 
 // State returns the current phase state, for warm-state checkpoints.
 func (d *Detector) State() State {
-	return State{Sig: d.sig, Streak: d.streak, SinceDetail: d.sinceDetail}
+	return State{Phase: d.phase, Streak: d.streak, SinceDetail: d.sinceDetail, Anchor: d.anchor, Anchored: d.anchored}
 }
 
 // RestoreState overwrites the phase state with a checkpoint.
 func (d *Detector) RestoreState(s State) {
-	d.sig = s.Sig
-	d.streak = s.Streak
-	d.sinceDetail = s.SinceDetail
+	d.phase, d.streak, d.sinceDetail = s.Phase, s.Streak, s.SinceDetail
+	d.anchor, d.anchored = s.Anchor, s.Anchored
 }

@@ -631,8 +631,8 @@ var goldenKeyRequests = []LoadRequest{
 func TestLoadKeyGolden(t *testing.T) {
 	s := NewServer(Config{})
 	want := []string{
-		"049166f16000b42b9ceb399324b8d15506fa4c986912f6b1e3137a95ac13a223",
-		"bd94c3c14cae4a8110473c97dfb255fbe5142b5a49c47d90878e47f997ee08a0",
+		"05efa413f19b799f35dadaaddd7184b08e66a32d1c0727a00e50ca3365e6e02b",
+		"1eb53d5c6424e2d287bfded1375867b0b1367b8c618cd5d8d2393add744de437",
 	}
 	for i, req := range goldenKeyRequests {
 		if got := s.loadKey(req); got != want[i] {

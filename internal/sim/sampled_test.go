@@ -145,20 +145,24 @@ var neverExtrapolate = fidelity.Params{Stable: math.MaxInt32}
 // TestSampledWithoutExtrapolationIsExact pins that fidelity changes
 // only how a slice advances: a sampled run whose detector can never
 // extrapolate, with no checkpoints, is the exact run, for the
-// interactive governor and for a fixed OPP with a co-runner.
+// interactive governor, for a fixed OPP with a co-runner, and for a
+// warmup that is not a whole number of decision periods.
 func TestSampledWithoutExtrapolationIsExact(t *testing.T) {
 	cfg := soc.NexusFive()
 	cases := []struct {
-		name string
-		gov  governor.Governor
-		wl   Workload
+		name             string
+		gov              governor.Governor
+		wl               Workload
+		warmup, interval time.Duration
 	}{
-		{"interactive", governor.NewInteractive(governor.DefaultInteractiveConfig()), fidelityWorkload(t, "Alipay", "")},
-		{"fixed+corun", governor.NewFixed(cfg.OPPs.Ceil(1190)), fidelityWorkload(t, "Reddit", "kmeans")},
+		{"interactive", governor.NewInteractive(governor.DefaultInteractiveConfig()), fidelityWorkload(t, "Alipay", ""), 0, 0},
+		{"fixed+corun", governor.NewFixed(cfg.OPPs.Ceil(1190)), fidelityWorkload(t, "Reddit", "kmeans"), 0, 0},
+		{"unaligned-warmup", governor.NewInteractive(governor.DefaultInteractiveConfig()), fidelityWorkload(t, "Alipay", "backprop"),
+			30 * time.Millisecond, 20 * time.Millisecond},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{SoC: cfg, Governor: tc.gov, Seed: 1}
+			opts := Options{SoC: cfg, Governor: tc.gov, Seed: 1, Warmup: tc.warmup, DecisionInterval: tc.interval}
 			exact, err := LoadPage(opts, tc.wl)
 			if err != nil {
 				t.Fatal(err)
@@ -175,11 +179,12 @@ func TestSampledWithoutExtrapolationIsExact(t *testing.T) {
 	}
 }
 
-// TestWarmupShape pins the one place the fidelities' protocols differ:
-// exact mode warms up in whole decision intervals, so a 30 ms warmup at
-// a 20 ms cadence runs to 40 ms, while sampled mode stops at the first
-// slice at or past Warmup. A fixed OPP makes the decision interval
-// itself irrelevant, which isolates where the warmup ends.
+// TestWarmupShape pins the one warmup rule: at either fidelity the
+// warmup stops at the first slice at or past Warmup, whatever the
+// decision interval, so a 30 ms warmup at a 20 ms cadence stops at
+// 30 ms, not at the 40 ms period boundary. A fixed OPP makes the
+// decision interval itself irrelevant, which isolates where the warmup
+// ends.
 func TestWarmupShape(t *testing.T) {
 	cfg := soc.NexusFive()
 	wl := fidelityWorkload(t, "Alipay", "backprop")
@@ -197,14 +202,13 @@ func TestWarmupShape(t *testing.T) {
 	}
 	const ms = time.Millisecond
 	exact30 := run(fidelity.Exact, 30*ms, 20*ms)
-	if !reflect.DeepEqual(exact30, run(fidelity.Exact, 40*ms, 20*ms)) {
-		t.Error("exact mode at a 30 ms warmup and 20 ms cadence did not warm up to 40 ms")
+	if !reflect.DeepEqual(exact30, run(fidelity.Exact, 30*ms, 10*ms)) {
+		t.Error("exact mode at a 30 ms warmup and 20 ms cadence did not stop at 30 ms")
 	}
-	sampled30 := run(fidelity.Sampled, 30*ms, 20*ms)
-	if !reflect.DeepEqual(sampled30, run(fidelity.Exact, 30*ms, 10*ms)) {
-		t.Error("sampled mode at a 30 ms warmup did not stop at 30 ms")
+	if !reflect.DeepEqual(exact30, run(fidelity.Sampled, 30*ms, 20*ms)) {
+		t.Error("sampled mode at a 30 ms warmup and 20 ms cadence warmed up differently from exact mode")
 	}
-	if reflect.DeepEqual(exact30, sampled30) {
+	if reflect.DeepEqual(exact30, run(fidelity.Exact, 40*ms, 20*ms)) {
 		t.Error("a 30 ms and a 40 ms warmup gave the same result: the test cannot tell them apart")
 	}
 }

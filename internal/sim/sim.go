@@ -168,13 +168,9 @@ func LoadPageCtx(ctx context.Context, opts Options, wl Workload) (Result, error)
 	if opts.RenderConfig != nil {
 		rcfg = *opts.RenderConfig
 	}
-	doc, err := webdoc.Parse(wl.Page.HTML())
+	plan, err := PagePlan(wl.Page, rcfg)
 	if err != nil {
-		return Result{}, fmt.Errorf("sim: parse %s: %w", wl.Page.Name, err)
-	}
-	plan, err := render.BuildPlan(rcfg, doc)
-	if err != nil {
-		return Result{}, fmt.Errorf("sim: plan %s: %w", wl.Page.Name, err)
+		return Result{}, err
 	}
 
 	m, err := soc.New(opts.SoC, opts.Seed)
@@ -399,17 +395,10 @@ func LoadPageCtx(ctx context.Context, opts Options, wl Workload) (Result, error)
 	return res, nil
 }
 
-// warmupEnd returns the simulated time at which the warmup stops.
-// Sampled mode stops at the first slice at or past Warmup. Exact mode
-// warms up in whole decision periods (DecisionInterval rounded up to
-// whole slices), so it stops at the first period boundary at or past
-// Warmup. The two agree whenever Warmup is a multiple of the period.
+// warmupEnd returns the simulated time at which the warmup stops: the
+// first slice boundary at or past Warmup, at either fidelity.
 func warmupEnd(opts *Options) time.Duration {
-	unit := time.Duration(opts.SoC.SliceNs)
-	if opts.Fidelity != fidelity.Sampled {
-		unit = max(roundUp(opts.DecisionInterval, unit), unit)
-	}
-	return roundUp(opts.Warmup, unit)
+	return roundUp(opts.Warmup, time.Duration(opts.SoC.SliceNs))
 }
 
 // roundUp rounds d up to a multiple of unit.

@@ -119,9 +119,12 @@ func NexusFive() Config {
 	}
 }
 
+// MaxCores is the largest core count a Config may have.
+const MaxCores = 8
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Cores <= 0 || c.Cores > 8 {
+	if c.Cores <= 0 || c.Cores > MaxCores {
 		return errors.New("soc: core count out of range")
 	}
 	if c.OPPs == nil {
