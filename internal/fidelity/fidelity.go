@@ -233,6 +233,8 @@ func (d *Detector) Observe(ph Phase, unstable bool) {
 	case ph == d.phase && d.streak > 0:
 		d.streak++
 	case d.anchored && near(d.anchor, ph):
+		// Inside the anchor phase this extends its streak; after a
+		// break it resumes the anchor at Stable.
 		d.phase = d.anchor
 		d.streak = max(d.streak+1, d.p.Stable)
 	default:
@@ -245,15 +247,15 @@ func (d *Detector) Observe(ph Phase, unstable bool) {
 }
 
 // CanExtrapolate reports whether the next slice may be fast-forwarded:
-// the phase has been stable for Stable consecutive detailed slices and
-// the periodic detail cadence is not yet due.
+// the phase is stable and the periodic detail cadence is not yet due.
 func (d *Detector) CanExtrapolate() bool {
 	return d.Stable() && d.sinceDetail < d.p.Interval-1
 }
 
-// Stable reports whether the phase has held for Stable consecutive
-// detailed slices. When CanExtrapolate is false, it tells a slice run
-// for an unstable phase from one run because the cadence is due.
+// Stable reports whether the current phase is stable: it held for
+// Stable consecutive detailed slices, or a slice resumed it as the
+// anchor. When CanExtrapolate is false, it tells a slice run for an
+// unstable phase from one run because the cadence is due.
 func (d *Detector) Stable() bool { return d.streak >= d.p.Stable }
 
 // NoteExtrapolated accounts one fast-forwarded slice.
