@@ -65,8 +65,7 @@ type Params struct {
 	// extrapolated. Higher is faster and coarser.
 	Interval int
 	// Stable is the number of consecutive slices with an equal phase
-	// required before a new phase is stable and extrapolation begins.
-	// A return to the last stable phase needs only one (see Detector).
+	// required before extrapolation begins.
 	Stable int
 }
 
@@ -148,32 +147,6 @@ func bucket(v float64) uint8 {
 	return uint8(v)
 }
 
-// near reports whether q lies within one bucket, in one rate
-// component, of p: the frequency and every core's activity flag are
-// equal, and at most one MPKI, stall, utilization or bus bucket is off
-// by one.
-func near(p, q Phase) bool {
-	if p.freqMHz != q.freqMHz {
-		return false
-	}
-	moved := bucketMove(p.bus, q.bus)
-	for i := range p.cores {
-		a, b := &p.cores[i], &q.cores[i]
-		if a.active != b.active {
-			return false
-		}
-		moved += bucketMove(a.mpki, b.mpki) + bucketMove(a.stall, b.stall) + bucketMove(a.util, b.util)
-	}
-	return moved <= 1
-}
-
-// bucketMove is 0 for equal buckets, 1 for adjacent ones, and 2 (more
-// than near tolerates) otherwise.
-func bucketMove(a, b uint8) int {
-	d := int(a) - int(b)
-	return min(max(d, -d), 2)
-}
-
 // logBucket quantizes a non-negative value into half-log2 buckets
 // without calling math.Log2 on the hot path: bucket k covers
 // [2^(k/2)-1, 2^((k+1)/2)-1).
@@ -201,11 +174,6 @@ type Detector struct {
 	phase       Phase
 	streak      int
 	sinceDetail int
-	// anchor is the last phase that reached Stable, while anchored.
-	// A slice within one bucket of it resumes it at once, so a phase
-	// that flickers across a bucket edge and back stays stable.
-	anchor   Phase
-	anchored bool
 }
 
 // NewDetector builds a detector with p (zero fields take defaults).
@@ -215,47 +183,33 @@ func NewDetector(p Params) *Detector {
 
 // Observe records a detailed slice's phase. unstable marks slices
 // whose measurements are polluted (DVFS switch stall): they reset the
-// stability streak and the anchor without becoming the phase.
-//
-// A slice equal to the current phase extends its streak. Otherwise a
-// slice near the anchor (see near) resumes the anchor as stable, and
-// any other slice starts a new streak, which needs Stable equal slices
-// to become stable.
+// stability streak without becoming the phase.
 //
 //dora:hotpath
 func (d *Detector) Observe(ph Phase, unstable bool) {
 	d.sinceDetail = 0
-	switch {
-	case unstable:
+	if unstable {
 		d.streak = 0
-		d.anchored = false
 		return
-	case ph == d.phase && d.streak > 0:
+	}
+	if ph == d.phase && d.streak > 0 {
 		d.streak++
-	case d.anchored && near(d.anchor, ph):
-		// Inside the anchor phase this extends its streak; after a
-		// break it resumes the anchor at Stable.
-		d.phase = d.anchor
-		d.streak = max(d.streak+1, d.p.Stable)
-	default:
+	} else {
 		d.phase = ph
 		d.streak = 1
-	}
-	if d.Stable() {
-		d.anchor, d.anchored = d.phase, true
 	}
 }
 
 // CanExtrapolate reports whether the next slice may be fast-forwarded:
-// the phase is stable and the periodic detail cadence is not yet due.
+// the phase has been stable for Stable consecutive detailed slices and
+// the periodic detail cadence is not yet due.
 func (d *Detector) CanExtrapolate() bool {
 	return d.Stable() && d.sinceDetail < d.p.Interval-1
 }
 
-// Stable reports whether the current phase is stable: it held for
-// Stable consecutive detailed slices, or a slice resumed it as the
-// anchor. When CanExtrapolate is false, it tells a slice run for an
-// unstable phase from one run because the cadence is due.
+// Stable reports whether the phase has held for Stable consecutive
+// detailed slices. When CanExtrapolate is false, it tells a slice run
+// for an unstable phase from one run because the cadence is due.
 func (d *Detector) Stable() bool { return d.streak >= d.p.Stable }
 
 // NoteExtrapolated accounts one fast-forwarded slice.
@@ -263,14 +217,13 @@ func (d *Detector) NoteExtrapolated() {
 	d.sinceDetail++
 }
 
-// ForceDetail invalidates the current phase and the anchor: the next
-// slices run in detail until Stable equal slices establish a phase
-// again. Call it on OPP changes, source assignment/completion, and any
-// other event that changes the machine's behavior discontinuously.
+// ForceDetail invalidates the current phase: the next slices run in
+// detail until stability is re-established. Call it on OPP changes,
+// source assignment/completion, and any other event that changes the
+// machine's behavior discontinuously.
 func (d *Detector) ForceDetail() {
 	d.streak = 0
 	d.sinceDetail = 0
-	d.anchored = false
 }
 
 // State is the detector's checkpointable phase state.
@@ -278,17 +231,14 @@ type State struct {
 	Phase       Phase
 	Streak      int
 	SinceDetail int
-	Anchor      Phase
-	Anchored    bool
 }
 
 // State returns the current phase state, for warm-state checkpoints.
 func (d *Detector) State() State {
-	return State{Phase: d.phase, Streak: d.streak, SinceDetail: d.sinceDetail, Anchor: d.anchor, Anchored: d.anchored}
+	return State{Phase: d.phase, Streak: d.streak, SinceDetail: d.sinceDetail}
 }
 
 // RestoreState overwrites the phase state with a checkpoint.
 func (d *Detector) RestoreState(s State) {
 	d.phase, d.streak, d.sinceDetail = s.Phase, s.Streak, s.SinceDetail
-	d.anchor, d.anchored = s.Anchor, s.Anchored
 }

@@ -72,38 +72,20 @@ func TestSignatureBuckets(t *testing.T) {
 			t.Errorf("%s change inside its bucket moved the phase", what)
 		}
 	}
-	// Each crossing moves one component; a rate crossing into the
-	// adjacent bucket stays near the base, the frequency and the
-	// activity flag never do.
-	crossed := map[string]struct {
-		ph   Phase
-		near bool
-	}{
-		"mpki":   {Signature(slice(12, 0.30, 0.50, 0.20, 960), sliceNs, active), true},
-		"stall":  {Signature(slice(10, 0.33, 0.50, 0.20, 960), sliceNs, active), true},
-		"util":   {Signature(slice(10, 0.30, 0.57, 0.20, 960), sliceNs, active), true},
-		"bus":    {Signature(slice(10, 0.30, 0.50, 0.22, 960), sliceNs, active), true},
-		"opp":    {Signature(slice(10, 0.30, 0.50, 0.20, 1574), sliceNs, active), false},
-		"active": {Signature(slice(10, 0.30, 0.50, 0.20, 960), sliceNs, []string{"", ""}), false},
+	crossed := map[string]Phase{
+		"mpki":   Signature(slice(12, 0.30, 0.50, 0.20, 960), sliceNs, active),
+		"stall":  Signature(slice(10, 0.33, 0.50, 0.20, 960), sliceNs, active),
+		"util":   Signature(slice(10, 0.30, 0.57, 0.20, 960), sliceNs, active),
+		"bus":    Signature(slice(10, 0.30, 0.50, 0.25, 960), sliceNs, active),
+		"opp":    Signature(slice(10, 0.30, 0.50, 0.20, 1574), sliceNs, active),
+		"active": Signature(slice(10, 0.30, 0.50, 0.20, 960), sliceNs, []string{"", ""}),
 	}
 	seen := map[Phase]string{base: "base"}
-	for what, c := range crossed {
-		if prev, dup := seen[c.ph]; dup {
+	for what, ph := range crossed {
+		if prev, dup := seen[ph]; dup {
 			t.Errorf("%s bucket crossing gives the same phase as %s", what, prev)
 		}
-		seen[c.ph] = what
-		if got := near(base, c.ph); got != c.near {
-			t.Errorf("near(base, %s crossing) = %v, want %v", what, got, c.near)
-		}
-	}
-	if far := Signature(slice(22, 0.30, 0.50, 0.20, 960), sliceNs, active); near(base, far) {
-		t.Error("a two-bucket MPKI move is near the base")
-	}
-	if two := Signature(slice(12, 0.33, 0.50, 0.20, 960), sliceNs, active); near(base, two) {
-		t.Error("moves in two components are near the base")
-	}
-	if bucketMove(0, 255) != 2 || bucketMove(255, 0) != 2 || bucketMove(254, 255) != 1 {
-		t.Error("bucketMove wraps at the ends of the bucket range")
+		seen[ph] = what
 	}
 	// Out-of-range rates saturate instead of wrapping.
 	if hot := Signature(slice(10, 0.30, 0.50, 9, 960), sliceNs, active); hot.bus != 255 {
@@ -143,36 +125,19 @@ func TestDefaultParams(t *testing.T) {
 	}
 }
 
-// testPhases name the phases of the detector tests: 'a' and 'b' are
-// far apart; 'n' is one bucket off 'a' in one component, 'N' two
-// buckets off in that component, and 'm' one bucket off in two.
+// testPhases name the phases of the detector tests.
 var testPhases = func() map[byte]Phase {
 	a := Phase{freqMHz: 960, bus: 6}
 	a.cores[0] = coreBuckets{mpki: 7, stall: 4, util: 8, active: true}
 	b := a
 	b.cores[0].mpki, b.bus = 11, 12
-	n, bigN, m := a, a, a
-	n.cores[0].mpki = 8
-	bigN.cores[0].mpki = 9
-	m.cores[0].mpki, m.cores[0].stall = 8, 5
-	return map[byte]Phase{'a': a, 'b': b, 'n': n, 'N': bigN, 'm': m}
+	return map[byte]Phase{'a': a, 'b': b}
 }()
 
-// feed observes one detailed slice per plan byte: a testPhases name,
-// or 'u' an unstable (switch-stall) slice. 'F' calls ForceDetail.
-func feed(d *Detector, plan string) {
-	for i := 0; i < len(plan); i++ {
-		if plan[i] == 'F' {
-			d.ForceDetail()
-			continue
-		}
-		d.Observe(testPhases[plan[i]], plan[i] == 'u')
-	}
-}
-
-// run feeds the detector one slice per plan byte, as feed does, and
-// extrapolates between detailed slices whenever it may. It returns the
-// per-slice decisions: 'D' detailed, 'x' extrapolated.
+// run feeds the detector one slice per plan byte — a testPhases name,
+// or 'u' an unstable (switch-stall) slice — and extrapolates between
+// detailed slices whenever it may. It returns the per-slice decisions:
+// 'D' detailed, 'x' extrapolated.
 func run(d *Detector, plan string) string {
 	var out strings.Builder
 	for i := 0; i < len(plan); {
@@ -181,7 +146,7 @@ func run(d *Detector, plan string) string {
 			out.WriteByte('x')
 			continue
 		}
-		feed(d, plan[i:i+1])
+		d.Observe(testPhases[plan[i]], plan[i] == 'u')
 		out.WriteByte('D')
 		i++
 	}
@@ -190,9 +155,8 @@ func run(d *Detector, plan string) string {
 
 func TestDetectorCadence(t *testing.T) {
 	d := NewDetector(Params{Interval: 4, Stable: 2})
-	// Two equal signatures establish the phase; then one slice in four
-	// is detailed. A new signature or an unstable slice restarts the
-	// streak.
+	// Two equal phases establish the phase; then one slice in four is
+	// detailed. A new phase or an unstable slice restarts the streak.
 	got := run(d, "aaaab"+"bu"+"bb")
 	want := "DD" + "xxxD" + "xxxD" + "xxxD" + "D" + "xxxD" + "D" + "D"
 	if got != want {
@@ -208,49 +172,6 @@ func TestDetectorCadence(t *testing.T) {
 	}
 }
 
-// TestDetectorResumesAnchor pins the return to the last stable phase:
-// after a phase reaches Stable, a slice equal to it or within one
-// bucket of it in one component resumes it as stable at once, while a
-// new phase still needs Stable equal slices, and a switch stall or
-// ForceDetail forgets the anchor.
-func TestDetectorResumesAnchor(t *testing.T) {
-	for _, c := range []struct {
-		plan   string
-		stable bool
-		phase  byte // the current phase when stable
-	}{
-		{"aa", true, 'a'},
-		{"aab", false, 0},
-		{"aaba", true, 'a'}, // A B A resumes A after one detailed slice
-		{"aabb", true, 'b'}, // A B B adopts B
-		{"aabba", false, 0}, // ... and B is the anchor now
-		{"aan", true, 'a'},  // a one-bucket move keeps the phase
-		{"aabn", true, 'a'}, // and resumes it after a break
-		{"aabN", false, 0},  // a two-bucket move does not
-		{"aabm", false, 0},  // nor moves in two components
-		{"aanN", false, 0},  // the anchor stays put: no drift by steps
-		{"an", false, 0},    // a new streak needs exact equality
-		{"anan", false, 0},  // even when it flickers
-		{"aaua", false, 0},  // a switch stall clears the anchor
-		{"aaun", false, 0},
-		{"aaFa", false, 0}, // so does ForceDetail
-		{"aaFn", false, 0},
-		{"aaFaa", true, 'a'}, // Stable equal slices re-establish it
-		{"aaFnnb", false, 0},
-		{"aaFnnba", true, 'n'}, // 'n' is the anchor, 'a' one bucket off it
-	} {
-		d := NewDetector(Params{Interval: 4, Stable: 2})
-		feed(d, c.plan)
-		if d.Stable() != c.stable {
-			t.Errorf("%q: Stable() = %v, want %v", c.plan, d.Stable(), c.stable)
-			continue
-		}
-		if c.stable && d.State().Phase != testPhases[c.phase] {
-			t.Errorf("%q: stable in the wrong phase, want %q", c.plan, c.phase)
-		}
-	}
-}
-
 func TestForceDetail(t *testing.T) {
 	d := NewDetector(Params{Interval: 4, Stable: 2})
 	run(d, "aa")
@@ -262,11 +183,11 @@ func TestForceDetail(t *testing.T) {
 	if d.CanExtrapolate() || d.Stable() {
 		t.Fatal("ForceDetail must make the next slice detailed")
 	}
-	feed(d, "a")
+	d.Observe(testPhases['a'], false)
 	if d.CanExtrapolate() || d.Stable() {
 		t.Fatal("ForceDetail must discard the stability streak")
 	}
-	feed(d, "a")
+	d.Observe(testPhases['a'], false)
 	if !d.CanExtrapolate() {
 		t.Fatal("Stable slices after ForceDetail must re-establish the phase")
 	}
@@ -284,7 +205,7 @@ func TestStateRoundTrip(t *testing.T) {
 	run(donor, "abbb")
 	donor.NoteExtrapolated()
 	st := donor.State()
-	if st.Phase != testPhases['b'] || st.Streak != 3 || st.SinceDetail != 1 || st.Anchor != testPhases['b'] || !st.Anchored {
+	if st.Phase != testPhases['b'] || st.Streak != 3 || st.SinceDetail != 1 {
 		t.Fatalf("State() = %+v", st)
 	}
 	clone := NewDetector(Params{Interval: 5, Stable: 2})
@@ -292,7 +213,7 @@ func TestStateRoundTrip(t *testing.T) {
 	if clone.State() != st {
 		t.Fatalf("restored state %+v, want %+v", clone.State(), st)
 	}
-	const rest = "bbanbbbubnb"
+	const rest = "bbabbbub"
 	if a, b := run(donor, rest), run(clone, rest); a != b {
 		t.Fatalf("restored detector diverges: %q vs %q", b, a)
 	}

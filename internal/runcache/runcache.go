@@ -52,9 +52,7 @@ import (
 // v3: the sampled-mode detector no longer runs a detailed slice at
 // governor decisions that keep the OPP, so sampled results changed.
 //
-// v4: the sampled-mode detector resumes the last stable phase on a
-// slice within one bucket of it, which changes sampled results, and
-// exact mode's warmup stops at the first slice at or past Warmup
+// v4: exact mode's warmup stops at the first slice at or past Warmup
 // instead of a decision-period boundary, which changes exact results
 // whenever Warmup is not a multiple of the decision interval.
 const SchemaVersion = 4

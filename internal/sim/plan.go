@@ -17,7 +17,7 @@ import (
 // segments, and callers must not modify it.
 func PagePlan(spec webgen.Spec, cfg render.Config) (*render.Plan, error) {
 	if cfg == defaultRender {
-		if e, ok := corpusPlans()[spec]; ok {
+		if e, ok := corpusPlans[spec]; ok {
 			e.once.Do(func() { e.plan, e.err = buildPlan(spec, cfg) })
 			return e.plan, e.err
 		}
@@ -48,9 +48,10 @@ type memoPlan struct {
 }
 
 // corpusPlans is the plan memo: one slot per corpus page, keyed by its
-// full spec, so a scaled copy of a corpus page misses. It never grows
-// past the corpus, which bounds it at len(webgen.Names()) plans.
-var corpusPlans = sync.OnceValue(func() map[webgen.Spec]*memoPlan {
+// full spec, so a scaled copy of a corpus page misses. Its slots are
+// fixed when the package loads, which bounds it at len(webgen.Names())
+// plans.
+var corpusPlans = func() map[webgen.Spec]*memoPlan {
 	names := webgen.Names()
 	slots := make(map[webgen.Spec]*memoPlan, len(names))
 	for _, name := range names {
@@ -61,4 +62,4 @@ var corpusPlans = sync.OnceValue(func() map[webgen.Spec]*memoPlan {
 		slots[spec] = &memoPlan{}
 	}
 	return slots
-})
+}()

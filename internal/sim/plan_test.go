@@ -15,7 +15,7 @@ import (
 // memoizedPlans counts the plans the plan memo holds.
 func memoizedPlans() int {
 	n := 0
-	for _, e := range corpusPlans() {
+	for _, e := range corpusPlans {
 		if e.plan != nil {
 			n++
 		}
@@ -83,7 +83,7 @@ func TestPagePlanMemo(t *testing.T) {
 		t.Errorf("planning non-corpus pages grew the memo from %d to %d plans", held, got)
 	}
 
-	if slots, bound := len(corpusPlans()), len(webgen.Names()); slots != bound || held > bound {
+	if slots, bound := len(corpusPlans), len(webgen.Names()); slots != bound || held > bound {
 		t.Errorf("memo has %d slots holding %d plans, want one slot per corpus page (%d)", slots, held, bound)
 	}
 }
