@@ -17,7 +17,7 @@ race:
 	DORA_WORKERS=4 $(GO) test -short -race ./...
 
 # Static analysis: go vet plus the repository's own doralint suite
-# (determinism, maporder, hotpath, telemetrysafe). Both run offline
+# (maporder, chanclose, goroleak, locksafe, detflow). Both run offline
 # with nothing but the Go toolchain.
 lint:
 	$(GO) vet ./...

@@ -374,9 +374,9 @@ func benchTelemetryMachine(b *testing.B) *soc.Machine {
 }
 
 // BenchmarkTelemetryDisabled measures the per-slice cost of the machine
-// with no sink, tracer, or trace callback attached — the disabled path
-// must stay allocation-free, so any regression shows up here as allocs
-// per op.
+// with no sink, tracer, or trace callback attached. The disabled path
+// must stay allocation-free; TestQuantumLoopAllocs asserts it, OPP
+// switches included.
 func BenchmarkTelemetryDisabled(b *testing.B) {
 	m := benchTelemetryMachine(b)
 	b.ReportAllocs()

@@ -1,8 +1,8 @@
 // Command doralint runs the repository's static-analysis suite (see
-// internal/lint): the per-package rules (determinism, maporder,
-// hotpath, telemetrysafe), the call-graph rules (chanclose, goroleak,
-// locksafe, detflow), and validation of //doralint:allow suppressions.
-// It is pure standard library and needs no network.
+// internal/lint): the per-package rule maporder, the call-graph rules
+// (chanclose, goroleak, locksafe, detflow), and validation of
+// //doralint:allow suppressions. It is pure standard library and needs
+// no network.
 //
 // Usage:
 //
@@ -22,8 +22,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -33,22 +36,39 @@ import (
 	"dora/internal/pool"
 )
 
-func main() {
-	jsonOut := flag.Bool("json", false, "emit the machine-readable report (LINT_REPORT.json shape) on stdout")
-	dir := flag.String("dir", ".", "directory inside the module to analyze")
-	ruleFlag := flag.String("rule", "", "comma-separated subset of rules to run (default: all)")
-	pkgFlag := flag.String("pkg", "", "comma-separated package patterns to report on (the whole module is still analyzed)")
-	logFlags := obslog.RegisterFlags(flag.CommandLine)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: doralint [-json] [-dir D] [-rule R[,R...]] [-pkg P[,P...]] [packages]\n")
-		flag.PrintDefaults()
+func main() { os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is one doralint invocation: parse args, load and lint the
+// module, and print the findings or the JSON report. It returns the
+// process exit status (see the package doc). A lint run has nothing
+// to cancel; the context keeps the shape the other commands' run
+// seams share.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("doralint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit the machine-readable report (LINT_REPORT.json shape) on stdout")
+	dir := fs.String("dir", ".", "directory inside the module to analyze")
+	ruleFlag := fs.String("rule", "", "comma-separated subset of rules to run (default: all)")
+	pkgFlag := fs.String("pkg", "", "comma-separated package patterns to report on (the whole module is still analyzed)")
+	logFlags := obslog.RegisterFlags(fs)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: doralint [-json] [-dir D] [-rule R[,R...]] [-pkg P[,P...]] [packages]\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "doralint:", err)
+		return 2
+	}
 
 	logger, logCloser, err := logFlags.Open("doralint")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "doralint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
 	defer logCloser.Close()
 
@@ -56,31 +76,27 @@ func main() {
 	// a malformed $DORA_WORKERS should fail loudly here too instead of
 	// silently falling back in whatever command runs next.
 	if _, err := pool.ResolveWorkers(0); err != nil {
-		fmt.Fprintln(os.Stderr, "doralint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
 
 	analyzers, err := selectRules(*ruleFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "doralint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
 
 	mod, err := lint.LoadModule(*dir)
 	if err != nil {
 		logger.Error().Err(err).Str("dir", *dir).Msg("module load failed")
-		fmt.Fprintln(os.Stderr, "doralint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
-	patterns := flag.Args()
+	patterns := fs.Args()
 	for _, p := range strings.Split(*pkgFlag, ",") {
 		if p = strings.TrimSpace(p); p != "" {
 			patterns = append(patterns, p)
 		}
 	}
 	if err := mod.Select(patterns); err != nil {
-		fmt.Fprintln(os.Stderr, "doralint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
 
 	logger.Debug().Int("packages", len(mod.Pkgs)).Int("analyzers", len(analyzers)).Msg("analysis starting")
@@ -88,24 +104,23 @@ func main() {
 	logger.Info().Int("packages", len(mod.Pkgs)).Int("findings", len(diags)).Msg("analysis complete")
 
 	if *jsonOut {
-		rep := lint.NewReport(mod, analyzers, diags)
-		b, err := rep.JSON()
+		b, err := lint.NewReport(mod, analyzers, diags).JSON()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "doralint:", err)
-			os.Exit(2)
+			return fail(err)
 		}
-		os.Stdout.Write(b)
+		stdout.Write(b)
 	} else {
 		for _, d := range diags {
-			fmt.Println(d.String())
+			fmt.Fprintln(stdout, d.String())
 		}
 	}
 	if len(diags) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "doralint: %d finding(s)\n", len(diags))
+			fmt.Fprintf(stderr, "doralint: %d finding(s)\n", len(diags))
 		}
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // selectRules resolves the -rule flag to a subset of the registered

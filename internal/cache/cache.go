@@ -162,8 +162,8 @@ func New(cfg Config) (*Cache, error) {
 func (c *Cache) Config() Config { return c.cfg }
 
 // checkOwner panics when owner is outside the configured requestor
-// range. It lives outside the //dora:hotpath functions so the
-// formatted panic message does not pull fmt into their bodies.
+// range. It lives outside the per-reference functions so the formatted
+// panic message does not pull fmt into their bodies.
 func (c *Cache) checkOwner(owner int) {
 	if owner < 0 || owner >= c.cfg.MaxOwners {
 		panic(fmt.Sprintf("cache %q: owner %d out of range", c.cfg.Name, owner))
@@ -174,8 +174,6 @@ func (c *Cache) checkOwner(owner int) {
 // hit. On a miss the line is installed, evicting the first invalid way,
 // else the policy's victim; if the victim belonged to a different
 // owner, interference counters are updated on both sides.
-//
-//dora:hotpath
 func (c *Cache) Access(addr uint64, owner int) bool {
 	c.checkOwner(owner)
 	return c.access(addr, owner, &c.stats[owner])
@@ -188,8 +186,6 @@ func (c *Cache) Access(addr uint64, owner int) bool {
 // the per-access call and owner-range overhead hoisted out of the
 // loop. hits must be at least as long as addrs; both are caller-owned
 // scratch, so a quantum's worth of references costs no allocation.
-//
-//dora:hotpath
 func (c *Cache) AccessN(owner int, addrs []uint64, hits []bool) {
 	c.checkOwner(owner)
 	hits = hits[:len(addrs)] // one bounds check up front
@@ -200,8 +196,6 @@ func (c *Cache) AccessN(owner int, addrs []uint64, hits []bool) {
 }
 
 // access is the shared per-reference body of Access and AccessN.
-//
-//dora:hotpath
 func (c *Cache) access(addr uint64, owner int, st *OwnerStats) bool {
 	st.Accesses++
 
@@ -255,8 +249,6 @@ func (c *Cache) access(addr uint64, owner int, st *OwnerStats) bool {
 // test: the lowest flagged nibble is always exact (a false flag needs a
 // borrow from a zero nibble below it), and the unused nibbles at ranks
 // >= ways, though zero, lie above the real match even for way 0.
-//
-//dora:hotpath
 func (c *Cache) touch(set uint64, way int) {
 	o := c.stack[set]
 	x := o ^ uint64(way)*nibbleOnes

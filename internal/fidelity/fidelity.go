@@ -107,8 +107,6 @@ type coreBuckets struct {
 // Signature quantizes one detailed slice's activity into its Phase.
 // sliceNs is the accounting-slice length the stats cover; kinds[i] is
 // core i's active segment kind (soc.Machine.CoreSegKind).
-//
-//dora:hotpath
 func Signature(stats *soc.SliceStats, sliceNs int64, kinds []string) Phase {
 	var p Phase
 	for i := range stats.Cores {
@@ -184,8 +182,6 @@ func NewDetector(p Params) *Detector {
 // Observe records a detailed slice's phase. unstable marks slices
 // whose measurements are polluted (DVFS switch stall): they reset the
 // stability streak without becoming the phase.
-//
-//dora:hotpath
 func (d *Detector) Observe(ph Phase, unstable bool) {
 	d.sinceDetail = 0
 	if unstable {

@@ -531,7 +531,7 @@ func (b *builder) callExpr(pkg *Package, owner *FuncInfo, call *ast.CallExpr, st
 	// uses an instantiated object; its declaration's node is keyed by
 	// the origin.
 	fn = fn.Origin()
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
+	if isInterfaceMethod(fn) {
 		// Interface dispatch: no edge, by design.
 		owner.Dynamic++
 		return
@@ -554,6 +554,13 @@ func (b *builder) callExpr(pkg *Package, owner *FuncInfo, call *ast.CallExpr, st
 	}
 	owner.Externals = append(owner.Externals, ExtCall{Fn: fn, Pos: pos})
 	b.recordLockOp(pkg, owner, fn, fun, call, stack)
+}
+
+// isInterfaceMethod reports whether fn is a method declared on an
+// interface: calls to it are dynamic dispatch, with no graph edge.
+func isInterfaceMethod(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type())
 }
 
 // isModulePath reports whether path names a package inside mod.

@@ -6,29 +6,15 @@
 // nothing but the standard library (go/parser, go/ast, go/types and a
 // source importer), so it runs offline and adds no dependencies.
 //
-// Eight analyzers ship with the suite. Four are per-package:
+// Five analyzers ship with the suite. One is per-package:
 //
-//   - determinism: bans wall-clock reads (time.Now/Since/Until),
-//     global-RNG calls (top-level math/rand functions other than
-//     New/NewSource/NewZipf), and environment reads (os.Getenv et al.)
-//     inside the simulation and observable packages. Seeded
-//     rand.New(rand.NewSource(seed)) and methods on a *rand.Rand stay
-//     legal.
-//   - maporder: flags `range` over a map in the same packages (plus
-//     the wire codec, whose frame order must be deterministic for the
-//     transport byte-equivalence contract) when the loop body has
+//   - maporder: flags `range` over a map in the simulation packages
+//     (plus the wire codec and the cluster gateway, whose frame and
+//     routing order must be deterministic) when the loop body has
 //     order-sensitive effects (writes to anything other than a map or
 //     an iteration-local variable, or an early exit) and is not
 //     followed by an explicit sort — map iteration order is the
 //     classic silent fingerprint-breaker.
-//   - hotpath: functions marked //dora:hotpath must contain no
-//     make/new/append, composite literals, closures, defer/go,
-//     fmt calls, or string concatenation — the compile-time companion
-//     to the TestQuantumLoopAllocs allocs/op==0 runtime guard.
-//   - telemetrysafe: calls into the telemetry package may not take
-//     fmt.Sprint*'d or string-concatenated arguments unless the call
-//     is guarded by a nil check on a telemetry handle, keeping the
-//     disabled-telemetry fast path free of formatting work.
 //
 // Four are interprocedural, running over a module-wide static call
 // graph (see callgraph.go and DESIGN.md §12):
@@ -40,9 +26,14 @@
 //     channel operation with no counterpart anywhere in the module.
 //   - locksafe: blocking work (channel ops, time.Sleep, Wait, I/O)
 //     reachable while a sync.Mutex or sync.RWMutex is held.
-//   - detflow: determinism as taint — a simulation-set package calling
-//     a function outside the set that transitively reaches time.Now,
-//     the global RNG, os.Getenv, or the monotonic clock.
+//   - detflow: determinism as taint — a simulation-set package reading
+//     time.Now, the global RNG, os.Getenv, or the monotonic clock,
+//     directly or through a call that transitively reaches one, or
+//     importing obslog.
+//
+// The zero-allocation hot paths are held by the AllocsPerRun guards
+// (the root package's *Allocs tests), which run every branch of the
+// per-slice kernel, not by a rule.
 //
 // Any diagnostic can be suppressed with an annotation on the same line
 // or the line immediately above:
@@ -65,10 +56,7 @@ import (
 
 // Rule names, as spelled in diagnostics and //doralint:allow comments.
 const (
-	RuleDeterminism   = "determinism"
-	RuleMapOrder      = "maporder"
-	RuleHotPath       = "hotpath"
-	RuleTelemetrySafe = "telemetrysafe"
+	RuleMapOrder = "maporder"
 	// Interprocedural rules, run over the module call graph.
 	RuleChanClose = "chanclose"
 	RuleGoroLeak  = "goroleak"
@@ -79,13 +67,9 @@ const (
 	RuleAllow = "allow"
 )
 
-// HotPathMarker is the comment directive that opts a function into the
-// hotpath analyzer.
-const HotPathMarker = "dora:hotpath"
-
 // simPackages are the simulation/observable packages (by import-path
-// base name) whose code feeds the campaign fingerprint: determinism
-// and maporder apply only inside them.
+// base name) whose code feeds the campaign fingerprint: detflow and
+// maporder apply only inside them.
 var simPackages = map[string]bool{
 	"soc": true, "cache": true, "membus": true, "dvfs": true,
 	"power": true, "thermal": true, "core": true, "workload": true,
@@ -98,11 +82,11 @@ var simPackages = map[string]bool{
 // map-ordered loop there would emit frames in a per-run order and
 // break the byte-equivalence contract with the JSON endpoints; wire
 // deliberately stays out of simPackages because the client side keeps
-// wall-clock deadlines the determinism rule bans. The cluster gateway
-// is held to the same bar: routing and campaign assembly must not
-// depend on map iteration order (placement is a pure function of key
-// and live set), while its probing and latency measurement keep the
-// wall clocks the determinism rule bans.
+// wall-clock deadlines the detflow rule bans. The cluster gateway is
+// held to the same bar: routing and campaign assembly must not depend
+// on map iteration order (placement is a pure function of key and live
+// set), while its probing and latency measurement keep the wall clocks
+// the detflow rule bans.
 var mapOrderExtra = map[string]bool{
 	"wire":    true,
 	"cluster": true,
@@ -135,7 +119,7 @@ type Analyzer struct {
 // per-package rules first, then the call-graph rules.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Determinism, MapOrder, HotPath, TelemetrySafe,
+		MapOrder,
 		ChanClose, GoroLeak, LockSafe, DetFlow,
 	}
 }
@@ -166,10 +150,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// SimPackage reports whether the pass's package is one of the
-// simulation/observable packages the determinism rules cover.
-func (p *Pass) SimPackage() bool { return simPackages[p.Pkg.Base()] }
-
 // MapOrderPackage reports whether the maporder rule covers the pass's
 // package: every simulation package plus the wire codec.
 func (p *Pass) MapOrderPackage() bool {
@@ -191,29 +171,6 @@ func (p *Pass) Callee(call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := p.Pkg.Info.Uses[id].(*types.Func)
 	return fn
-}
-
-// builtinName returns the name of the builtin being called ("make",
-// "append", ...) or "" when the call is not a builtin.
-func (p *Pass) builtinName(call *ast.CallExpr) string {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	if b, ok := p.Pkg.Info.Uses[id].(*types.Builtin); ok {
-		return b.Name()
-	}
-	return ""
-}
-
-// isString reports whether e's type is (underlying) string.
-func (p *Pass) isString(e ast.Expr) bool {
-	t := p.Pkg.Info.TypeOf(e)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
 }
 
 // ModulePass carries one whole-module analyzer's view of the module

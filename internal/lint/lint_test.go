@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -127,39 +128,28 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestRevertedRegressionsCaught pins the two regressions the suite
-// exists for: a wall-clock read back in the simulation core, and an
-// allocation back inside the quantum loop. If either analyzer loses
-// the case, this fails even if the want-matching above is loosened.
+// TestRevertedRegressionsCaught pins the regression detflow exists
+// for: a wall-clock read back in the simulation core. If detflow loses
+// the zero-hop case, this fails even if the want-matching above is
+// loosened. An allocation back inside the quantum loop is for the root
+// package's TestQuantumLoopAllocs to catch.
 func TestRevertedRegressionsCaught(t *testing.T) {
 	fx, err := fixtureRun()
 	if err != nil {
 		t.Fatalf("lint fixture module: %v", err)
 	}
-	diags := fx.diags
-	cases := []struct {
-		rule, substr string
-	}{
-		{RuleDeterminism, "call to time.Now"},
-		{RuleHotPath, "make in //dora:hotpath function advanceCore"},
-	}
-	for _, c := range cases {
-		found := false
-		for _, d := range diags {
-			if d.Rule == c.rule && d.Pos.Filename == "soc/soc.go" && strings.Contains(d.Message, c.substr) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("no %s diagnostic containing %q in soc/soc.go", c.rule, c.substr)
+	for _, d := range fx.diags {
+		if d.Rule == RuleDetFlow && d.Pos.Filename == "soc/soc.go" && strings.Contains(d.Message, "call to time.Now") {
+			return
 		}
 	}
+	t.Errorf("no %s diagnostic containing %q in soc/soc.go", RuleDetFlow, "call to time.Now")
 }
 
 // TestAllowMetaDiagnostics asserts the directive edge cases from the
-// dvfs fixture are themselves reported: unknown rule, missing reason,
-// missing rule name, and a stale suppression.
+// dvfs fixture are themselves reported: unknown rules (among them the
+// retired "determinism", folded into detflow), missing reason, missing
+// rule name, and a stale suppression.
 func TestAllowMetaDiagnostics(t *testing.T) {
 	fx, err := fixtureRun()
 	if err != nil {
@@ -168,9 +158,10 @@ func TestAllowMetaDiagnostics(t *testing.T) {
 	diags := fx.diags
 	substrs := []string{
 		`unknown rule "wallclock"`,
-		`suppression of "determinism" needs a reason`,
+		`unknown rule "determinism"`,
+		`suppression of "detflow" needs a reason`,
 		"needs a rule name and a reason",
-		`unused suppression of "determinism"`,
+		`unused suppression of "detflow"`,
 	}
 	for _, s := range substrs {
 		found := false
@@ -287,9 +278,10 @@ func TestDetFlowWitnessChain(t *testing.T) {
 }
 
 // TestCommittedLintReportListsAllRules guards the committed
-// LINT_REPORT.json against a registered rule silently missing from it
-// — the report regeneration script must be re-run whenever a rule is
-// added.
+// LINT_REPORT.json against drifting from the registered suite in
+// either direction: a rule missing from it, or a retired rule still
+// listed — the report regeneration script must be re-run whenever a
+// rule is added or removed.
 func TestCommittedLintReportListsAllRules(t *testing.T) {
 	raw, err := os.ReadFile("../../LINT_REPORT.json")
 	if err != nil {
@@ -302,14 +294,15 @@ func TestCommittedLintReportListsAllRules(t *testing.T) {
 	if rep.Schema != ReportSchema {
 		t.Errorf("committed report schema = %d, want %d; re-run scripts/lint_report.sh", rep.Schema, ReportSchema)
 	}
-	listed := map[string]bool{}
+	var listed []string
 	for _, r := range rep.Rules {
-		listed[r.Rule] = true
+		listed = append(listed, r.Rule)
 	}
-	for _, name := range AllRuleNames() {
-		if !listed[name] {
-			t.Errorf("committed report omits rule %q; re-run scripts/lint_report.sh", name)
-		}
+	want := AllRuleNames()
+	slices.Sort(listed)
+	slices.Sort(want)
+	if !slices.Equal(listed, want) {
+		t.Errorf("committed report lists rules %v, the suite has %v; re-run scripts/lint_report.sh", listed, want)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package clock is a lint-fixture stand-in for internal/clock: the
 // deterministic side (Clock, Manual) is legal everywhere, while the
 // monotonic side (Mono, MonoTime, MonoClock, MonoOr, ManualMono) is
-// banned from simulation packages by the determinism analyzer.
+// banned from simulation packages by the detflow analyzer.
 package clock
 
 import "time"

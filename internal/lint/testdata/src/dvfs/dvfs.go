@@ -10,8 +10,8 @@ import "time"
 // suppressed exercises both legal placements; neither time.Now may be
 // reported.
 func suppressed() (time.Time, time.Time) {
-	now := time.Now() //doralint:allow determinism fixture exercises inline suppression
-	//doralint:allow determinism fixture exercises line-above suppression
+	now := time.Now() //doralint:allow detflow fixture exercises inline suppression
+	//doralint:allow detflow fixture exercises line-above suppression
 	later := time.Now()
 	return now, later
 }
@@ -20,14 +20,16 @@ func suppressed() (time.Time, time.Time) {
 // they failed to suppress survive.
 func malformed() time.Duration {
 	//doralint:allow wallclock not a real rule // want `allow: unknown rule "wallclock" in //doralint:allow`
-	t0 := time.Now() // want `determinism: call to time.Now reads the wall clock inside simulation package "dvfs"`
-	//doralint:allow determinism // want `allow: suppression of "determinism" needs a reason`
-	t1 := time.Now() // want `determinism: call to time.Now reads the wall clock inside simulation package "dvfs"`
+	t0 := time.Now() // want `detflow: call to time.Now reads a nondeterministic input inside simulation package "dvfs"`
+	//doralint:allow detflow // want `allow: suppression of "detflow" needs a reason`
+	t1 := time.Now() // want `detflow: call to time.Now reads a nondeterministic input inside simulation package "dvfs"`
 	//doralint:allow // want `allow: //doralint:allow needs a rule name and a reason`
-	return t1.Sub(t0)
+	//doralint:allow determinism folded into detflow // want `allow: unknown rule "determinism" in //doralint:allow`
+	t2 := time.Now() // want `detflow: call to time.Now reads a nondeterministic input inside simulation package "dvfs"`
+	return t2.Sub(t1) + t1.Sub(t0)
 }
 
 // A well-formed suppression with no matching finding nearby is stale.
 //
-//doralint:allow determinism nothing here reads the clock // want `allow: unused suppression of "determinism"`
+//doralint:allow detflow nothing here reads the clock // want `allow: unused suppression of "detflow"`
 func clean() int { return 42 }

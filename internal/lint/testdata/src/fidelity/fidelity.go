@@ -1,8 +1,8 @@
 // Package fidelity is a lint fixture mirroring the sampled-mode phase
-// detection package: its base name puts it inside the determinism
-// package set, and it reintroduces the regressions that would corrupt
+// detection package: its base name puts it inside the detflow package
+// set, and it reintroduces the regressions that would corrupt
 // sampled-mode reproducibility — a wall-clock read in the detector and
-// an allocation inside the per-slice signature hot path.
+// a process-global RNG draw in the sampling cadence.
 package fidelity
 
 import (
@@ -13,32 +13,17 @@ import (
 // observeAt reintroduces a wall-clock timestamp on phase observations:
 // sampled runs would stop being a pure function of (config, seed).
 func observeAt() int64 {
-	return time.Now().UnixNano() // want `determinism: call to time.Now reads the wall clock inside simulation package "fidelity"`
+	return time.Now().UnixNano() // want `detflow: call to time.Now reads a nondeterministic input inside simulation package "fidelity"`
 }
 
 // jitterCadence reintroduces random sampling cadence from the
 // process-global RNG, which two identically-seeded runs do not share.
 func jitterCadence(interval int) int {
-	return interval + rand.Intn(4) // want `determinism: call to rand.Intn draws from the process-global RNG inside simulation package "fidelity"`
+	return interval + rand.Intn(4) // want `detflow: call to rand\.Intn \(process-global RNG\) reads a nondeterministic input inside simulation package "fidelity"`
 }
 
-// signature mirrors the real per-slice Signature hot path; the
-// per-call scratch slice below is the allocation the hotpath analyzer
-// must keep out of it.
-//
-//dora:hotpath
-func signature(rates []float64) uint64 {
-	buckets := make([]uint64, len(rates)) // want `hotpath: make in //dora:hotpath function signature`
-	var h uint64 = 1469598103934665603
-	for i, r := range rates {
-		buckets[i] = uint64(r * 16)
-		h = (h ^ buckets[i]) * 1099511628211
-	}
-	return h
-}
-
-// seededSignature is the legal pattern: explicit-seed RNG and no
-// allocation in the loop. Nothing here may be flagged.
+// seededSignature is the legal pattern: an explicit-seed RNG. Nothing
+// here may be flagged.
 func seededSignature(seed int64, n int) uint64 {
 	r := rand.New(rand.NewSource(seed))
 	var h uint64 = 1469598103934665603

@@ -1,8 +1,7 @@
-// Package helper is a detflow fixture. It sits OUTSIDE the
-// determinism package set, so the per-package determinism rule never
-// looks inside it — the wall-clock read below is invisible to
-// package-set policing and only the taint analysis can connect it to
-// a simulation caller two hops away.
+// Package helper is a detflow fixture. It sits OUTSIDE the simulation
+// package set, so detflow never reports the wall-clock read below where
+// it stands — only the taint can connect it to a simulation caller two
+// hops away.
 package helper
 
 import (

@@ -1,15 +1,15 @@
-// Package membus is a lint fixture for the observability-era
-// determinism extensions: a simulation package must not import the
-// structured logger (wall-clock timestamps in the fingerprint path)
-// and must not touch the monotonic side of the clock package — the
-// deterministic Clock interface stays legal.
+// Package membus is a lint fixture for the detflow cases the call
+// graph carries no taint for: a simulation package must not import
+// the structured logger (wall-clock timestamps in the fingerprint
+// path) and must not touch the monotonic side of the clock package —
+// the deterministic Clock interface stays legal.
 package membus
 
 import (
 	"time"
 
 	"fixture/clock"
-	"fixture/obslog" // want `determinism: import of fixture/obslog brings wall-clock logging into simulation package "membus"`
+	"fixture/obslog" // want `detflow: import of fixture/obslog brings wall-clock logging into simulation package "membus"`
 )
 
 // tick uses the deterministic clock — legal, no finding.
@@ -21,11 +21,12 @@ func manual() time.Duration {
 	return m.Now()
 }
 
-// latency smuggles monotonic time into the simulation: every
-// reference to the Mono side is its own finding.
-func latency(mc clock.MonoClock) clock.MonoTime { // want `determinism: reference to clock.MonoClock reads the monotonic wall clock inside simulation package "membus"` `determinism: reference to clock.MonoTime reads the monotonic wall clock inside simulation package "membus"`
-	c := clock.MonoOr(mc) // want `determinism: reference to clock.MonoOr reads the monotonic wall clock inside simulation package "membus"` `detflow: call to clock\.MonoOr reaches a nondeterministic input \(clock\.MonoOr \(monotonic wall clock\)\) from simulation package "membus"`
-	return c.MonoNow()    // want `determinism: reference to clock.MonoNow reads the monotonic wall clock inside simulation package "membus"`
+// latency smuggles monotonic time into the simulation: every use of
+// the Mono side is its own finding — the static call as taint, the
+// type references and the interface call by name.
+func latency(mc clock.MonoClock) clock.MonoTime { // want `detflow: reference to clock.MonoClock reads the monotonic wall clock inside simulation package "membus"` `detflow: reference to clock.MonoTime reads the monotonic wall clock inside simulation package "membus"`
+	c := clock.MonoOr(mc) // want `detflow: call to clock\.MonoOr reaches a nondeterministic input \(clock\.MonoOr \(monotonic wall clock\)\) from simulation package "membus"`
+	return c.MonoNow()    // want `detflow: reference to clock.MonoNow reads the monotonic wall clock inside simulation package "membus"`
 }
 
 // stamp logs from inside the kernel — the import already flagged the

@@ -1,13 +1,13 @@
 // detflow fixtures: a wall-clock read laundered through a package
-// outside the determinism set is caught at the boundary call, while a
+// outside the simulation set is caught at the boundary call, while a
 // seeded-generator chain through the same package stays clean.
 package sim
 
 import "fixture/helper"
 
 // stamped launders time.Now through helper, two call hops outside the
-// determinism set — exactly the hole package-set determinism cannot
-// see and detflow exists to close.
+// simulation set — the hole a package-set ban cannot see and the taint
+// exists to close.
 func stamped() int64 {
 	return helper.Stamp() // want `detflow: call to helper\.Stamp reaches a nondeterministic input \(helper\.Stamp → helper\.now → time\.Now\) from simulation package "sim"`
 }

@@ -1,8 +1,7 @@
 // Package soc is a lint fixture mirroring the simulator package: its
-// base name puts it inside the determinism/maporder package set, and
-// it reintroduces the two real regressions the analyzers must catch —
-// a wall-clock read in the simulation core and an allocation inside
-// the quantum loop.
+// base name puts it inside the detflow/maporder package set, and it
+// reintroduces the real regression detflow must catch — a wall-clock
+// read in the simulation core — plus the other direct sources.
 package soc
 
 import (
@@ -11,22 +10,26 @@ import (
 	"time"
 )
 
+// bootNs reads the wall clock in a package-level initializer, which no
+// call-graph node owns.
+var bootNs = time.Now().UnixNano() // want `detflow: call to time.Now reads a nondeterministic input inside simulation package "soc"`
+
 // stamp reintroduces the wall-clock read the clock-injection refactor
 // removed from the real soc package.
 func stamp() int64 {
-	return time.Now().UnixNano() // want `determinism: call to time.Now reads the wall clock inside simulation package "soc"`
+	return time.Now().UnixNano() // want `detflow: call to time.Now reads a nondeterministic input inside simulation package "soc"`
 }
 
 func elapsed(t0 time.Time) time.Duration {
-	return time.Since(t0) // want `determinism: call to time.Since reads the wall clock inside simulation package "soc"`
+	return time.Since(t0) // want `detflow: call to time.Since reads a nondeterministic input inside simulation package "soc"`
 }
 
 func mode() string {
-	return os.Getenv("DORA_MODE") // want `determinism: call to os.Getenv makes simulation package "soc" depend on the process environment`
+	return os.Getenv("DORA_MODE") // want `detflow: call to os.Getenv reads a nondeterministic input inside simulation package "soc"`
 }
 
 func jitter() int {
-	return rand.Int() // want `determinism: call to rand.Int draws from the process-global RNG inside simulation package "soc"`
+	return rand.Int() // want `detflow: call to rand\.Int \(process-global RNG\) reads a nondeterministic input inside simulation package "soc"`
 }
 
 // seeded is the legal pattern: a generator built from an explicit
@@ -34,19 +37,4 @@ func jitter() int {
 func seeded(seed int64) int64 {
 	r := rand.New(rand.NewSource(seed))
 	return r.Int63()
-}
-
-// advanceCore mirrors the quantum loop's shape; the make below is the
-// reverted PR-3 regression (per-quantum scratch allocation) that the
-// hotpath analyzer must catch.
-//
-//dora:hotpath
-func advanceCore(budget int64) int64 {
-	buf := make([]uint64, 16) // want `hotpath: make in //dora:hotpath function advanceCore breaks the zero-alloc quantum-loop invariant`
-	var sum int64
-	for i := range buf {
-		buf[i] = uint64(i)
-		sum += int64(buf[i])
-	}
-	return sum + budget
 }

@@ -1,7 +1,7 @@
 // Package wire is a lint fixture for the widened maporder scope: the
 // wire codec is outside the simulation set, but a map-ordered loop
 // there would emit frames in a per-run order and break the transport's
-// byte-equivalence contract, so maporder applies. The determinism rule
+// byte-equivalence contract, so maporder applies. The detflow rule
 // must NOT apply — the real client keeps wall-clock deadlines.
 package wire
 
@@ -36,7 +36,7 @@ func flushSorted(pending map[uint64][]byte) [][]byte {
 	return frames
 }
 
-// deadline uses wall-clock time, which the determinism rule bans in
+// deadline uses wall-clock time, which the detflow rule bans in
 // simulation packages; wire is maporder-only, so no finding here.
 func deadline(timeout time.Duration) time.Time {
 	return time.Now().Add(timeout)

@@ -157,8 +157,6 @@ func (m *Machine) FastForwardSlice(rates []CoreRates) {
 // what makes an extrapolated slice cheap. Returns the slice's
 // extrapolated L2 traffic (scaled counter units) for the power model,
 // and flushes whole-unit traffic into the counters and the bus window.
-//
-//dora:hotpath
 func (m *Machine) fastForwardCore(i int, budget int64, rate *CoreRates) float64 {
 	c := &m.cores[i]
 	f := &m.ff[i]

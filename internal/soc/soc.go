@@ -657,8 +657,6 @@ func (m *Machine) FlushTrace() {
 // advanceCore runs core i for up to budget nanoseconds of local time.
 // All work is split at budget boundaries, so busy/idle accounting stays
 // exactly aligned with wall-clock quanta.
-//
-//dora:hotpath
 func (m *Machine) advanceCore(i int, budget int64) {
 	c := &m.cores[i]
 	// The OPP cannot change mid-call (SetOPP runs between Step calls),
@@ -730,8 +728,6 @@ func (m *Machine) advanceCore(i int, budget int64) {
 // done, and closing its trace span, when the source runs out. It
 // returns the budget left for ops, 0 when the stall, the gap or the
 // end of the core's work took all of it.
-//
-//dora:hotpath
 func (m *Machine) settle(i int, c *coreState, budget int64) int64 {
 	for budget > 0 {
 		// Pay off stall from the last memory touch.
@@ -790,8 +786,6 @@ func (m *Machine) opsRate(c *coreState, freqGHz float64) float64 {
 // the next sampled touch, or the pure-compute remainder. It returns the
 // budget left and whether the chunk completed; the caller then issues
 // the chunk's touch, if one is due, and queues the segment gap.
-//
-//dora:hotpath
 func (m *Machine) opsChunk(c *coreState, budget int64, opsPerNs float64) (int64, bool) {
 	if c.chunkOpsRem == 0 {
 		if c.remSamples > 0 {
@@ -823,8 +817,6 @@ func (m *Machine) opsChunk(c *coreState, budget int64, opsPerNs float64) (int64,
 
 // segmentGap queues the segment's trailing idle gap once its touches
 // and ops are all spent, paying it only once.
-//
-//dora:hotpath
 func (c *coreState) segmentGap() {
 	if c.remSamples == 0 && c.remOps == 0 {
 		c.idleNs += c.seg.IdleNs
@@ -929,8 +921,6 @@ func (c *coreState) segPosAdvance(base uint64, n uint64) uint64 {
 // per-core reference batch, refilled (and L1-probed in bulk) when
 // drained; shared-L2 and bus traffic still happen here, at issue time,
 // preserving the global L2/bus access order across cores.
-//
-//dora:hotpath
 func (m *Machine) access(core int, c *coreState) int64 {
 	if c.blkPos == c.blkLen {
 		n := min(int64(refBlock), c.genRem)

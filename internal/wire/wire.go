@@ -29,9 +29,9 @@
 //     latency.
 //
 // The frame-header encode/decode pair is the per-frame fast path and
-// is held to zero allocations (//dora:hotpath + an alloc guard); the
-// request codecs are strict on hostile input (FuzzWireDecode) and cap
-// every length they read.
+// is held to zero allocations (TestWireFrameAllocs); the request
+// codecs are strict on hostile input (FuzzWireDecode) and cap every
+// length they read.
 package wire
 
 import (
@@ -130,8 +130,6 @@ type Frame struct {
 // PutHeader encodes f into buf, which must be at least HeaderSize
 // bytes. Layout (big-endian): payload length u32, type u8, flags u8,
 // aux u16, id u64.
-//
-//dora:hotpath
 func PutHeader(buf []byte, f *Frame) {
 	binary.BigEndian.PutUint32(buf[0:4], f.Len)
 	buf[4] = f.Type
@@ -143,8 +141,6 @@ func PutHeader(buf []byte, f *Frame) {
 // ParseHeader decodes a frame header from buf (at least HeaderSize
 // bytes) into f. Length validation is the caller's job (ReadFrame):
 // parsing itself cannot fail and allocates nothing.
-//
-//dora:hotpath
 func ParseHeader(buf []byte, f *Frame) {
 	f.Len = binary.BigEndian.Uint32(buf[0:4])
 	f.Type = buf[4]
@@ -184,8 +180,6 @@ func WriteFrame(w io.Writer, f *Frame, payload []byte) error {
 // writeFrameBuffered encodes the header directly into bw's free space
 // (bufio guarantees a buffer of at least HeaderSize bytes), so a
 // stack-staged header never escapes through the io.Writer interface.
-//
-//dora:hotpath
 func writeFrameBuffered(bw *bufio.Writer, f *Frame, payload []byte) error {
 	if bw.Available() < HeaderSize {
 		if err := bw.Flush(); err != nil {

@@ -179,8 +179,6 @@ func (g *RefGen) Next() uint64 {
 // sequential/strided walks replace the per-touch modulo with an
 // incremental wrap, so bulk generation into a caller-owned scratch
 // buffer is several times cheaper than one call per reference.
-//
-//dora:hotpath
 func (g *RefGen) FillBlock(dst []uint64) {
 	base, lines := g.seg.Base, g.lines
 	switch g.seg.Pattern {
