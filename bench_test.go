@@ -38,8 +38,8 @@ func suiteForBench(b *testing.B) *experiment.Suite {
 	b.Helper()
 	benchOnce.Do(func() {
 		fast := os.Getenv("DORA_FULL_BENCH") == ""
-		benchSuite, benchErr = experiment.NewSuite(experiment.TrainingConfig{
-			SoC: soc.NexusFive(), Seed: 1, Fast: fast,
+		benchSuite, benchErr = experiment.NewSuite(TrainOptions{
+			Device: soc.NexusFive(), Seed: 1, Fast: fast,
 		})
 	})
 	if benchErr != nil {
@@ -407,10 +407,8 @@ func BenchmarkTelemetryEnabled(b *testing.B) {
 // grid. The two builds produce bit-identical models, so the metric is
 // pure scheduling gain; on a single-CPU machine it reports ~1.
 func BenchmarkSuiteBuildParallel(b *testing.B) {
-	tc := func(workers int) experiment.TrainingConfig {
-		return experiment.TrainingConfig{
-			SoC: soc.NexusFive(), Seed: 1, Tiny: true, Workers: workers,
-		}
+	tc := func(workers int) TrainOptions {
+		return TrainOptions{Device: soc.NexusFive(), Seed: 1, Tiny: true, Workers: workers}
 	}
 	start := time.Now()
 	if _, err := experiment.NewSuite(tc(1)); err != nil {

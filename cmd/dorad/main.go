@@ -116,7 +116,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		logf.Printf("run cache %s: %d entries", *cachePath, cache.Len())
 	}
 
-	logger, logCloser, err := logFlags.Open("dorad")
+	logger, logCloser, err := logFlags.Open(stderr, "dorad")
 	if err != nil {
 		logf.Print(err)
 		return 2

@@ -105,7 +105,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	logger, logCloser, err := logFlags.Open("doragate")
+	logger, logCloser, err := logFlags.Open(stderr, "doragate")
 	if err != nil {
 		logf.Print(err)
 		return 2

@@ -66,7 +66,7 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	logger, logCloser, err := logFlags.Open("doralint")
+	logger, logCloser, err := logFlags.Open(stderr, "doralint")
 	if err != nil {
 		return fail(err)
 	}

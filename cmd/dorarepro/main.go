@@ -8,12 +8,19 @@
 //	dorarepro -full          # full training grid (slower, paper scale)
 //	dorarepro -fig 1,3,7     # only selected figures
 //	dorarepro -fig headline  # just the summary numbers
+//
+// Exit status: 0 on success, 2 for bad flags or configuration, 1 when
+// training or an exhibit fails.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"dora"
@@ -21,26 +28,40 @@ import (
 	"dora/internal/pool"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("dorarepro: ")
-	full := flag.Bool("full", false, "use the full paper-scale training campaign")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	figs := flag.String("fig", "all", "comma-separated list: 1,2,3,table3,5,6,7,8,9,10,11,headline,overhead,interval,offlineopt,ablation-piecewise,ablation-replacement,complexity")
-	workers := flag.Int("workers", 0, "measurement worker pool size (0 = one per CPU or $DORA_WORKERS, 1 = serial)")
-	cachePath := flag.String("runcache", "", "persistent run cache file; warm caches skip already-simulated runs")
-	logFlags := obslog.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+func main() { os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)) }
 
-	logger, logCloser, err := logFlags.Open("dorarepro")
+// run is one dorarepro invocation: parse args, train the suite and
+// print the selected exhibits. It returns the process exit status: 0
+// on success, 2 for bad flags or configuration, 1 when training or an
+// exhibit fails.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
+	logf := log.New(stderr, "dorarepro: ", 0)
+	fs := flag.NewFlagSet("dorarepro", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	full := fs.Bool("full", false, "use the full paper-scale training campaign")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	figs := fs.String("fig", "all", "comma-separated list: 1,2,3,table3,5,6,7,8,9,10,11,headline,overhead,interval,offlineopt,ablation-piecewise,ablation-replacement,complexity")
+	workers := fs.Int("workers", 0, "measurement worker pool size (0 = one per CPU or $DORA_WORKERS, 1 = serial)")
+	cachePath := fs.String("runcache", "", "persistent run cache file; warm caches skip already-simulated runs")
+	logFlags := obslog.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	logger, logCloser, err := logFlags.Open(stderr, "dorarepro")
 	if err != nil {
-		log.Fatal(err)
+		logf.Print(err)
+		return 2
 	}
 	defer logCloser.Close()
 
 	nworkers, err := pool.ResolveWorkers(*workers)
 	if err != nil {
-		log.Fatal(err)
+		logf.Print(err)
+		return 2
 	}
 
 	want := map[string]bool{}
@@ -53,14 +74,15 @@ func main() {
 	if *cachePath != "" {
 		cache, err = dora.OpenRunCache(*cachePath)
 		if err != nil {
-			log.Fatal(err)
+			logf.Print(err)
+			return 2
 		}
-		fmt.Printf("run cache %s: %d entries\n", *cachePath, cache.Len())
+		fmt.Fprintf(stdout, "run cache %s: %d entries\n", *cachePath, cache.Len())
 	}
 
-	fmt.Println("training models (simulated measurement campaign)...")
+	fmt.Fprintln(stdout, "training models (simulated measurement campaign)...")
 	logger.Info().Bool("full", *full).Int64("seed", *seed).Int("workers", nworkers).Msg("training campaign starting")
-	suite, err := dora.NewSuiteOpts(dora.SuiteOptions{
+	suite, err := dora.NewSuiteOpts(dora.TrainOptions{
 		Device:  dora.DefaultDevice(),
 		Seed:    *seed,
 		Fast:    !*full,
@@ -68,9 +90,10 @@ func main() {
 		Cache:   cache,
 	})
 	if err != nil {
-		log.Fatal(err)
+		logf.Print(err)
+		return 1
 	}
-	fmt.Printf("trained: load-time error %.2f%%, power error %.2f%% (paper: 2.5%% / 4.0%%)\n\n",
+	fmt.Fprintf(stdout, "trained: load-time error %.2f%%, power error %.2f%% (paper: 2.5%% / 4.0%%)\n\n",
 		suite.TrainReport.TimeMetrics.MAPE*100, suite.TrainReport.PowerMetrics.MAPE*100)
 
 	type figure struct {
@@ -105,17 +128,20 @@ func main() {
 		res, err := f.run()
 		if err != nil {
 			logger.Error().Str("figure", f.key).Err(err).Msg("figure failed")
-			log.Fatalf("figure %s: %v", f.key, err)
+			logf.Printf("figure %s: %v", f.key, err)
+			return 1
 		}
-		fmt.Println(res.Table())
+		fmt.Fprintln(stdout, res.Table())
 	}
 
 	if cache != nil {
 		if err := cache.Save(); err != nil {
-			log.Fatal(err)
+			logf.Print(err)
+			return 1
 		}
 		hits, misses, stores := cache.Stats()
-		fmt.Printf("run cache %s: %d hits, %d misses, %d new entries (now %d total)\n",
+		fmt.Fprintf(stdout, "run cache %s: %d hits, %d misses, %d new entries (now %d total)\n",
 			cache.Path(), hits, misses, stores, cache.Len())
 	}
+	return 0
 }

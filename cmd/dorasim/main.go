@@ -34,7 +34,6 @@ import (
 	"dora/internal/profiling"
 	"dora/internal/runcache"
 	"dora/internal/sim"
-	"dora/internal/soc"
 	"dora/internal/tablefmt"
 	"dora/internal/webgen"
 )
@@ -73,7 +72,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	logger, logCloser, err := logFlags.Open("dorasim")
+	logger, logCloser, err := logFlags.Open(stderr, "dorasim")
 	if err != nil {
 		logf.Print(err)
 		return 2
@@ -157,13 +156,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Seed:             *seed,
 		Fidelity:         fid,
 	}
-	if *traceCSV != "" {
-		traceBuf.WriteString("time_s,freq_mhz,power_w,soc_temp_c,bus_util\n")
-		opts.TraceFn = func(s soc.TraceSample) {
-			fmt.Fprintf(&traceBuf, "%.3f,%d,%.3f,%.2f,%.3f\n",
-				s.Now.Seconds(), s.FreqMHz, s.PowerW, s.SoCTempC, s.BusUtil)
-		}
-	}
 	if *trace != "" {
 		opts.Tracer = dora.NewTracer()
 	}
@@ -180,6 +172,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		freqHist = append(freqHist, float64(s.FreqMHz))
 		tempHist = append(tempHist, s.SoCTempC)
 	})
+	if *traceCSV != "" {
+		traceBuf.WriteString("time_s,freq_mhz,power_w,soc_temp_c,bus_util\n")
+		sink.Subscribe(func(s dora.Sample) {
+			fmt.Fprintf(&traceBuf, "%.3f,%d,%.3f,%.2f,%.3f\n",
+				s.Now.Seconds(), s.FreqMHz, s.PowerW, s.SoCTempC, s.BusUtil)
+		})
+	}
 	opts.Sink = sink
 
 	logger.Debug().

@@ -39,15 +39,18 @@ func TestRunRefusals(t *testing.T) {
 }
 
 // TestRunLoadsPage runs one short page load at each fidelity and
-// checks it exits 0 and prints the metric table, the frequency
-// residency and the sparklines.
+// checks it exits 0, prints the metric table, the frequency residency
+// and the sparklines, and logs through the injected stderr.
 func TestRunLoadsPage(t *testing.T) {
 	for _, fid := range []string{"exact", "sampled"} {
 		t.Run(fid, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			args := []string{"-page", "Alipay", "-fidelity", fid, "-log-level", "off"}
+			args := []string{"-page", "Alipay", "-fidelity", fid}
 			if code := run(context.Background(), args, &stdout, &stderr); code != 0 {
 				t.Fatalf("exit %d, want 0 (stderr %q)", code, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), "page load complete") {
+				t.Errorf("log line %q did not reach the injected stderr:\n%s", "page load complete", stderr.String())
 			}
 			for _, want := range []string{
 				"Alipay + no co-runner under interactive",

@@ -19,6 +19,12 @@
 //   - an experiment suite reproducing every figure and table of the
 //     paper's evaluation.
 //
+// Train and NewSuiteOpts run the same offline pipeline (measurement
+// campaign, static/leakage fit, response-surface fits) from one
+// TrainOptions; NewSuiteOpts then builds the evaluation suite on the
+// trained models. Per-slice telemetry (frequency, power, temperature,
+// bus utilization) reaches callers through LoadOptions.Sink.
+//
 // # Quick start
 //
 //	cfg := dora.DefaultDevice()
@@ -68,6 +74,9 @@ type (
 	Observation = train.Observation
 	// TrainReport summarizes model accuracy.
 	TrainReport = train.Report
+	// TrainOptions configures the offline training pipeline: the grid
+	// preset (Fast, Tiny), seed, fan-out, cache and campaign fidelity.
+	TrainOptions = train.Options
 	// Suite reproduces the paper's evaluation figures.
 	Suite = experiment.Suite
 	// Intensity is a co-runner memory-intensity class.
@@ -162,53 +171,13 @@ func CoRunners() []string {
 	return out
 }
 
-// TrainOptions configures the offline training pipeline.
-type TrainOptions struct {
-	Device Device
-	Seed   int64
-	// Fast shrinks the measurement campaign (for demos and tests).
-	Fast bool
-	// Tiny shrinks it further to a minimal demo grid (~40 runs);
-	// model fidelity is reduced but the governor behaviours survive.
-	Tiny bool
-	// Workers bounds the campaign fan-out: 0 = one worker per CPU (or
-	// the DORA_WORKERS environment override), 1 = serial. Results are
-	// identical at any width.
-	Workers int
-	// Cache, when set, serves previously measured campaign cells from
-	// disk and records fresh ones.
-	Cache *RunCache
-	// Fidelity selects the campaign simulation mode (default exact).
-	Fidelity Fidelity
-	// FidelityParams tunes sampled mode (zero value = defaults).
-	FidelityParams FidelityParams
-}
-
 // Train runs the paper's offline methodology: the fixed-frequency
 // measurement campaign, the static/leakage fit, and the piecewise
 // response-surface fits. It returns the trained models and the
 // training-set accuracy report.
 func Train(opts TrainOptions) (*Models, TrainReport, error) {
-	tc := train.Config{SoC: opts.Device, Seed: opts.Seed, Workers: opts.Workers, Cache: opts.Cache,
-		Fidelity: opts.Fidelity, FidelityParams: opts.FidelityParams}
-	switch {
-	case opts.Tiny:
-		tc.Pages = []string{"Alipay", "Reddit", "MSN", "Hao123"}
-		tc.Intensities = []corun.Intensity{corun.None, corun.Low, corun.High}
-		tc.FreqsMHz = []int{652, 729, 960, 1190, 1497, 1728, 1958, 2265}
-	case opts.Fast:
-		tc.Pages = []string{"Alipay", "Twitter", "MSN", "Reddit", "Amazon", "ESPN", "Hao123", "Aliexpress"}
-		tc.FreqsMHz = []int{652, 729, 883, 960, 1190, 1267, 1497, 1728, 1958, 2265}
-	}
-	obs, err := train.Campaign(tc)
-	if err != nil {
-		return nil, TrainReport{}, err
-	}
-	static, err := train.FitStatic(train.Config{SoC: opts.Device, Seed: opts.Seed, Workers: opts.Workers, Cache: opts.Cache})
-	if err != nil {
-		return nil, TrainReport{}, err
-	}
-	return train.Fit(obs, static, 30)
+	t, err := train.Run(opts)
+	return t.Models, t.Report, err
 }
 
 // NewDORA builds the DORA governor (Algorithm 1) from trained models.
@@ -282,12 +251,9 @@ type LoadOptions struct {
 	Seed        int64
 	// AmbientC overrides ambient temperature (0 = 25 degC).
 	AmbientC float64
-	// TraceFn, when set, receives one observability sample per
-	// simulated millisecond (frequency, power, temperature, bus
-	// utilization). Legacy single-subscriber hook; prefer Sink.
-	TraceFn func(soc.TraceSample)
-	// Sink receives the same per-slice samples through the
-	// multi-subscriber telemetry sink.
+	// Sink, when set, receives one observability sample per simulated
+	// millisecond (frequency, power, temperature, bus utilization)
+	// through the multi-subscriber telemetry sink.
 	Sink *Sink
 	// Tracer records Chrome trace_event spans for the run.
 	Tracer *Tracer
@@ -301,7 +267,7 @@ type LoadOptions struct {
 	FidelityParams FidelityParams
 	// Checkpoints, when set with SampledFidelity, shares warm-state
 	// checkpoints across loads (only consulted when no observer —
-	// TraceFn, Sink, Tracer, Decisions, Metrics — is attached).
+	// Sink, Tracer, Decisions, Metrics — is attached).
 	Checkpoints *CheckpointStore
 }
 
@@ -341,7 +307,6 @@ func LoadPageContext(ctx context.Context, opts LoadOptions) (Result, error) {
 		MaxLoadTime:      opts.MaxLoadTime,
 		Seed:             opts.Seed,
 		AmbientC:         opts.AmbientC,
-		TraceFn:          opts.TraceFn,
 		Sink:             opts.Sink,
 		Tracer:           opts.Tracer,
 		Decisions:        opts.Decisions,
@@ -352,46 +317,7 @@ func LoadPageContext(ctx context.Context, opts LoadOptions) (Result, error) {
 	}, wl)
 }
 
-// NewSuite trains models and returns the paper-evaluation suite. Set
-// fast for a reduced (but shape-preserving) campaign.
-func NewSuite(dev Device, seed int64, fast bool) (*Suite, error) {
-	return NewSuiteOpts(SuiteOptions{Device: dev, Seed: seed, Fast: fast})
-}
-
-// SuiteOptions configures NewSuiteOpts.
-type SuiteOptions struct {
-	Device Device
-	Seed   int64
-	// Fast shrinks the training grid; Tiny shrinks it further (wins
-	// over Fast) for benchmarks that build several suites per process.
-	Fast bool
-	Tiny bool
-	// Workers bounds the measurement fan-out for both the training
-	// campaign and the suite's exhibit prefetching (0 = one worker per
-	// CPU or the DORA_WORKERS override, 1 = serial). Any width yields
-	// bit-identical observations, models, and figures.
-	Workers int
-	// Cache, when set, persists every measurement (campaign cells,
-	// static-fit parameters, exhibit runs) across processes.
-	Cache *RunCache
-	// Fidelity selects the training-campaign simulation mode (default
-	// exact).
-	Fidelity Fidelity
-	// FidelityParams tunes sampled mode (zero value = defaults).
-	FidelityParams FidelityParams
-}
-
-// NewSuiteOpts trains models and returns the paper-evaluation suite
-// with explicit parallelism and caching control.
-func NewSuiteOpts(opts SuiteOptions) (*Suite, error) {
-	return experiment.NewSuite(experiment.TrainingConfig{
-		SoC:            opts.Device,
-		Seed:           opts.Seed,
-		Fast:           opts.Fast,
-		Tiny:           opts.Tiny,
-		Workers:        opts.Workers,
-		Cache:          opts.Cache,
-		Fidelity:       opts.Fidelity,
-		FidelityParams: opts.FidelityParams,
-	})
-}
+// NewSuiteOpts trains models and returns the paper-evaluation suite.
+// Workers also bounds the suite's exhibit prefetching, and Cache also
+// persists its exhibit runs.
+func NewSuiteOpts(opts TrainOptions) (*Suite, error) { return experiment.NewSuite(opts) }

@@ -1,6 +1,6 @@
 // Thermal/leakage observability (the paper's Figure 10 territory):
 // load a page back-to-back at a high fixed frequency under room and
-// cold ambient temperatures, using the per-millisecond trace hook to
+// cold ambient temperatures, using a per-millisecond telemetry sink to
 // watch frequency, power, temperature and bus utilization evolve —
 // and show how ambient temperature changes device power via leakage.
 package main
@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"dora"
-	"dora/internal/soc"
 	"dora/internal/tablefmt"
 )
 
@@ -19,7 +18,9 @@ func main() {
 	dev := dora.DefaultDevice()
 
 	run := func(label string, ambient float64) (avgPower, maxTemp float64) {
-		var samples []soc.TraceSample
+		var samples []dora.Sample
+		sink := dora.NewSink(dora.SinkOptions{})
+		sink.Subscribe(func(s dora.Sample) { samples = append(samples, s) })
 		res, err := dora.LoadPage(dora.LoadOptions{
 			Device:   dev,
 			Governor: dora.NewFixed(dev, 1958),
@@ -27,7 +28,7 @@ func main() {
 			CoRunner: "bfs",
 			Seed:     2,
 			AmbientC: ambient,
-			TraceFn:  func(s soc.TraceSample) { samples = append(samples, s) },
+			Sink:     sink,
 		})
 		if err != nil {
 			log.Fatal(err)

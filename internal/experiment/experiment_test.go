@@ -39,19 +39,14 @@ func tinySuite(t *testing.T) *Suite {
 			tinyErr = err
 			return
 		}
-		static, err := train.FitStatic(train.Config{SoC: cfg})
-		if err != nil {
-			tinyErr = err
-			return
-		}
-		models, rep, err := train.Fit(obs, static, 30)
+		tr, err := train.FitObservations(train.Options{Device: cfg}, obs)
 		if err != nil {
 			tinyErr = err
 			return
 		}
 		tiny = &Suite{
-			SoC: cfg, Models: models, Static: static,
-			TrainReport: rep, HoldoutReport: rep,
+			SoC: cfg, Models: tr.Models, Static: tr.Static,
+			TrainReport: tr.Report, HoldoutReport: tr.Report,
 			Observations: obs, Seed: 3,
 		}
 		tiny.runs, tiny.kernels = newMemos()
@@ -73,7 +68,7 @@ var (
 func fastSuite(t *testing.T) *Suite {
 	t.Helper()
 	fastOnce.Do(func() {
-		fast, fastErr = NewSuite(TrainingConfig{SoC: soc.NexusFive(), Seed: 1, Fast: true})
+		fast, fastErr = NewSuite(train.Options{Device: soc.NexusFive(), Seed: 1, Fast: true})
 	})
 	if fastErr != nil {
 		t.Fatal(fastErr)

@@ -92,85 +92,34 @@ func (s *Suite) fingerprint() string {
 	return s.fp
 }
 
-// TrainingConfig controls how the suite's models are produced.
-type TrainingConfig struct {
-	SoC  soc.Config
-	Seed int64
-	// Fast shrinks the campaign grid (fewer pages/frequencies) for
-	// tests; figures built from a Fast suite keep their shape but not
-	// their full resolution.
-	Fast bool
-	// Tiny shrinks the grid further still (4 pages, 3 intensities) —
-	// for benchmarks that must build several suites per process. Wins
-	// over Fast.
-	Tiny bool
-	// Workers bounds the campaign fan-out and the suite's Prefetch
-	// width (0 = pool.DefaultSize(), 1 = serial).
-	Workers int
-	// Cache, when set, persists both campaign cells and suite run
-	// results across processes.
-	Cache *runcache.Cache
-	// Fidelity selects the campaign simulation mode (default exact).
-	// Sampled trades ≤2% observable error for a multi-x campaign
-	// speedup; see DESIGN.md §10.
-	Fidelity fidelity.Mode
-	// FidelityParams tunes the sampled-mode detector (zero = defaults).
-	FidelityParams fidelity.Params
-}
-
 // NewSuite runs the training pipeline and returns a ready suite.
-func NewSuite(cfg TrainingConfig) (*Suite, error) {
-	tc := train.Config{SoC: cfg.SoC, Seed: cfg.Seed, Workers: cfg.Workers, Cache: cfg.Cache,
-		Fidelity: cfg.Fidelity, FidelityParams: cfg.FidelityParams}
-	switch {
-	case cfg.Tiny:
-		tc.Pages = []string{"Alipay", "Reddit", "MSN", "Hao123"}
-		tc.Intensities = []corun.Intensity{corun.None, corun.Low, corun.High}
-		tc.FreqsMHz = []int{652, 729, 960, 1190, 1497, 1728, 1958, 2265}
-	case cfg.Fast:
-		tc.Pages = []string{"Alipay", "Twitter", "MSN", "Reddit", "Amazon", "ESPN", "Hao123", "Aliexpress"}
-		tc.FreqsMHz = []int{652, 729, 883, 960, 1190, 1267, 1497, 1728, 1958, 2265}
-	}
-	obs, err := train.Campaign(tc)
+// opts.Workers also bounds the suite's Prefetch width, and opts.Cache
+// also persists its run results.
+func NewSuite(opts train.Options) (*Suite, error) {
+	t, err := train.Run(opts)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: campaign: %w", err)
-	}
-	static, err := train.FitStatic(train.Config{SoC: cfg.SoC, Seed: cfg.Seed, Workers: cfg.Workers, Cache: cfg.Cache})
-	if err != nil {
-		return nil, fmt.Errorf("experiment: static fit: %w", err)
-	}
-	models, rep, err := train.Fit(obs, static, 30)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: model fit: %w", err)
+		return nil, fmt.Errorf("experiment: training: %w", err)
 	}
 	s := &Suite{
-		SoC:            cfg.SoC,
-		Models:         models,
-		Static:         static,
-		TrainReport:    rep,
-		Observations:   obs,
-		Seed:           cfg.Seed,
-		Workers:        cfg.Workers,
-		RunCache:       cfg.Cache,
-		FidelityParams: cfg.FidelityParams,
+		SoC:            opts.Device,
+		Models:         t.Models,
+		Static:         t.Static,
+		TrainReport:    t.Report,
+		Observations:   t.Observations,
+		Seed:           opts.Seed,
+		Workers:        opts.Workers,
+		RunCache:       opts.Cache,
+		FidelityParams: opts.FidelityParams,
 		ckpts:          sim.NewCheckpointStore(),
 	}
 	s.runs, s.kernels = newMemos()
-	// Holdout (Webpage-Neutral) accuracy: measure the 4 held-out pages
+	// Holdout (Webpage-Neutral) accuracy: measure the held-out pages
 	// and evaluate the trained models on them.
-	hc := train.Config{SoC: cfg.SoC, Seed: cfg.Seed + 10_000, Pages: webgen.HoldoutNames(),
-		Fidelity: cfg.Fidelity, FidelityParams: cfg.FidelityParams,
-		Workers: cfg.Workers, Cache: cfg.Cache}
-	if cfg.Tiny || cfg.Fast {
-		hc.Pages = hc.Pages[:2]
-		hc.FreqsMHz = tc.FreqsMHz
-		hc.Intensities = tc.Intensities
-	}
-	hobs, err := train.Campaign(hc)
+	hobs, err := train.Campaign(opts.HoldoutConfig())
 	if err != nil {
 		return nil, fmt.Errorf("experiment: holdout campaign: %w", err)
 	}
-	s.HoldoutReport, err = train.Evaluate(models, hobs)
+	s.HoldoutReport, err = train.Evaluate(t.Models, hobs)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: holdout eval: %w", err)
 	}

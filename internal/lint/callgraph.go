@@ -90,11 +90,13 @@ type ExtCall struct {
 }
 
 // FuncInfo is one node of the call graph: a declared function or
-// method, or a function literal.
+// method, a function literal, or a package's initializer — the calls
+// its package-level variable declarations make, which no function
+// owns.
 type FuncInfo struct {
 	Pkg    *Package
-	Obj    *types.Func // nil for function literals
-	Node   ast.Node    // *ast.FuncDecl or *ast.FuncLit
+	Obj    *types.Func // nil for function literals and initializers
+	Node   ast.Node    // *ast.FuncDecl or *ast.FuncLit; nil for an initializer
 	Name   string      // display name, e.g. "serve.(*streamConn).enqueue" or "pool.Run.func1"
 	Pos    token.Pos
 	Parent *FuncInfo // enclosing function for literals
@@ -164,6 +166,7 @@ func BuildGraph(mod *Module) *Graph {
 		g:     g,
 		decls: map[*ast.FuncDecl]*FuncInfo{},
 		lits:  map[*ast.FuncLit]*FuncInfo{},
+		inits: map[*Package]*FuncInfo{},
 		safe:  map[*ast.Ident]bool{},
 	}
 	// Pass 1: a node per declared function/method, so calls across
@@ -245,7 +248,8 @@ type builder struct {
 	g     *Graph
 	decls map[*ast.FuncDecl]*FuncInfo
 	lits  map[*ast.FuncLit]*FuncInfo
-	safe  map[*ast.Ident]bool // channel idents seen in sanctioned contexts
+	inits map[*Package]*FuncInfo // package initializer nodes, made on first use
+	safe  map[*ast.Ident]bool    // channel idents seen in sanctioned contexts
 
 	// Direct calls/spawns of function literals are recorded against the
 	// literal node and resolved after the walk, because ast.Inspect
@@ -279,9 +283,10 @@ func (b *builder) walkFile(pkg *Package, f *ast.File) {
 			b.lits[n] = fi
 			b.markChanSignature(pkg, nil, n.Type)
 		case *ast.CallExpr:
-			if owner != nil {
-				b.callExpr(pkg, owner, n, stack)
+			if owner == nil {
+				owner = b.initNode(pkg)
 			}
+			b.callExpr(pkg, owner, n, stack)
 		case *ast.SendStmt:
 			if owner != nil {
 				b.chanOp(pkg, owner, ChanOpSend, n.Chan, n.Arrow, n, stack)
@@ -321,6 +326,18 @@ func (b *builder) owner(stack []ast.Node) *FuncInfo {
 		}
 	}
 	return nil
+}
+
+// initNode returns pkg's initializer node, the owner of the calls its
+// package-level declarations make.
+func (b *builder) initNode(pkg *Package) *FuncInfo {
+	fi := b.inits[pkg]
+	if fi == nil {
+		fi = &FuncInfo{Pkg: pkg, Name: pkg.Base() + ".<init>"}
+		b.g.Funcs = append(b.g.Funcs, fi)
+		b.inits[pkg] = fi
+	}
+	return fi
 }
 
 // markChanSignature escapes every channel-typed receiver, parameter,

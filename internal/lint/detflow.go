@@ -22,11 +22,13 @@ import (
 // LookupEnv/Environ, or a clock.Mono* entry point — and reports:
 //
 //   - each direct call to a source inside a simulation-set function
-//     (the zero-hop case), and each such call in a package-level
-//     initializer, which no function owns;
+//     (the zero-hop case);
 //   - each call from a simulation-set function to a tainted function
 //     outside the set, with the chain to the source, so a read
 //     laundered through a helper package is caught at the boundary.
+//
+// A package's initializer node (the calls its package-level variable
+// declarations make) counts as a function of its package.
 //
 // Two entry points carry no call edge for the taint to follow, and are
 // banned by name inside the set: importing obslog (whose whole point
@@ -175,10 +177,9 @@ func reportNondetCall(pass *ModulePass, pos token.Pos, fn *types.Func, base stri
 }
 
 // detFlowUnseen reports what the call graph cannot carry taint for in
-// simulation package pkg: an obslog import, a reference to the
+// simulation package pkg: an obslog import, and a reference to the
 // monotonic clock other than a static call (a type, an interface
-// method, a function value), and a source called from a package-level
-// initializer.
+// method, a function value).
 func detFlowUnseen(pass *ModulePass, pkg *Package) {
 	for _, f := range pkg.Files {
 		for _, imp := range f.Imports {
@@ -189,18 +190,14 @@ func detFlowUnseen(pass *ModulePass, pkg *Package) {
 			}
 		}
 		staticCall := map[*ast.Ident]bool{} // callees the taint already sees
-		inspectWithStack(f, func(n ast.Node, stack []ast.Node) bool {
+		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
 				if !ok {
 					break
 				}
-				fn, _ := pkg.Info.Uses[sel.Sel].(*types.Func)
-				if !inFunc(stack) {
-					// A package-level initializer: no graph node owns it.
-					reportNondetCall(pass, n.Pos(), fn, pkg.Base())
-				} else if fn != nil && !isInterfaceMethod(fn) {
+				if fn, _ := pkg.Info.Uses[sel.Sel].(*types.Func); fn != nil && !isInterfaceMethod(fn) {
 					staticCall[sel.Sel] = true
 				}
 			case *ast.SelectorExpr:
@@ -214,18 +211,6 @@ func detFlowUnseen(pass *ModulePass, pkg *Package) {
 			return true
 		})
 	}
-}
-
-// inFunc reports whether a node with the given ancestor stack lies in
-// a function body, i.e. in a call-graph node.
-func inFunc(stack []ast.Node) bool {
-	for _, n := range stack {
-		switch n.(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			return true
-		}
-	}
-	return false
 }
 
 // detSource describes the first nondeterministic external call fi

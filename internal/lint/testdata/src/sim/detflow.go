@@ -12,6 +12,11 @@ func stamped() int64 {
 	return helper.Stamp() // want `detflow: call to helper\.Stamp reaches a nondeterministic input \(helper\.Stamp → helper\.now → time\.Now\) from simulation package "sim"`
 }
 
+// t0 launders the same read through a package-level initializer, which
+// no function owns: the call is attributed to the package's
+// initializer node, so the boundary finding still fires.
+var t0 = helper.Stamp() // want `detflow: call to helper\.Stamp reaches a nondeterministic input \(helper\.Stamp → helper\.now → time\.Now\) from simulation package "sim"`
+
 // seeded draws from a seeded generator built outside the set — no
 // finding: rand.New/rand.NewSource are not sources and *rand.Rand
 // methods are deterministic.

@@ -3,7 +3,6 @@ package obslog
 import (
 	"flag"
 	"io"
-	"os"
 )
 
 // Flags is the shared command-line surface every dora command wires
@@ -38,14 +37,15 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 }
 
 // Open builds the Logger the parsed flags describe, already scoped to
-// module. The returned closer is non-nil only for file sinks; callers
+// module. Without -log-file it writes to stderr, the command's error
+// stream. The returned closer is non-nil only for file sinks; callers
 // defer Close() unconditionally via the wrapper.
-func (f *Flags) Open(module string) (*Logger, io.Closer, error) {
+func (f *Flags) Open(stderr io.Writer, module string) (*Logger, io.Closer, error) {
 	def, mods, err := ParseLevelSpec(f.Spec)
 	if err != nil {
 		return nil, nopCloser{}, err
 	}
-	var w io.Writer = os.Stderr
+	w := stderr
 	var closer io.Closer = nopCloser{}
 	if f.File != "" {
 		sink, err := OpenFile(f.File, f.MaxBytes, f.Backups)

@@ -177,8 +177,7 @@ type warmSlot struct {
 // a checkpoint hit.
 func warmSlotFor(opts *Options, gov governor.Governor, corunName string) *warmSlot {
 	if opts.Fidelity != fidelity.Sampled || opts.Checkpoints == nil ||
-		opts.TraceFn != nil || opts.Sink != nil || opts.Tracer != nil ||
-		opts.Decisions != nil || opts.Metrics != nil {
+		opts.Sink != nil || opts.Tracer != nil || opts.Decisions != nil || opts.Metrics != nil {
 		return nil
 	}
 	snap, ok := gov.(governor.Snapshotter)

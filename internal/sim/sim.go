@@ -46,14 +46,10 @@ type Options struct {
 	AmbientC         float64        // 0 = config default
 	StartTempC       float64        // SoC prewarm temperature (default 38)
 	RenderConfig     *render.Config // nil = render.DefaultConfig()
-	// TraceFn, when set, receives one observability sample per
-	// simulated millisecond (frequency, power, temperature, bus
-	// utilization) for the whole run including warmup. It is the
-	// legacy single-subscriber hook; prefer Sink.
-	TraceFn func(soc.TraceSample)
-
-	// Sink, when set, receives the same per-slice samples through the
-	// multi-subscriber telemetry sink (ring buffer + decimation).
+	// Sink, when set, receives one observability sample per simulated
+	// slice (frequency, power, temperature, bus utilization) for the
+	// whole run including warmup, through the multi-subscriber
+	// telemetry sink (ring buffer + decimation).
 	Sink *telemetry.Sink
 	// Tracer, when set, records Chrome trace_event spans: per-core
 	// workload segments (render phases, co-runner kernels), governor
@@ -82,7 +78,7 @@ type Options struct {
 	// warmup, thermal start, fidelity parameters — see warmKey) restore
 	// it instead of re-simulating the warmup. Ignored in exact mode,
 	// when the governor does not implement governor.Snapshotter, and
-	// whenever any observer (TraceFn/Sink/Tracer/Decisions/Metrics) is
+	// whenever any observer (Sink/Tracer/Decisions/Metrics) is
 	// attached, since a restored run would hide the warmup from it.
 	Checkpoints *CheckpointStore
 }
@@ -181,9 +177,6 @@ func LoadPageCtx(ctx context.Context, opts Options, wl Workload) (Result, error)
 		m.SetAmbient(opts.AmbientC)
 	}
 	m.Prewarm(opts.StartTempC)
-	if opts.TraceFn != nil {
-		m.SetTraceFn(opts.TraceFn)
-	}
 	m.SetSink(opts.Sink)
 	m.SetTracer(opts.Tracer)
 	tr := opts.Tracer
@@ -427,9 +420,6 @@ func RunKernelInstructions(opts Options, k corun.Kernel, n uint64) (energyJ floa
 		m.SetAmbient(opts.AmbientC)
 	}
 	m.Prewarm(opts.StartTempC)
-	if opts.TraceFn != nil {
-		m.SetTraceFn(opts.TraceFn)
-	}
 	m.SetSink(opts.Sink)
 	m.SetTracer(opts.Tracer)
 	gov := governor.WithDecisionLog(opts.Governor, opts.Decisions)
@@ -456,50 +446,4 @@ func RunKernelInstructions(opts Options, k corun.Kernel, n uint64) (energyJ floa
 	}
 	m.FlushTrace()
 	return m.EnergyJ(), m.Now(), nil
-}
-
-// RunKernelAlone runs a co-run kernel by itself for the given duration
-// under the governor and returns the whole-device energy consumed —
-// the E_O term of the paper's Fig. 2(b) energy-overhead analysis.
-func RunKernelAlone(opts Options, k corun.Kernel, d time.Duration) (energyJ float64, err error) {
-	opts.fillDefaults()
-	if opts.Governor == nil {
-		return 0, errors.New("sim: nil governor")
-	}
-	m, err := soc.New(opts.SoC, opts.Seed)
-	if err != nil {
-		return 0, err
-	}
-	if opts.AmbientC != 0 {
-		m.SetAmbient(opts.AmbientC)
-	}
-	m.Prewarm(opts.StartTempC)
-	if opts.TraceFn != nil {
-		m.SetTraceFn(opts.TraceFn)
-	}
-	m.SetSink(opts.Sink)
-	m.SetTracer(opts.Tracer)
-	gov := governor.WithDecisionLog(opts.Governor, opts.Decisions)
-	gov.Reset()
-	if err := m.AssignSource(CoRunCore, workload.Loop(k.New(opts.Seed+1))); err != nil {
-		return 0, err
-	}
-	sampler := perfmon.NewSampler()
-	for m.Now() < d {
-		windows := make([]perfmon.Counters, opts.SoC.Cores)
-		for i := 0; i < opts.SoC.Cores; i++ {
-			windows[i] = sampler.Window(i, m.Counters(i))
-		}
-		m.SetOPP(gov.Decide(governor.Context{
-			Now:        m.Now(),
-			Table:      opts.SoC.OPPs,
-			Current:    m.OPP(),
-			Windows:    windows,
-			CoRunCores: []int{CoRunCore},
-			SoCTempC:   m.SoCTemp(),
-		}))
-		m.Step(opts.DecisionInterval)
-	}
-	m.FlushTrace()
-	return m.EnergyJ(), nil
 }

@@ -259,21 +259,6 @@ func TestSeedJitterVariesLoadTime(t *testing.T) {
 	}
 }
 
-func TestRunKernelAlone(t *testing.T) {
-	cfg := soc.NexusFive()
-	k, _ := corun.Representative(corun.High)
-	e, err := RunKernelAlone(Options{SoC: cfg, Governor: fixedAt(t, cfg, 1497), Seed: 1}, k, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e <= 1 || e > 10 {
-		t.Fatalf("kernel-alone energy = %v J over 1 s, implausible", e)
-	}
-	if _, err := RunKernelAlone(Options{SoC: cfg}, k, time.Second); err == nil {
-		t.Fatal("nil governor must error")
-	}
-}
-
 func TestColdAmbientLowersPower(t *testing.T) {
 	cfg := soc.NexusFive()
 	gov := fixedAt(t, cfg, 1958)

@@ -271,10 +271,9 @@ type Machine struct {
 	stallAllNs int64   // pending DVFS-switch stall applied to all cores
 	switchEJ   float64 // pending DVFS-switch energy
 
-	traceFn func(TraceSample)
-	sink    *telemetry.Sink
-	tracer  *telemetry.Tracer
-	banks   *membus.BankModel // nil unless Config.UseBankModel
+	sink   *telemetry.Sink
+	tracer *telemetry.Tracer
+	banks  *membus.BankModel // nil unless Config.UseBankModel
 
 	corePowers []float64 // per-slice scratch for the power/thermal step
 	inTrip     bool      // SoC temperature above Config.ThermalTripC
@@ -285,11 +284,6 @@ type Machine struct {
 // telemetry package's Sample type; the alias preserves the original
 // soc-level name.
 type TraceSample = telemetry.Sample
-
-// SetTraceFn installs a per-slice trace callback (nil disables). It is
-// the original single-subscriber hook, kept as a thin adapter; new
-// code should attach a telemetry.Sink via SetSink instead.
-func (m *Machine) SetTraceFn(fn func(TraceSample)) { m.traceFn = fn }
 
 // SetSink attaches a telemetry sink receiving one Sample per
 // accounting slice (nil detaches).
@@ -599,8 +593,8 @@ func (m *Machine) endSlice(l2Acc float64) {
 	if m.tracer != nil && m.cfg.ThermalTripC > 0 {
 		m.checkThermalTrip()
 	}
-	if m.traceFn != nil || m.sink != nil {
-		s := TraceSample{
+	if m.sink != nil {
+		m.sink.Publish(TraceSample{
 			Now:       time.Duration(m.now),
 			FreqMHz:   m.opp.FreqMHz,
 			PowerW:    bd.Total(),
@@ -609,11 +603,7 @@ func (m *Machine) endSlice(l2Acc float64) {
 			LeakageW:  bd.LeakageW,
 			CoreDynW:  bd.CoreDynamicW,
 			BaselineW: bd.BaselineW,
-		}
-		if m.traceFn != nil {
-			m.traceFn(s)
-		}
-		m.sink.Publish(s)
+		})
 	}
 }
 

@@ -317,7 +317,9 @@ func TestTraceCallback(t *testing.T) {
 	k, _ := corun.Representative(corun.High)
 	m.AssignSource(0, workload.Loop(k.New(1)))
 	var samples []TraceSample
-	m.SetTraceFn(func(s TraceSample) { samples = append(samples, s) })
+	sink := telemetry.NewSink(telemetry.SinkOptions{})
+	sink.Subscribe(func(s TraceSample) { samples = append(samples, s) })
+	m.SetSink(sink)
 	m.Step(50 * time.Millisecond)
 	if len(samples) != 50 {
 		t.Fatalf("trace samples = %d, want one per 1 ms slice", len(samples))
@@ -330,10 +332,10 @@ func TestTraceCallback(t *testing.T) {
 			t.Fatal("trace time must advance")
 		}
 	}
-	m.SetTraceFn(nil)
+	m.SetSink(nil)
 	m.Step(10 * time.Millisecond)
 	if len(samples) != 50 {
-		t.Fatal("nil trace fn must stop sampling")
+		t.Fatal("a detached sink must stop sampling")
 	}
 }
 

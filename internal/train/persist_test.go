@@ -98,11 +98,11 @@ func TestRoundTripThroughFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, r1, err := Fit(obs, static, 30)
+	m1, r1, err := Fit(obs, static)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, r2, err := Fit(back, static, 30)
+	m2, r2, err := Fit(back, static)
 	if err != nil {
 		t.Fatal(err)
 	}

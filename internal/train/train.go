@@ -329,7 +329,7 @@ type Report struct {
 // Fit trains the piecewise models from campaign observations, using
 // the paper's selected surfaces: interaction for load time, linear for
 // dynamic power.
-func Fit(obs []Observation, static core.StaticPower, refTempC float64) (*core.Models, Report, error) {
+func Fit(obs []Observation, static core.StaticPower) (*core.Models, Report, error) {
 	if len(obs) == 0 {
 		return nil, Report{}, errors.New("train: no observations")
 	}

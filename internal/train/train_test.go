@@ -80,6 +80,47 @@ func TestCampaignShape(t *testing.T) {
 	}
 }
 
+// TestOptionsPresets pins the grid presets: Tiny wins over Fast, the
+// full preset leaves every grid list to the defaults, and the holdout
+// campaign keeps the preset's grid on two held-out pages (all four on
+// the full preset) under a disjoint seed range.
+func TestOptionsPresets(t *testing.T) {
+	dev := soc.NexusFive()
+	tiny := Options{Device: dev, Seed: 7, Tiny: true, Fast: true}.campaignConfig()
+	if len(tiny.Pages) != 4 || len(tiny.Intensities) != 3 || len(tiny.FreqsMHz) != 8 {
+		t.Fatalf("Tiny+Fast grid = %d pages x %d intensities x %d freqs, want 4x3x8",
+			len(tiny.Pages), len(tiny.Intensities), len(tiny.FreqsMHz))
+	}
+	fast := Options{Device: dev, Fast: true}.campaignConfig()
+	if len(fast.Pages) != 8 || fast.Intensities != nil || len(fast.FreqsMHz) != 10 {
+		t.Fatalf("Fast grid = %v / %v / %v", fast.Pages, fast.Intensities, fast.FreqsMHz)
+	}
+	full := Options{Device: dev}.campaignConfig()
+	if full.Pages != nil || full.Intensities != nil || full.FreqsMHz != nil {
+		t.Fatalf("full preset must leave the grid to the defaults: %+v", full)
+	}
+	for _, tc := range []struct {
+		opts  Options
+		pages int
+	}{
+		{Options{Device: dev, Seed: 7, Tiny: true}, 2},
+		{Options{Device: dev, Seed: 7, Fast: true}, 2},
+		{Options{Device: dev, Seed: 7}, len(webgen.HoldoutNames())},
+	} {
+		h := tc.opts.HoldoutConfig()
+		grid := tc.opts.campaignConfig()
+		if len(h.Pages) != tc.pages || h.Seed != 10_007 ||
+			!reflect.DeepEqual(h.FreqsMHz, grid.FreqsMHz) || !reflect.DeepEqual(h.Intensities, grid.Intensities) {
+			t.Errorf("holdout of %+v = %+v", tc.opts, h)
+		}
+		for _, p := range h.Pages {
+			if !webgen.IsHoldout(p) {
+				t.Errorf("holdout page %s is a training page", p)
+			}
+		}
+	}
+}
+
 func TestCampaignErrors(t *testing.T) {
 	cfg := smallCfg()
 	cfg.SoC.OPPs = nil
@@ -138,7 +179,7 @@ func TestFitAndEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models, rep, err := Fit(obs, static, 30)
+	models, rep, err := Fit(obs, static)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +204,7 @@ func TestFitAndEvaluate(t *testing.T) {
 		t.Fatal("per-observation errors missing")
 	}
 	// Fit of empty set must error.
-	if _, _, err := Fit(nil, static, 30); err == nil {
+	if _, _, err := Fit(nil, static); err == nil {
 		t.Fatal("empty fit must error")
 	}
 }
@@ -344,7 +385,7 @@ func TestFullTrainingAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models, rep, err := Fit(obs, static, 30)
+	models, rep, err := Fit(obs, static)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,6 @@ func trainTiny() (*Models, TrainReport, error) {
 	if err != nil {
 		return nil, TrainReport{}, err
 	}
-	static, err := train.FitStatic(train.Config{SoC: cfg.SoC})
-	if err != nil {
-		return nil, TrainReport{}, err
-	}
-	return train.Fit(obs, static, 30)
+	t, err := train.FitObservations(train.Options{Device: cfg.SoC}, obs)
+	return t.Models, t.Report, err
 }
