@@ -46,7 +46,10 @@ func TestRunRefusals(t *testing.T) {
 // TestRunFromObs fits the committed 48-cell campaign (3 pages x 2
 // intensities x 8 frequencies) and checks the run exits 0, reports the
 // accuracy table, logs through the injected stderr and writes models
-// that decode and validate.
+// that decode and validate. The fixture is train.SaveObservations of
+// the campaign over internal/train's smallCfg grid (seed 100); it is
+// committed because measuring it takes about 10 s, and must be
+// regenerated whenever train.ObservationFileVersion changes.
 func TestRunFromObs(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "models.json")
 	var stdout, stderr bytes.Buffer
