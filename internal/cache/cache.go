@@ -107,6 +107,9 @@ type Cache struct {
 	// valid), so the first-invalid-way scan is one TrailingZeros64.
 	validBits []uint64
 	waysMask  uint64 // low c.ways bits set
+	// groups is the number of four-way groups tagMatch compares per
+	// set, or 0 when the hit scan is scanMatch (vectorGroups).
+	groups int
 
 	// stack holds one LRU recency word per set: nibble r is the way at
 	// rank r, rank 0 the most recently used. Every way appears exactly
@@ -143,6 +146,7 @@ func New(cfg Config) (*Cache, error) {
 		owners:    make([]int8, nLines),
 		validBits: make([]uint64, nSets),
 		waysMask:  (uint64(1) << uint(cfg.Ways)) - 1,
+		groups:    vectorGroups(cfg.Ways),
 		stackMask: (uint64(1) << (4 * uint(cfg.Ways))) - 1, // Go: 1<<64 == 0
 		topShift:  4 * uint(cfg.Ways-1),
 		setMask:   uint64(nSets - 1),
@@ -202,16 +206,19 @@ func (c *Cache) access(addr uint64, owner int, st *OwnerStats) bool {
 	lineAddr := addr >> c.lineBits
 	setIdx := lineAddr & c.setMask
 	base := int(setIdx) * c.ways
-	tags := c.tags[base : base+c.ways]
 	vb := c.validBits[setIdx]
 
-	for i, t := range tags {
-		if t == lineAddr && vb&(1<<uint(i)) != 0 {
-			if c.stack != nil {
-				c.touch(setIdx, i)
-			}
-			return true
+	var hit uint64
+	if c.groups != 0 {
+		hit = tagMatch(&c.tags[base], c.groups, lineAddr) & vb
+	} else {
+		hit = scanMatch(c.tags[base:base+c.ways], lineAddr, vb)
+	}
+	if hit != 0 {
+		if c.stack != nil {
+			c.touch(setIdx, bits.TrailingZeros64(hit))
 		}
+		return true
 	}
 	st.Misses++
 
@@ -241,6 +248,19 @@ func (c *Cache) access(addr uint64, owner int, st *OwnerStats) bool {
 	c.owners[vi] = int8(owner)
 	c.validBits[setIdx] = vb | 1<<uint(victim)
 	return false
+}
+
+// scanMatch is the scalar tag scan: the bit of the first valid way
+// whose tag is line, or 0. A line is installed only on a miss, so at
+// most one valid way holds it, and the lowest bit of tagMatch's mask
+// under vb is the same way.
+func scanMatch(tags []uint64, line, vb uint64) uint64 {
+	for i, t := range tags {
+		if t == line && vb&(1<<uint(i)) != 0 {
+			return 1 << uint(i)
+		}
+	}
+	return 0
 }
 
 // touch moves way to rank 0 of set's recency word; every way that was

@@ -291,7 +291,7 @@ func refStream(n int) []uint64 {
 // same hit results, same OwnerStats on every owner (including the
 // EvictedByOther/EvictedOther interference counters), same victim
 // choices (checked via final valid-line census) — for both
-// replacement policies.
+// replacement policies and on every hit-scan path (matchPaths).
 func TestAccessNMatchesAccess(t *testing.T) {
 	for _, repl := range []Replacement{LRU, RandomRepl} {
 		name := "lru"
@@ -303,47 +303,50 @@ func TestAccessNMatchesAccess(t *testing.T) {
 				Name: "l2", SizeBytes: 64 << 10, LineBytes: 64, Ways: 8,
 				MaxOwners: 4, Replacement: repl,
 			}
-			one, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batched, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			addrs := refStream(40960)
-			const blk = 128
-			hitsOne := make([]bool, blk)
-			hitsN := make([]bool, blk)
-			for off := 0; off < len(addrs); off += blk {
-				owner := (off / blk) % cfg.MaxOwners
-				chunk := addrs[off : off+blk]
-				for i, a := range chunk {
-					hitsOne[i] = one.Access(a, owner)
-				}
-				batched.AccessN(owner, chunk, hitsN)
-				for i := range chunk {
-					if hitsOne[i] != hitsN[i] {
-						t.Fatalf("owner %d addr[%d]: Access hit=%v AccessN hit=%v", owner, off+i, hitsOne[i], hitsN[i])
-					}
-				}
-			}
-			for o := 0; o < cfg.MaxOwners; o++ {
-				a, b := one.Stats(o), batched.Stats(o)
-				if a != b {
-					t.Fatalf("owner %d stats diverge:\n Access  %+v\n AccessN %+v", o, a, b)
-				}
-				if one.OwnerLines(o) != batched.OwnerLines(o) {
-					t.Fatalf("owner %d lines diverge: %d vs %d", o, one.OwnerLines(o), batched.OwnerLines(o))
-				}
-			}
-			if one.ValidLines() != batched.ValidLines() {
-				t.Fatalf("valid lines diverge: %d vs %d", one.ValidLines(), batched.ValidLines())
-			}
-			if one.TotalStats().EvictedByOther == 0 {
-				t.Fatal("stream produced no cross-owner evictions; test is not exercising interference")
+			for _, path := range matchPaths(cfg.Ways) {
+				accessNMatchesAccess(t, path, cfg)
 			}
 		})
+	}
+}
+
+// accessNMatchesAccess runs one TestAccessNMatchesAccess case with both
+// caches' hit scans pinned to path.
+func accessNMatchesAccess(t *testing.T, path string, cfg Config) {
+	t.Helper()
+	one := newOnPath(t, cfg, path)
+	batched := newOnPath(t, cfg, path)
+	addrs := refStream(40960)
+	const blk = 128
+	hitsOne := make([]bool, blk)
+	hitsN := make([]bool, blk)
+	for off := 0; off < len(addrs); off += blk {
+		owner := (off / blk) % cfg.MaxOwners
+		chunk := addrs[off : off+blk]
+		for i, a := range chunk {
+			hitsOne[i] = one.Access(a, owner)
+		}
+		batched.AccessN(owner, chunk, hitsN)
+		for i := range chunk {
+			if hitsOne[i] != hitsN[i] {
+				t.Fatalf("%s: owner %d addr[%d]: Access hit=%v AccessN hit=%v", path, owner, off+i, hitsOne[i], hitsN[i])
+			}
+		}
+	}
+	for o := 0; o < cfg.MaxOwners; o++ {
+		a, b := one.Stats(o), batched.Stats(o)
+		if a != b {
+			t.Fatalf("%s: owner %d stats diverge:\n Access  %+v\n AccessN %+v", path, o, a, b)
+		}
+		if one.OwnerLines(o) != batched.OwnerLines(o) {
+			t.Fatalf("%s: owner %d lines diverge: %d vs %d", path, o, one.OwnerLines(o), batched.OwnerLines(o))
+		}
+	}
+	if one.ValidLines() != batched.ValidLines() {
+		t.Fatalf("%s: valid lines diverge: %d vs %d", path, one.ValidLines(), batched.ValidLines())
+	}
+	if one.TotalStats().EvictedByOther == 0 {
+		t.Fatal("stream produced no cross-owner evictions; test is not exercising interference")
 	}
 }
 

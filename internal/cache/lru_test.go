@@ -161,74 +161,84 @@ func diffStream(pattern string, n, capLines, sets int, rng *rand.Rand) []uint64 
 // replaced: for every legal associativity, one and four owners, and
 // random, sequential and strided streams — crossing a Flush and a
 // Snapshot/Restore into a freshly built cache — hit vectors, per-owner
-// statistics and line censuses must match reference by reference.
+// statistics and line censuses must match reference by reference, on
+// every hit-scan path the associativity can take (matchPaths).
 func TestLRUStackMatchesTimestampModel(t *testing.T) {
-	const sets, n = 8, 6000
 	for _, repl := range []Replacement{LRU, RandomRepl} {
 		for ways := 1; ways <= MaxWays; ways++ {
 			for _, owners := range []int{1, 4} {
 				for _, pattern := range []string{"random", "sequential", "strided"} {
 					name := fmt.Sprintf("repl%d/ways%d/owners%d/%s", repl, ways, owners, pattern)
 					t.Run(name, func(t *testing.T) {
-						cfg := Config{Name: "d", SizeBytes: sets * ways * 64, LineBytes: 64,
-							Ways: ways, MaxOwners: owners, Replacement: repl}
-						c := mustNew(t, cfg)
-						ref := newTickCache(cfg)
-						rng := rand.New(rand.NewSource(int64(ways*100 + owners)))
-						addrs := diffStream(pattern, n, sets*ways, sets, rng)
-						check := func(at int) {
-							t.Helper()
-							for o := 0; o < owners; o++ {
-								if got, want := c.Stats(o), ref.stats[o]; got != want {
-									t.Fatalf("ref %d owner %d stats %+v, want %+v", at, o, got, want)
-								}
-								if got, want := c.OwnerLines(o), ref.ownerLines(o); got != want {
-									t.Fatalf("ref %d owner %d lines %d, want %d", at, o, got, want)
-								}
-							}
-							if got, want := c.ValidLines(), ref.validLines(); got != want {
-								t.Fatalf("ref %d valid lines %d, want %d", at, got, want)
-							}
-						}
-						const blk = 50
-						hits := make([]bool, blk)
-						for off := 0; off < n; off += blk {
-							switch off {
-							case n / 3:
-								check(off)
-								c.Flush()
-								ref.flush()
-							case 2 * n / 3:
-								check(off)
-								snap := c.Snapshot()
-								c = mustNew(t, cfg)
-								c.Restore(snap)
-							}
-							owner := (off / blk) % owners
-							chunk := addrs[off : off+blk]
-							// Alternate the batched and the single-reference
-							// entry points.
-							if (off/blk)%2 == 0 {
-								c.AccessN(owner, chunk, hits)
-							} else {
-								for i, a := range chunk {
-									hits[i] = c.Access(a, owner)
-								}
-							}
-							for i, a := range chunk {
-								if want := ref.access(a, owner); hits[i] != want {
-									t.Fatalf("ref %d (addr %#x, owner %d): hit %v, want %v", off+i, a, owner, hits[i], want)
-								}
-							}
-						}
-						check(n)
-						if tot := c.TotalStats(); tot.Misses == 0 || tot.Misses == tot.Accesses {
-							t.Fatalf("stream is all hits or all misses (%+v); it does not exercise replacement", tot)
+						for _, path := range matchPaths(ways) {
+							t.Run(path, func(t *testing.T) {
+								diffAgainstTickModel(t, path, repl, ways, owners, pattern)
+							})
 						}
 					})
 				}
 			}
 		}
+	}
+}
+
+// diffAgainstTickModel runs one TestLRUStackMatchesTimestampModel case
+// with the cache's hit scan pinned to path.
+func diffAgainstTickModel(t *testing.T, path string, repl Replacement, ways, owners int, pattern string) {
+	const sets, n = 8, 6000
+	cfg := Config{Name: "d", SizeBytes: sets * ways * 64, LineBytes: 64,
+		Ways: ways, MaxOwners: owners, Replacement: repl}
+	c := newOnPath(t, cfg, path)
+	ref := newTickCache(cfg)
+	rng := rand.New(rand.NewSource(int64(ways*100 + owners)))
+	addrs := diffStream(pattern, n, sets*ways, sets, rng)
+	check := func(at int) {
+		t.Helper()
+		for o := 0; o < owners; o++ {
+			if got, want := c.Stats(o), ref.stats[o]; got != want {
+				t.Fatalf("ref %d owner %d stats %+v, want %+v", at, o, got, want)
+			}
+			if got, want := c.OwnerLines(o), ref.ownerLines(o); got != want {
+				t.Fatalf("ref %d owner %d lines %d, want %d", at, o, got, want)
+			}
+		}
+		if got, want := c.ValidLines(), ref.validLines(); got != want {
+			t.Fatalf("ref %d valid lines %d, want %d", at, got, want)
+		}
+	}
+	const blk = 50
+	hits := make([]bool, blk)
+	for off := 0; off < n; off += blk {
+		switch off {
+		case n / 3:
+			check(off)
+			c.Flush()
+			ref.flush()
+		case 2 * n / 3:
+			check(off)
+			snap := c.Snapshot()
+			c = newOnPath(t, cfg, path)
+			c.Restore(snap)
+		}
+		owner := (off / blk) % owners
+		chunk := addrs[off : off+blk]
+		// Alternate the batched and the single-reference entry points.
+		if (off/blk)%2 == 0 {
+			c.AccessN(owner, chunk, hits)
+		} else {
+			for i, a := range chunk {
+				hits[i] = c.Access(a, owner)
+			}
+		}
+		for i, a := range chunk {
+			if want := ref.access(a, owner); hits[i] != want {
+				t.Fatalf("ref %d (addr %#x, owner %d): hit %v, want %v", off+i, a, owner, hits[i], want)
+			}
+		}
+	}
+	check(n)
+	if tot := c.TotalStats(); tot.Misses == 0 || tot.Misses == tot.Accesses {
+		t.Fatalf("stream is all hits or all misses (%+v); it does not exercise replacement", tot)
 	}
 }
 
