@@ -21,6 +21,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"strings"
 
 	"dora"
@@ -36,11 +37,42 @@ func main() { os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stder
 // exhibit fails.
 func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	logf := log.New(stderr, "dorarepro: ", 0)
+	// The figure table comes first so -fig is checked against it before
+	// the suite, which the closures read once it is trained, is built.
+	var suite *dora.Suite
+	type figure struct {
+		key string
+		run func() (interface{ Table() string }, error)
+	}
+	figures := []figure{
+		{"1", func() (interface{ Table() string }, error) { return suite.Fig1() }},
+		{"2", func() (interface{ Table() string }, error) { return suite.Fig2() }},
+		{"3", func() (interface{ Table() string }, error) { return suite.Fig3() }},
+		{"table3", func() (interface{ Table() string }, error) { return suite.TableIII() }},
+		{"5", func() (interface{ Table() string }, error) { return suite.Fig5(), nil }},
+		{"6", func() (interface{ Table() string }, error) { return suite.Fig6() }},
+		{"7", func() (interface{ Table() string }, error) { return suite.Fig7() }},
+		{"8", func() (interface{ Table() string }, error) { return suite.Fig8() }},
+		{"9", func() (interface{ Table() string }, error) { return suite.Fig9() }},
+		{"10", func() (interface{ Table() string }, error) { return suite.Fig10() }},
+		{"11", func() (interface{ Table() string }, error) { return suite.Fig11() }},
+		{"headline", func() (interface{ Table() string }, error) { return suite.Headline() }},
+		{"overhead", func() (interface{ Table() string }, error) { return suite.Overhead() }},
+		{"interval", func() (interface{ Table() string }, error) { return suite.IntervalStudy() }},
+		{"offlineopt", func() (interface{ Table() string }, error) { return suite.OfflineOpt() }},
+		{"ablation-piecewise", func() (interface{ Table() string }, error) { return suite.PiecewiseAblation() }},
+		{"ablation-replacement", func() (interface{ Table() string }, error) { return suite.ReplacementAblation() }},
+		{"complexity", func() (interface{ Table() string }, error) { return suite.ComplexitySweep() }},
+	}
+	keys := make([]string, len(figures))
+	for i, f := range figures {
+		keys[i] = f.key
+	}
 	fs := flag.NewFlagSet("dorarepro", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	full := fs.Bool("full", false, "use the full paper-scale training campaign")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	figs := fs.String("fig", "all", "comma-separated list: 1,2,3,table3,5,6,7,8,9,10,11,headline,overhead,interval,offlineopt,ablation-piecewise,ablation-replacement,complexity")
+	figs := fs.String("fig", "all", "comma-separated list: all or "+strings.Join(keys, ","))
 	workers := fs.Int("workers", 0, "measurement worker pool size (0 = one per CPU or $DORA_WORKERS, 1 = serial)")
 	cachePath := fs.String("runcache", "", "persistent run cache file; warm caches skip already-simulated runs")
 	logFlags := obslog.RegisterFlags(fs)
@@ -66,7 +98,12 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
 
 	want := map[string]bool{}
 	for _, f := range strings.Split(*figs, ",") {
-		want[strings.TrimSpace(strings.ToLower(f))] = true
+		name := strings.TrimSpace(strings.ToLower(f))
+		if name != "all" && !slices.Contains(keys, name) {
+			logf.Printf("unknown -fig %q; valid names: all,%s", name, strings.Join(keys, ","))
+			return 2
+		}
+		want[name] = true
 	}
 	sel := func(name string) bool { return want["all"] || want[name] }
 
@@ -82,7 +119,7 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintln(stdout, "training models (simulated measurement campaign)...")
 	logger.Info().Bool("full", *full).Int64("seed", *seed).Int("workers", nworkers).Msg("training campaign starting")
-	suite, err := dora.NewSuiteOpts(dora.TrainOptions{
+	suite, err = dora.NewSuiteOpts(dora.TrainOptions{
 		Device:  dora.DefaultDevice(),
 		Seed:    *seed,
 		Fast:    !*full,
@@ -96,30 +133,6 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "trained: load-time error %.2f%%, power error %.2f%% (paper: 2.5%% / 4.0%%)\n\n",
 		suite.TrainReport.TimeMetrics.MAPE*100, suite.TrainReport.PowerMetrics.MAPE*100)
 
-	type figure struct {
-		key string
-		run func() (interface{ Table() string }, error)
-	}
-	figures := []figure{
-		{"1", func() (interface{ Table() string }, error) { return suite.Fig1() }},
-		{"2", func() (interface{ Table() string }, error) { return suite.Fig2() }},
-		{"3", func() (interface{ Table() string }, error) { return suite.Fig3() }},
-		{"table3", func() (interface{ Table() string }, error) { return suite.TableIII() }},
-		{"5", func() (interface{ Table() string }, error) { return suite.Fig5(), nil }},
-		{"6", func() (interface{ Table() string }, error) { return suite.Fig6() }},
-		{"7", func() (interface{ Table() string }, error) { return suite.Fig7() }},
-		{"8", func() (interface{ Table() string }, error) { return suite.Fig8() }},
-		{"9", func() (interface{ Table() string }, error) { return suite.Fig9() }},
-		{"10", func() (interface{ Table() string }, error) { return suite.Fig10() }},
-		{"11", func() (interface{ Table() string }, error) { return suite.Fig11() }},
-		{"headline", func() (interface{ Table() string }, error) { return suite.Headline() }},
-		{"overhead", func() (interface{ Table() string }, error) { return suite.Overhead() }},
-		{"interval", func() (interface{ Table() string }, error) { return suite.IntervalStudy() }},
-		{"offlineopt", func() (interface{ Table() string }, error) { return suite.OfflineOpt() }},
-		{"ablation-piecewise", func() (interface{ Table() string }, error) { return suite.PiecewiseAblation() }},
-		{"ablation-replacement", func() (interface{ Table() string }, error) { return suite.ReplacementAblation() }},
-		{"complexity", func() (interface{ Table() string }, error) { return suite.ComplexitySweep() }},
-	}
 	for _, f := range figures {
 		if !sel(f.key) {
 			continue

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	doratrain [-fast] [-seed N] [-out models.json]
-//	doratrain -from-obs obs.json [-out models.json]
+//	doratrain -from-obs obs.json [-seed N] [-out models.json]
 //
 // Exit status: 0 on success, 2 for bad flags or configuration, 1 when
 // training or writing its outputs fails.
@@ -21,6 +21,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
 
 	"dora"
 	"dora/internal/obslog"
@@ -76,6 +77,19 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		logf.Print(err)
 		return 2
+	}
+	if *obsIn != "" {
+		// These flags only shape the campaign -from-obs skips.
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "fast" || f.Name == "fidelity" || f.Name == "obs" {
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			logf.Printf("%s cannot be used with -from-obs, which fits a saved campaign instead of running one", strings.Join(ignored, ", "))
+			return 2
+		}
 	}
 
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)

@@ -14,7 +14,8 @@ import (
 
 // TestRunRefusals covers the exits that happen before doratrain
 // measures or fits anything: help (0) and flag or configuration
-// errors (2).
+// errors (2), among them -from-obs combined with a flag that only
+// shapes the campaign it skips.
 func TestRunRefusals(t *testing.T) {
 	cases := []struct {
 		name string
@@ -27,6 +28,10 @@ func TestRunRefusals(t *testing.T) {
 		{"bad workers", []string{"-workers", "-1"}, 2, []string{"doratrain: ", "-1"}},
 		{"bad fidelity", []string{"-fidelity", "bogus"}, 2, []string{"doratrain: ", "bogus"}},
 		{"bad log level", []string{"-log-level", "loud"}, 2, []string{"doratrain: ", "loud"}},
+		{"from-obs with fast", []string{"-from-obs", "obs.json", "-fast"}, 2, []string{"doratrain: -fast cannot be used with -from-obs"}},
+		{"from-obs with fidelity", []string{"-fidelity", "sampled", "-from-obs", "obs.json"}, 2, []string{"doratrain: -fidelity cannot be used with -from-obs"}},
+		{"from-obs with obs", []string{"-from-obs", "obs.json", "-obs", "out.json"}, 2, []string{"doratrain: -obs cannot be used with -from-obs"}},
+		{"from-obs with all three", []string{"-from-obs", "obs.json", "-obs", "out.json", "-fast", "-fidelity", "exact"}, 2, []string{"doratrain: -fast, -fidelity, -obs cannot be used with -from-obs"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,7 +7,10 @@
 // The geometry is flat: all ways of all sets live in preallocated
 // parallel arrays (tags, owners) indexed by set*ways+way, with validity
 // kept as one bitmask word per set, so a lookup touches one contiguous
-// tag run. LRU caches keep one recency word per set: nibble r holds the
+// tag run. On amd64 with AVX2 that run is compared four ways per
+// instruction into a match mask (tagMatch), else scanned way by way
+// (scanMatch); both find the same way, so results never depend on the
+// host. LRU caches keep one recency word per set: nibble r holds the
 // way at recency rank r (rank 0 most recent), which is why a cache has
 // at most 16 ways. A hit or a fill moves its way to rank 0, found by a
 // SWAR nibble search; a miss on a full set evicts the top nibble and
