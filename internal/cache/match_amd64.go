@@ -29,8 +29,9 @@ func detectAVX2() bool {
 	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
 		return false
 	}
+	const avx2 = 1 << 5
 	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
+	return ebx&avx2 != 0
 }
 
 // vectorGroups is the number of four-way groups tagMatch compares for a
