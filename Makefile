@@ -36,15 +36,20 @@ serve-test:
 	$(GO) test -race -v ./internal/serve/
 
 # 30 s of coverage-guided fuzzing per committed target: the request
-# decoder, the run-cache loader, the wire payload codecs, and the wire
-# frame layer. Seed corpora live under each package's testdata/fuzz/
-# and replay in plain `go test` runs.
+# decoder, the run-cache loader, the wire payload codecs, the wire
+# frame layer, the gateway router, the cache tag match, and the HTML
+# and CSS parsers. Seed corpora live under each package's
+# testdata/fuzz/ and replay in plain `go test` runs. This is the one
+# list; CI's fuzz step runs this target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadRequestDecode$$' -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRunCacheEntry$$' -fuzztime 30s ./internal/runcache/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameRead$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzGatewayRoute$$' -fuzztime 30s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz '^FuzzTagMatch$$' -fuzztime 30s ./internal/cache/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/webdoc/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseCSS$$' -fuzztime 30s ./internal/webdoc/
 
 # Sharded-cluster suite under the race detector: HRW placement and
 # membership unit tests, gateway refusal paths, and the in-process

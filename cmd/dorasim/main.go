@@ -43,8 +43,8 @@ func main() { os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stder
 // run is one dorasim invocation: parse args, load the page, write the
 // requested artifacts and print the report. It returns the process
 // exit status: 0 on success, 2 for bad flags or configuration, 1 when
-// the run or writing its outputs fails.
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+// the run, writing its outputs or writing a requested profile fails.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int) {
 	logf := log.New(stderr, "dorasim: ", 0)
 	fs := flag.NewFlagSet("dorasim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -92,7 +92,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		logf.Print(err)
 		return 1
 	}
-	defer stopProfiles()
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			logf.Print(err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 
 	if *list {
 		fmt.Fprintln(stdout, "pages:")

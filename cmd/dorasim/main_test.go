@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestRunRefusals covers the exits that happen before dorasim loads a
-// page: help (0) and flag or configuration errors (2).
+// TestRunRefusals covers the exits that happen without a page load:
+// help (0), flag or configuration errors (2), and a requested profile
+// that cannot be written (1).
 func TestRunRefusals(t *testing.T) {
 	cases := []struct {
 		name string
@@ -22,9 +25,15 @@ func TestRunRefusals(t *testing.T) {
 		{"unknown governor", []string{"-governor", "nope"}, 2, []string{"dorasim: ", `"nope"`, "interactive"}},
 		{"unknown page", []string{"-page", "NoSuchPage"}, 2, []string{"dorasim: ", "NoSuchPage"}},
 		{"unknown co-runner", []string{"-corun", "nokernel"}, 2, []string{"dorasim: ", "nokernel"}},
+		{"lost profiles", []string{"-list", "-cpuprofile", "/dev/full", "-memprofile", "/dev/full"}, 1, []string{"dorasim: profiling: write cpu profile", "write heap profile"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if slices.Contains(tc.args, "/dev/full") {
+				if _, err := os.Stat("/dev/full"); err != nil {
+					t.Skip("no /dev/full on this system")
+				}
+			}
 			var stdout, stderr bytes.Buffer
 			if code := run(context.Background(), tc.args, &stdout, &stderr); code != tc.code {
 				t.Fatalf("exit %d, want %d (stderr %q)", code, tc.code, stderr.String())

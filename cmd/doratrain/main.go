@@ -37,9 +37,9 @@ func main() { os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stder
 // run is one doratrain invocation: parse args, run the campaign (or
 // load a saved one) and both fits, print the accuracy report and write
 // the models. It returns the process exit status: 0 on success, 2 for
-// bad flags or configuration, 1 when training or writing its outputs
-// fails.
-func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
+// bad flags or configuration, 1 when training, writing its outputs or
+// writing a requested profile fails.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) (code int) {
 	logf := log.New(stderr, "doratrain: ", 0)
 	fs := flag.NewFlagSet("doratrain", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -97,7 +97,14 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		logf.Print(err)
 		return 1
 	}
-	defer stopProfiles()
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			logf.Print(err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 
 	opts := train.Options{Device: dora.DefaultDevice(), Seed: *seed, Fast: *fast,
 		Workers: nworkers, Fidelity: fid}

@@ -6,16 +6,17 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"dora/internal/core"
 )
 
-// TestRunRefusals covers the exits that happen before doratrain
-// measures or fits anything: help (0) and flag or configuration
-// errors (2), among them -from-obs combined with a flag that only
-// shapes the campaign it skips.
+// TestRunRefusals covers the exits other than a successful run: help
+// (0), flag or configuration errors (2), among them -from-obs combined
+// with a flag that only shapes the campaign it skips, and a requested
+// profile that cannot be written (1).
 func TestRunRefusals(t *testing.T) {
 	cases := []struct {
 		name string
@@ -32,9 +33,15 @@ func TestRunRefusals(t *testing.T) {
 		{"from-obs with fidelity", []string{"-fidelity", "sampled", "-from-obs", "obs.json"}, 2, []string{"doratrain: -fidelity cannot be used with -from-obs"}},
 		{"from-obs with obs", []string{"-from-obs", "obs.json", "-obs", "out.json"}, 2, []string{"doratrain: -obs cannot be used with -from-obs"}},
 		{"from-obs with all three", []string{"-from-obs", "obs.json", "-obs", "out.json", "-fast", "-fidelity", "exact"}, 2, []string{"doratrain: -fast, -fidelity, -obs cannot be used with -from-obs"}},
+		{"lost profiles", []string{"-from-obs", filepath.Join("testdata", "observations.json"), "-out", os.DevNull, "-workers", "1", "-cpuprofile", "/dev/full", "-memprofile", "/dev/full"}, 1, []string{"doratrain: profiling: write cpu profile", "write heap profile"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if slices.Contains(tc.args, "/dev/full") {
+				if _, err := os.Stat("/dev/full"); err != nil {
+					t.Skip("no /dev/full on this system")
+				}
+			}
 			var stdout, stderr bytes.Buffer
 			if code := run(context.Background(), tc.args, &stdout, &stderr); code != tc.code {
 				t.Fatalf("exit %d, want %d (stderr %q)", code, tc.code, stderr.String())

@@ -45,26 +45,6 @@ func (m *Manual) Since(t time.Time) time.Duration { return m.now.Sub(t) }
 // Advance moves the clock forward by d.
 func (m *Manual) Advance(d time.Duration) { m.now = m.now.Add(d) }
 
-// Ticking wraps a Manual clock and advances it by Step on every Now
-// call, so code that brackets work with Now/Since measures exactly
-// Step per bracket — a deterministic stand-in for real timing.
-type Ticking struct {
-	*Manual
-	Step time.Duration
-}
-
-// NewTicking returns a Ticking clock starting at the zero time.
-func NewTicking(step time.Duration) *Ticking {
-	return &Ticking{Manual: &Manual{}, Step: step}
-}
-
-// Now returns the current time and advances the clock by Step.
-func (t *Ticking) Now() time.Time {
-	now := t.Manual.Now()
-	t.Manual.Advance(t.Step)
-	return now
-}
-
 // Or returns c, or Wall when c is nil — the idiom for optional Clock
 // fields defaulting to real time.
 func Or(c Clock) Clock {

@@ -17,18 +17,6 @@ func TestManual(t *testing.T) {
 	}
 }
 
-func TestTicking(t *testing.T) {
-	c := NewTicking(time.Millisecond)
-	var total time.Duration
-	for i := 0; i < 5; i++ {
-		start := c.Now()
-		total += c.Since(start)
-	}
-	if total != 5*time.Millisecond {
-		t.Fatalf("5 Now/Since brackets = %v, want 5ms", total)
-	}
-}
-
 func TestWallMonotonic(t *testing.T) {
 	var c Clock = Wall{}
 	start := c.Now()

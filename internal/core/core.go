@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"time"
 
-	"dora/internal/clock"
 	"dora/internal/dvfs"
 	"dora/internal/governor"
 	"dora/internal/power"
@@ -218,25 +217,13 @@ type Options struct {
 	// frequency, so without margin any prediction error flips a
 	// boundary workload into a violation.
 	DeadlineMargin float64
-	// Fallback handles intervals with no page load in flight; nil
-	// holds the current OPP.
-	Fallback governor.Governor
-	// NameSuffix distinguishes ablations in reports.
-	NameSuffix string
-	// Clock times Decide passes for the Section V-H controller
-	// overhead figure (nil = the monotonic wall clock). Tests inject
-	// a manual clock so DecideTime is deterministic.
-	Clock clock.Clock
 }
 
-// Governor is the model-based frequency governor.
+// Governor is the model-based frequency governor. An interval with no
+// page load in flight holds the current OPP.
 type Governor struct {
 	models *Models
 	opts   Options
-	clk    clock.Clock
-
-	decisions  int
-	decideTime time.Duration
 
 	// Last Algorithm-1 pass internals, for the decision log. Stored as
 	// plain fields so Decide stays allocation-free; DecisionDetails
@@ -253,7 +240,7 @@ func New(models *Models, opts Options) (*Governor, error) {
 	if err := models.Validate(); err != nil {
 		return nil, err
 	}
-	return &Governor{models: models, opts: opts, clk: clock.Or(opts.Clock)}, nil
+	return &Governor{models: models, opts: opts}, nil
 }
 
 // Name identifies the governor in reports.
@@ -262,17 +249,12 @@ func (g *Governor) Name() string {
 	if !g.opts.UseLeakage && g.opts.Mode == ModeDORA {
 		n += "_no_lkg"
 	}
-	return n + g.opts.NameSuffix
+	return n
 }
 
 // Reset clears per-run state.
 func (g *Governor) Reset() {
-	g.decisions = 0
-	g.decideTime = 0
 	g.lastValid = false
-	if g.opts.Fallback != nil {
-		g.opts.Fallback.Reset()
-	}
 }
 
 // DecisionDetails implements governor.Instrumented: the predicted
@@ -296,28 +278,11 @@ func (g *Governor) DecisionDetails() map[string]float64 {
 	}
 }
 
-// Decisions returns the number of page-load decisions made since Reset.
-func (g *Governor) Decisions() int { return g.decisions }
-
-// DecideTime returns the cumulative wall-clock cost of decisions — the
-// controller-overhead figure of the paper's Section V-H.
-func (g *Governor) DecideTime() time.Duration { return g.decideTime }
-
 // Decide implements Algorithm 1 of the paper.
 func (g *Governor) Decide(ctx governor.Context) dvfs.OPP {
 	if len(ctx.PageFeatures) == 0 {
-		// No load in flight: delegate or hold.
-		if g.opts.Fallback != nil {
-			return g.opts.Fallback.Decide(ctx)
-		}
-		return ctx.Current
+		return ctx.Current // no load in flight: hold
 	}
-	start := g.clk.Now()
-	defer func() {
-		g.decisions++
-		g.decideTime += g.clk.Since(start)
-	}()
-
 	deadline := ctx.Deadline
 	if g.opts.DeadlineMargin > 0 && g.opts.DeadlineMargin < 1 {
 		deadline = time.Duration(float64(deadline) * g.opts.DeadlineMargin)

@@ -9,7 +9,6 @@ import (
 	"dora/internal/corun"
 	"dora/internal/pool"
 	"dora/internal/regress"
-	"dora/internal/render"
 	"dora/internal/runcache"
 	"dora/internal/sim"
 	"dora/internal/soc"
@@ -239,7 +238,7 @@ func victimSlowdown(cfg soc.Config, seed int64, lru bool) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		plan, err := sim.PagePlan(spec, render.DefaultConfig())
+		plan, err := sim.PagePlan(spec)
 		if err != nil {
 			return 0, err
 		}

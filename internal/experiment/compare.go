@@ -537,11 +537,9 @@ type OverheadResult struct {
 
 // Overhead measures DORA's controller costs across the 54 workloads.
 func (s *Suite) Overhead() (*OverheadResult, error) {
-	g, _, err := s.NewGovernor("DORA")
-	if err != nil {
+	if _, _, err := s.NewGovernor("DORA"); err != nil {
 		return nil, err
 	}
-	dora := g.(*core.Governor)
 	res := &OverheadResult{}
 	var totalSwitches int
 	var totalSwitchTime, totalLoadTime time.Duration
@@ -583,7 +581,6 @@ func (s *Suite) Overhead() (*OverheadResult, error) {
 	if totalLoadTime > 0 {
 		res.SwitchTimeFrac = float64(totalSwitchTime) / float64(totalLoadTime)
 	}
-	_ = dora
 	return res, nil
 }
 

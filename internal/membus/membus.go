@@ -93,8 +93,6 @@ type Bus struct {
 	lastUtil float64
 	window   []int64
 	perOwner []int64 // scratch handed out via WindowStats.PerOwner
-	totalTx  int64
-	totalEJ  float64
 }
 
 // New builds a Bus; the initial bus frequency must be set before use.
@@ -192,8 +190,6 @@ func (b *Bus) EndWindow(dur time.Duration) (WindowStats, error) {
 		b.cfg.IdlePowerW*dur.Seconds()
 
 	b.lastUtil = util
-	b.totalTx += tx
-	b.totalEJ += energy
 	for i := range b.window {
 		b.window[i] = 0
 	}
@@ -206,31 +202,21 @@ func (b *Bus) EndWindow(dur time.Duration) (WindowStats, error) {
 	}, nil
 }
 
-// TotalTransactions returns the lifetime transaction count.
-func (b *Bus) TotalTransactions() int64 { return b.totalTx }
-
-// TotalEnergyJ returns the lifetime bus+DRAM energy.
-func (b *Bus) TotalEnergyJ() float64 { return b.totalEJ }
-
-// Reset clears all state (utilization, counters, energy).
+// Reset clears the utilization estimate and the open window.
 func (b *Bus) Reset() {
 	b.lastUtil = 0
-	b.totalTx = 0
-	b.totalEJ = 0
 	for i := range b.window {
 		b.window[i] = 0
 	}
 }
 
 // Snapshot is a deep copy of the bus's warm state: frequency, the
-// utilization estimate the queueing factor feeds on, the per-owner
-// transaction window, and the lifetime energy/transaction totals.
+// utilization estimate the queueing factor feeds on, and the per-owner
+// transaction window.
 type Snapshot struct {
 	FreqMHz  int
 	LastUtil float64
 	Window   []int64
-	TotalTx  int64
-	TotalEJ  float64
 }
 
 // Snapshot captures the bus state for a simulation checkpoint.
@@ -239,8 +225,6 @@ func (b *Bus) Snapshot() Snapshot {
 		FreqMHz:  b.freqMHz,
 		LastUtil: b.lastUtil,
 		Window:   make([]int64, len(b.window)),
-		TotalTx:  b.totalTx,
-		TotalEJ:  b.totalEJ,
 	}
 	copy(s.Window, b.window)
 	return s
@@ -255,6 +239,4 @@ func (b *Bus) Restore(s Snapshot) {
 	b.freqMHz = s.FreqMHz
 	b.lastUtil = s.LastUtil
 	copy(b.window, s.Window)
-	b.totalTx = s.TotalTx
-	b.totalEJ = s.TotalEJ
 }

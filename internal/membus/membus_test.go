@@ -124,12 +124,6 @@ func TestWindowAccounting(t *testing.T) {
 	if ws2.Transactions != 0 {
 		t.Fatal("window counters must reset")
 	}
-	if b.TotalTransactions() != 175 {
-		t.Fatalf("TotalTransactions = %d", b.TotalTransactions())
-	}
-	if b.TotalEnergyJ() <= 0 {
-		t.Fatal("total energy must accumulate")
-	}
 }
 
 func TestEndWindowErrors(t *testing.T) {
@@ -161,7 +155,7 @@ func TestReset(t *testing.T) {
 	b.Add(0, 1000000)
 	b.EndWindow(time.Millisecond)
 	b.Reset()
-	if b.Utilization() != 0 || b.TotalTransactions() != 0 || b.TotalEnergyJ() != 0 {
+	if b.Utilization() != 0 {
 		t.Fatal("Reset must clear state")
 	}
 }

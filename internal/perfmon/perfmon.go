@@ -74,14 +74,6 @@ func (c Counters) Utilization() float64 {
 	return float64(c.BusyNs) / float64(total)
 }
 
-// StallFraction returns the memory-stalled share of busy time.
-func (c Counters) StallFraction() float64 {
-	if c.BusyNs <= 0 {
-		return 0
-	}
-	return float64(c.StallNs) / float64(c.BusyNs)
-}
-
 // MPKI returns L2 misses per thousand instructions — the paper's
 // memory-intensity metric (Table III).
 func (c Counters) MPKI() float64 {
@@ -89,14 +81,6 @@ func (c Counters) MPKI() float64 {
 		return 0
 	}
 	return float64(c.L2Misses) / float64(c.Instructions) * 1000
-}
-
-// L2APKI returns L2 accesses per thousand instructions.
-func (c Counters) L2APKI() float64 {
-	if c.Instructions == 0 {
-		return 0
-	}
-	return float64(c.L2Accesses) / float64(c.Instructions) * 1000
 }
 
 // Window reports the wall-clock span the counters cover.

@@ -54,14 +54,8 @@ func TestDerivedMetrics(t *testing.T) {
 	if got := c.Utilization(); got != 0.75 {
 		t.Fatalf("Utilization = %v", got)
 	}
-	if got := c.StallFraction(); got != 250.0/750.0 {
-		t.Fatalf("StallFraction = %v", got)
-	}
 	if got := c.MPKI(); got != 5 {
 		t.Fatalf("MPKI = %v, want 5", got)
-	}
-	if got := c.L2APKI(); got != 20 {
-		t.Fatalf("L2APKI = %v, want 20", got)
 	}
 	if got := c.Window(); got != time.Duration(1000) {
 		t.Fatalf("Window = %v", got)
@@ -70,7 +64,7 @@ func TestDerivedMetrics(t *testing.T) {
 
 func TestDerivedMetricsZeroSafe(t *testing.T) {
 	var c Counters
-	if c.Utilization() != 0 || c.StallFraction() != 0 || c.MPKI() != 0 || c.L2APKI() != 0 {
+	if c.Utilization() != 0 || c.MPKI() != 0 {
 		t.Fatal("zero counters must yield zero metrics")
 	}
 }

@@ -33,10 +33,8 @@ const EnvWorkers = "DORA_WORKERS"
 // never fail on a bad environment); commands validate the same inputs
 // up front through ResolveWorkers so the user gets an error instead.
 func DefaultSize() int {
-	if s := os.Getenv(EnvWorkers); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
+	if n, err := ResolveWorkers(0); err == nil {
+		return n
 	}
 	return runtime.NumCPU()
 }

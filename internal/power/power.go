@@ -157,7 +157,6 @@ func (b Breakdown) SoC() float64 {
 type Meter struct {
 	energyJ float64
 	elapsed time.Duration
-	peakW   float64
 }
 
 // Record accumulates dt at the given instantaneous power.
@@ -167,9 +166,6 @@ func (m *Meter) Record(dt time.Duration, watts float64) {
 	}
 	m.energyJ += watts * dt.Seconds()
 	m.elapsed += dt
-	if watts > m.peakW {
-		m.peakW = watts
-	}
 }
 
 // EnergyJ returns the integrated energy.
@@ -185,9 +181,6 @@ func (m *Meter) AvgPowerW() float64 {
 	}
 	return m.energyJ / m.elapsed.Seconds()
 }
-
-// PeakPowerW returns the highest instantaneous power recorded.
-func (m *Meter) PeakPowerW() float64 { return m.peakW }
 
 // Reset clears the meter.
 func (m *Meter) Reset() { *m = Meter{} }
@@ -217,17 +210,15 @@ func clamp01(x float64) float64 {
 type MeterSnapshot struct {
 	EnergyJ float64
 	Elapsed time.Duration
-	PeakW   float64
 }
 
 // Snapshot captures the meter state.
 func (m *Meter) Snapshot() MeterSnapshot {
-	return MeterSnapshot{EnergyJ: m.energyJ, Elapsed: m.elapsed, PeakW: m.peakW}
+	return MeterSnapshot{EnergyJ: m.energyJ, Elapsed: m.elapsed}
 }
 
 // Restore overwrites the meter state with a snapshot.
 func (m *Meter) Restore(s MeterSnapshot) {
 	m.energyJ = s.EnergyJ
 	m.elapsed = s.Elapsed
-	m.peakW = s.PeakW
 }

@@ -139,9 +139,6 @@ func TestMeter(t *testing.T) {
 	if m.AvgPowerW() != 3 {
 		t.Fatalf("AvgPowerW = %v", m.AvgPowerW())
 	}
-	if m.PeakPowerW() != 4 {
-		t.Fatalf("PeakPowerW = %v", m.PeakPowerW())
-	}
 	if m.Elapsed() != 2*time.Second {
 		t.Fatalf("Elapsed = %v", m.Elapsed())
 	}

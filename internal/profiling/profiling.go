@@ -6,7 +6,9 @@
 package profiling
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -14,17 +16,21 @@ import (
 
 // Start begins the requested profiles. Either path may be empty to
 // disable that profile. The returned stop function must run on normal
-// exit (defer it right after flag parsing): it stops the CPU profile
-// and writes the heap profile. Paths that cannot be created fail fast
-// so a long simulation is not run only to lose its profile at the end.
-func Start(cpuPath, memPath string) (stop func(), err error) {
+// exit (defer it right after flag parsing): it stops the CPU profile,
+// writes the heap profile, closes both files and reports every write
+// or close that failed, so a lost profile is never silent. Paths that
+// cannot be created fail fast so a long simulation is not run only to
+// lose its profile at the end.
+func Start(cpuPath, memPath string) (stop func() error, err error) {
 	var cpuF *os.File
+	var cpuW *errWriter
 	if cpuPath != "" {
 		cpuF, err = os.Create(cpuPath)
 		if err != nil {
 			return nil, fmt.Errorf("profiling: %w", err)
 		}
-		if err := pprof.StartCPUProfile(cpuF); err != nil {
+		cpuW = &errWriter{w: cpuF}
+		if err := pprof.StartCPUProfile(cpuW); err != nil {
 			cpuF.Close()
 			return nil, fmt.Errorf("profiling: start cpu profile: %w", err)
 		}
@@ -40,17 +46,43 @@ func Start(cpuPath, memPath string) (stop func(), err error) {
 			return nil, fmt.Errorf("profiling: %w", err)
 		}
 	}
-	return func() {
+	return func() error {
+		var errs []error
+		note := func(what string, err error) {
+			if err != nil {
+				errs = append(errs, fmt.Errorf("profiling: %s: %w", what, err))
+			}
+		}
 		if cpuF != nil {
 			pprof.StopCPUProfile()
-			cpuF.Close()
+			note("write cpu profile", cpuW.err)
+			note("close cpu profile", cpuF.Close())
 		}
 		if memF != nil {
 			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.Lookup("heap").WriteTo(memF, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "profiling: write heap profile: %v\n", err)
+			memW := &errWriter{w: memF}
+			err := pprof.Lookup("heap").WriteTo(memW, 0)
+			if err == nil {
+				err = memW.err
 			}
-			memF.Close()
+			note("write heap profile", err)
+			note("close heap profile", memF.Close())
 		}
+		return errors.Join(errs...)
 	}, nil
+}
+
+// errWriter keeps the first error its writes return: runtime/pprof
+// drops the errors of the writer it is given.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(p []byte) (int, error) {
+	n, err := e.w.Write(p)
+	if err != nil && e.err == nil {
+		e.err = err
+	}
+	return n, err
 }

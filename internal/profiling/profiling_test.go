@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/pprof"
+	"strings"
 	"testing"
 )
 
@@ -18,7 +19,9 @@ func TestStartWritesBothProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop()
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
 	for _, path := range []string{cpu, mem} {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -59,9 +62,32 @@ func TestStartEmptyPathsIsNoop(t *testing.T) {
 	if err := pprof.StartCPUProfile(io.Discard); err != nil {
 		t.Fatalf("Start with empty paths started a CPU profile: %v", err)
 	}
-	stop() // must not stop the profile this test started
+	if err := stop(); err != nil { // must not stop the profile this test started
+		t.Fatal(err)
+	}
 	if err := pprof.StartCPUProfile(io.Discard); err == nil {
 		t.Fatal("stop with empty paths stopped a CPU profile it did not start")
 	}
 	pprof.StopCPUProfile()
+}
+
+// TestStopReportsLostProfiles writes both profiles to /dev/full, where
+// every write fails, and checks that stop reports both losses.
+func TestStopReportsLostProfiles(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	stop, err := Start("/dev/full", "/dev/full")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = stop()
+	if err == nil {
+		t.Fatal("stop returned nil after both profiles failed to write")
+	}
+	for _, want := range []string{"write cpu profile", "write heap profile"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("stop error %q does not name %q", err, want)
+		}
+	}
 }

@@ -309,84 +309,3 @@ func (m *Model) Evaluate(xs [][]float64, ys []float64) (Metrics, error) {
 		R2:     r2,
 	}, nil
 }
-
-// CrossValidate performs k-fold cross validation and returns the mean
-// held-out MAPE across folds. Observations are assigned to folds
-// round-robin (the caller shuffles if order correlates with target).
-func CrossValidate(surface Surface, features []string, xs [][]float64, ys []float64, k int) (float64, error) {
-	if k < 2 {
-		return 0, errors.New("regress: k must be >= 2")
-	}
-	if len(xs) < k {
-		return 0, errors.New("regress: fewer observations than folds")
-	}
-	total, folds := 0.0, 0
-	for f := 0; f < k; f++ {
-		var trX, teX [][]float64
-		var trY, teY []float64
-		for i := range xs {
-			if i%k == f {
-				teX = append(teX, xs[i])
-				teY = append(teY, ys[i])
-			} else {
-				trX = append(trX, xs[i])
-				trY = append(trY, ys[i])
-			}
-		}
-		m, err := Fit(surface, features, trX, trY)
-		if err != nil {
-			return 0, err
-		}
-		pred, err := m.PredictAll(teX)
-		if err != nil {
-			return 0, err
-		}
-		mape, err := stats.MAPE(pred, teY)
-		if err != nil {
-			continue
-		}
-		total += mape
-		folds++
-	}
-	if folds == 0 {
-		return 0, errors.New("regress: no valid folds")
-	}
-	return total / float64(folds), nil
-}
-
-// SelectSurface fits all three surfaces and returns the one with the
-// lowest k-fold cross-validated MAPE, mirroring the paper's model
-// selection (which then prefers the simpler family on near-ties: the
-// interaction model for load time, linear for power). The tieTolerance
-// is the relative MAPE slack within which a simpler surface wins.
-func SelectSurface(features []string, xs [][]float64, ys []float64, k int, tieTolerance float64) (Surface, map[Surface]float64, error) {
-	surfaces := []Surface{Linear, Interaction, Quadratic}
-	scores := make(map[Surface]float64, len(surfaces))
-	best, bestScore := Linear, math.Inf(1)
-	for _, s := range surfaces {
-		score, err := CrossValidate(s, features, xs, ys, k)
-		if err != nil {
-			// A surface may be unfittable (too few observations for its
-			// term count); skip it rather than fail the selection.
-			scores[s] = math.Inf(1)
-			continue
-		}
-		scores[s] = score
-		if score < bestScore {
-			best, bestScore = s, score
-		}
-	}
-	if math.IsInf(bestScore, 1) {
-		return Linear, scores, errors.New("regress: no surface could be fit")
-	}
-	// Prefer simpler surfaces on near-ties (order: Linear < Interaction < Quadratic).
-	for _, s := range surfaces {
-		if s == best {
-			break
-		}
-		if scores[s] <= bestScore*(1+tieTolerance) {
-			return s, scores, nil
-		}
-	}
-	return best, scores, nil
-}

@@ -283,56 +283,6 @@ func TestEvaluateMetrics(t *testing.T) {
 	}
 }
 
-func TestCrossValidate(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	xs, ys := genLinearData(rng, 100, 0.2)
-	mape, err := CrossValidate(Linear, []string{"a", "b", "c"}, xs, ys, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mape <= 0 || mape > 0.2 {
-		t.Fatalf("CV MAPE = %v, implausible for low-noise data", mape)
-	}
-	if _, err := CrossValidate(Linear, []string{"a", "b", "c"}, xs, ys, 1); err == nil {
-		t.Fatal("k<2 must error")
-	}
-	if _, err := CrossValidate(Linear, []string{"a"}, [][]float64{{1}}, []float64{1}, 2); err == nil {
-		t.Fatal("too few observations must error")
-	}
-}
-
-func TestSelectSurfacePrefersSimplerOnTie(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	xs, ys := genLinearData(rng, 200, 0.01)
-	s, scores, err := SelectSurface([]string{"a", "b", "c"}, xs, ys, 5, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// On purely linear data, all surfaces fit well; the simpler Linear
-	// must win inside the tie tolerance.
-	if s != Linear {
-		t.Fatalf("selected %v (scores %v), want linear", s, scores)
-	}
-}
-
-func TestSelectSurfacePicksInteractionWhenNeeded(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i < 240; i++ {
-		x := []float64{rng.Float64() * 4, rng.Float64() * 4}
-		ys = append(ys, 1+x[0]+x[1]+5*x[0]*x[1]+rng.NormFloat64()*0.01)
-		xs = append(xs, x)
-	}
-	s, scores, err := SelectSurface([]string{"a", "b"}, xs, ys, 4, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s == Linear {
-		t.Fatalf("selected linear for strongly interacting data (scores %v)", scores)
-	}
-}
-
 // Property: predictions are invariant to feature scaling done through
 // standardization — i.e. fitting on data with wildly different feature
 // magnitudes still reproduces the training targets for noise-free

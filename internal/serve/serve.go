@@ -56,10 +56,6 @@ import (
 type Config struct {
 	// Device is the simulated device (zero value = soc.NexusFive()).
 	Device soc.Config
-	// DeviceSet forces the zero-valued Device to be used as-is; tests
-	// never need it, NewServer substitutes NexusFive when false and the
-	// device looks unconfigured.
-	DeviceSet bool
 	// Models enables the DORA/DL/EE governors when non-nil.
 	Models *core.Models
 	// Workers bounds campaign-grid fan-out (0 = pool.DefaultSize()).
@@ -182,7 +178,7 @@ type Server struct {
 
 // NewServer builds a ready-to-mount daemon core.
 func NewServer(cfg Config) *Server {
-	if !cfg.DeviceSet && cfg.Device.Cores == 0 {
+	if cfg.Device.Cores == 0 {
 		cfg.Device = soc.NexusFive()
 	}
 	if cfg.Concurrency <= 0 {

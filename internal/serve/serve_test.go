@@ -627,12 +627,15 @@ var goldenKeyRequests = []LoadRequest{
 
 // TestLoadKeyGolden pins Server.loadKey for goldenKeyRequests on the
 // default device. A runcache.SchemaVersion bump moves both keys on
-// purpose (every cached result misses).
+// purpose (every cached result misses), and so does any change to
+// soc.Config's shape: the key hashes the device's JSON through
+// sim.ConfigFingerprint, so adding, removing or renaming a field moves
+// it even when no result changes.
 func TestLoadKeyGolden(t *testing.T) {
 	s := NewServer(Config{})
 	want := []string{
-		"05efa413f19b799f35dadaaddd7184b08e66a32d1c0727a00e50ca3365e6e02b",
-		"1eb53d5c6424e2d287bfded1375867b0b1367b8c618cd5d8d2393add744de437",
+		"d6c1b03e9a494a9d665e241165d5ead1bcf805a318fa44cda040ed1989a432c6",
+		"1fdd76760c59a7a29c16b64edd6f673175088229f7f04700990f0cc184bbd762",
 	}
 	for i, req := range goldenKeyRequests {
 		if got := s.loadKey(req); got != want[i] {

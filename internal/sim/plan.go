@@ -9,36 +9,32 @@ import (
 	"dora/internal/webgen"
 )
 
-// PagePlan returns the render plan of spec under cfg. A plan does not
-// depend on the seed, so the plans of corpus pages (webgen.ByName's
-// specs) at render.DefaultConfig are built once per process and shared
-// by every run; any other page or config is built fresh on each call.
-// The returned plan is read-only: workload.FromSegments only reads its
-// segments, and callers must not modify it.
-func PagePlan(spec webgen.Spec, cfg render.Config) (*render.Plan, error) {
-	if cfg == defaultRender {
-		if e, ok := corpusPlans[spec]; ok {
-			e.once.Do(func() { e.plan, e.err = buildPlan(spec, cfg) })
-			return e.plan, e.err
-		}
+// PagePlan returns the render plan of spec under render.DefaultConfig.
+// A plan does not depend on the seed, so the plans of corpus pages
+// (webgen.ByName's specs) are built once per process and shared by
+// every run; any other page is built fresh on each call. The returned
+// plan is read-only: workload.FromSegments only reads its segments, and
+// callers must not modify it.
+func PagePlan(spec webgen.Spec) (*render.Plan, error) {
+	if e, ok := corpusPlans[spec]; ok {
+		e.once.Do(func() { e.plan, e.err = buildPlan(spec) })
+		return e.plan, e.err
 	}
-	return buildPlan(spec, cfg)
+	return buildPlan(spec)
 }
 
 // buildPlan generates, parses and plans spec's HTML.
-func buildPlan(spec webgen.Spec, cfg render.Config) (*render.Plan, error) {
+func buildPlan(spec webgen.Spec) (*render.Plan, error) {
 	doc, err := webdoc.Parse(spec.HTML())
 	if err != nil {
 		return nil, fmt.Errorf("sim: parse %s: %w", spec.Name, err)
 	}
-	plan, err := render.BuildPlan(cfg, doc)
+	plan, err := render.BuildPlan(render.DefaultConfig(), doc)
 	if err != nil {
 		return nil, fmt.Errorf("sim: plan %s: %w", spec.Name, err)
 	}
 	return plan, nil
 }
-
-var defaultRender = render.DefaultConfig()
 
 // memoPlan is one corpus page's slot in the plan memo.
 type memoPlan struct {

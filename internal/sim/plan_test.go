@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dora/internal/governor"
-	"dora/internal/render"
 	"dora/internal/soc"
 	"dora/internal/webgen"
 )
@@ -23,28 +22,26 @@ func memoizedPlans() int {
 	return n
 }
 
-// TestPagePlanMemo pins the plan memo: a corpus page at the default
-// render config is planned once per process and shared, anything else
-// is planned fresh on every call and never kept, and the memo has one
-// slot per corpus page.
+// TestPagePlanMemo pins the plan memo: a corpus page is planned once
+// per process and shared, any other page is planned fresh on every call
+// and never kept, and the memo has one slot per corpus page.
 func TestPagePlanMemo(t *testing.T) {
 	spec, err := webgen.ByName("MSN")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := render.DefaultConfig()
-	a, err := PagePlan(spec, cfg)
+	a, err := PagePlan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PagePlan(spec, cfg)
+	b, err := PagePlan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("two plans of the same corpus page are not one shared plan")
 	}
-	fresh, err := buildPlan(spec, cfg)
+	fresh, err := buildPlan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,32 +49,23 @@ func TestPagePlanMemo(t *testing.T) {
 		t.Error("the memoized plan differs from a freshly built one")
 	}
 
-	// A scaled corpus page, as the complexity sweep loads, and a corpus
-	// page at another render config are built fresh and not kept.
+	// A scaled corpus page, as the complexity sweep loads, is built
+	// fresh and not kept.
 	held := memoizedPlans()
-	other := cfg
-	other.ChunkNodes *= 2
-	for name, c := range map[string]struct {
-		spec webgen.Spec
-		cfg  render.Config
-	}{
-		"scaled MSN":       {spec.Scaled(1.5), cfg},
-		"MSN, other chunk": {spec, other},
-	} {
-		p, err := PagePlan(c.spec, c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q, err := PagePlan(c.spec, c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p == q || p == a {
-			t.Errorf("%s: plan shared, want one built per call", name)
-		}
-		if !reflect.DeepEqual(p, q) {
-			t.Errorf("%s: two fresh plans differ", name)
-		}
+	scaled := spec.Scaled(1.5)
+	p, err := PagePlan(scaled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := PagePlan(scaled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p == q || p == a {
+		t.Error("scaled MSN: plan shared, want one built per call")
+	}
+	if !reflect.DeepEqual(p, q) {
+		t.Error("scaled MSN: two fresh plans differ")
 	}
 	if got := memoizedPlans(); got != held {
 		t.Errorf("planning non-corpus pages grew the memo from %d to %d plans", held, got)

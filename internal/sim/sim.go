@@ -18,7 +18,6 @@ import (
 	"dora/internal/governor"
 	"dora/internal/perfmon"
 	"dora/internal/power"
-	"dora/internal/render"
 	"dora/internal/soc"
 	"dora/internal/telemetry"
 	"dora/internal/webdoc"
@@ -43,9 +42,8 @@ type Options struct {
 	Warmup           time.Duration // co-runner-only lead-in (default 500 ms)
 	MaxLoadTime      time.Duration // abort cutoff (default 30 s)
 	Seed             int64
-	AmbientC         float64        // 0 = config default
-	StartTempC       float64        // SoC prewarm temperature (default 38)
-	RenderConfig     *render.Config // nil = render.DefaultConfig()
+	AmbientC         float64 // 0 = config default
+	StartTempC       float64 // SoC prewarm temperature (default 38)
 	// Sink, when set, receives one observability sample per simulated
 	// slice (frequency, power, temperature, bus utilization) for the
 	// whole run including warmup, through the multi-subscriber
@@ -160,11 +158,7 @@ func LoadPageCtx(ctx context.Context, opts Options, wl Workload) (Result, error)
 	if wl.Page.Name == "" {
 		return Result{}, errors.New("sim: empty page")
 	}
-	rcfg := render.DefaultConfig()
-	if opts.RenderConfig != nil {
-		rcfg = *opts.RenderConfig
-	}
-	plan, err := PagePlan(wl.Page, rcfg)
+	plan, err := PagePlan(wl.Page)
 	if err != nil {
 		return Result{}, err
 	}

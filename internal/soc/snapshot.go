@@ -84,7 +84,6 @@ type MachineSnapshot struct {
 	l1         []cache.Snapshot
 	l2         cache.Snapshot
 	bus        membus.Snapshot
-	banks      *membus.BankSnapshot
 	thermal    thermal.Snapshot
 	rngOps     []byte
 	cores      []coreSnap
@@ -114,10 +113,6 @@ func (m *Machine) Snapshot() *MachineSnapshot {
 	}
 	for i, l1 := range m.l1 {
 		s.l1[i] = l1.Snapshot()
-	}
-	if m.banks != nil {
-		b := m.banks.Snapshot()
-		s.banks = &b
 	}
 	for i := range m.cores {
 		c := &m.cores[i]
@@ -163,9 +158,6 @@ func (m *Machine) RestoreSnapshot(s *MachineSnapshot) error {
 	if len(s.cores) != len(m.cores) || len(s.l1) != len(m.l1) {
 		return errors.New("soc: snapshot core count mismatch")
 	}
-	if (s.banks != nil) != (m.banks != nil) {
-		return errors.New("soc: snapshot bank-model mismatch")
-	}
 	m.now = s.now
 	m.opp = s.opp
 	m.switches = s.switches
@@ -178,9 +170,6 @@ func (m *Machine) RestoreSnapshot(s *MachineSnapshot) error {
 	}
 	m.l2.Restore(s.l2)
 	m.bus.Restore(s.bus)
-	if s.banks != nil {
-		m.banks.Restore(*s.banks)
-	}
 	m.thermal.Restore(s.thermal)
 
 	// Replay the shared RNG stream against a fresh generator.

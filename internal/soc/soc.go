@@ -78,12 +78,6 @@ type Config struct {
 	// available for ablation studies.
 	L2Replacement cache.Replacement
 
-	// UseBankModel replaces the flat DRAM base latency with the
-	// address-dependent bank/row-buffer model (fidelity studies; the
-	// calibrated reproduction uses the flat latency, which is the
-	// row-hit/conflict mix average).
-	UseBankModel bool
-
 	// ThermalTripC is the SoC temperature above which an attached
 	// tracer records thermal-throttle events (0 disables).
 	ThermalTripC float64
@@ -236,13 +230,10 @@ type Machine struct {
 
 	// Per-slice hoisted memory-latency terms. Bus utilization and
 	// frequency are frozen within a slice (utilization updates at
-	// EndWindow, frequency only between Step calls), so the flat-model
-	// per-pattern miss stall and the bank-model transfer/queue factors
-	// are computed once per slice instead of per miss — with the same
-	// float expression shapes, keeping results bit-identical.
+	// EndWindow, frequency only between Step calls), so the per-pattern
+	// miss stall is computed once per slice instead of per miss — with
+	// the same float expression shape, keeping results bit-identical.
 	missStallNs [4]int64
-	xferNs      float64
-	queueF1     float64
 
 	l1      []*cache.Cache
 	l2      *cache.Cache
@@ -273,7 +264,6 @@ type Machine struct {
 
 	sink   *telemetry.Sink
 	tracer *telemetry.Tracer
-	banks  *membus.BankModel // nil unless Config.UseBankModel
 
 	corePowers []float64 // per-slice scratch for the power/thermal step
 	inTrip     bool      // SoC temperature above Config.ThermalTripC
@@ -354,12 +344,6 @@ func New(cfg Config, seed int64) (*Machine, error) {
 		return nil, err
 	}
 	m.bus = bus
-	if cfg.UseBankModel {
-		m.banks, err = membus.NewBankModel(membus.DefaultLPDDR3Banks())
-		if err != nil {
-			return nil, err
-		}
-	}
 	th, err := thermal.New(cfg.Thermal)
 	if err != nil {
 		return nil, err
@@ -484,12 +468,6 @@ func (m *Machine) SetAmbient(c float64) { m.thermal.SetAmbient(c) }
 // cold ambient (phones being benchmarked are already warm).
 func (m *Machine) Prewarm(tempC float64) { m.thermal.Prewarm(tempC) }
 
-// BusUtilization returns the last window's memory-bus utilization.
-func (m *Machine) BusUtilization() float64 { return m.bus.Utilization() }
-
-// L2Stats exposes shared-L2 counters for a core (testing/diagnostics).
-func (m *Machine) L2Stats(core int) cache.OwnerStats { return m.l2.Stats(core) }
-
 // Step advances simulated time by d (rounded up to whole slices).
 func (m *Machine) Step(d time.Duration) {
 	slices := (int64(d) + m.cfg.SliceNs - 1) / m.cfg.SliceNs
@@ -521,14 +499,9 @@ func (m *Machine) l2TrafficSince(l2Before uint64) float64 {
 // before the slice and the stall to apply in the slice's first quantum.
 func (m *Machine) beginSlice() (l2Before uint64, switchStall int64) {
 	l2Before = m.l2.TotalStats().Accesses
-	if m.banks != nil {
-		m.xferNs = m.bus.TransferSeconds() * 1e9
-		m.queueF1 = 1 + m.bus.QueueFactor()
-	} else {
-		lat := m.bus.TransactionLatency().Seconds() * 1e9
-		for p := range m.missStallNs {
-			m.missStallNs[p] = int64(lat / m.mlpTab[p] * m.scaleF)
-		}
+	lat := m.bus.TransactionLatency().Seconds() * 1e9
+	for p := range m.missStallNs {
+		m.missStallNs[p] = int64(lat / m.mlpTab[p] * m.scaleF)
 	}
 	switchStall = m.stallAllNs
 	m.stallAllNs = 0
@@ -932,13 +905,6 @@ func (m *Machine) access(core int, c *coreState) int64 {
 	c.counters.L2Misses += m.scaleU
 	c.counters.BusTx += m.scaleU
 	m.bus.Add(core, m.scale)
-	if m.banks != nil {
-		// Address-dependent service time: row-buffer state + transfer,
-		// then the same queueing inflation (transfer and queue terms
-		// hoisted per slice).
-		lat := (m.banks.AccessNs(addr) + m.xferNs) * m.queueF1
-		return int64(lat / m.mlpTab[patIdx(c.seg.Pattern)] * m.scaleF)
-	}
 	return m.missStallNs[patIdx(c.seg.Pattern)]
 }
 

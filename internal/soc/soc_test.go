@@ -374,44 +374,6 @@ func TestTimeConservationProperty(t *testing.T) {
 	}
 }
 
-func TestBankModelMode(t *testing.T) {
-	// With the bank/row-buffer model enabled, a sequential streamer
-	// finishes faster than a random one of identical volume (open-row
-	// hits), while with the flat model the gap comes only from MLP.
-	run := func(useBanks bool, pattern workload.Pattern) time.Duration {
-		cfg := NexusFive()
-		cfg.UseBankModel = useBanks
-		// Equalize MLP so only the DRAM model differentiates patterns.
-		cfg.MLPSequential, cfg.MLPStrided, cfg.MLPRandom, cfg.MLPPointerChase = 2, 2, 2, 2
-		m, err := New(cfg, 31)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opp, _ := cfg.OPPs.ByFreq(1497)
-		m.SetOPP(opp)
-		m.AssignSource(0, workload.FromSegments("s", []workload.Segment{{
-			Kind: "stream", Ops: 100_000_000, Lines: 2_000_000,
-			FootprintBytes: 64 << 20, Pattern: pattern, Base: 0x1000_0000, IPC: 1.5,
-		}}))
-		for !m.CoreDone(0) && m.Now() < 60*time.Second {
-			m.Step(10 * time.Millisecond)
-		}
-		return m.Now()
-	}
-	seqBank := run(true, workload.Sequential)
-	rndBank := run(true, workload.Random)
-	if float64(rndBank) < float64(seqBank)*1.15 {
-		t.Fatalf("bank model: random (%v) should be well slower than sequential (%v)", rndBank, seqBank)
-	}
-	seqFlat := run(false, workload.Sequential)
-	rndFlat := run(false, workload.Random)
-	flatGap := float64(rndFlat) / float64(seqFlat)
-	bankGap := float64(rndBank) / float64(seqBank)
-	if bankGap <= flatGap {
-		t.Fatalf("bank model must widen the pattern gap: flat %v, bank %v", flatGap, bankGap)
-	}
-}
-
 func TestThermalTripTrace(t *testing.T) {
 	// Lower the trip point to just above the prewarm temperature so a
 	// heavy workload crosses it quickly, then cools back below it.

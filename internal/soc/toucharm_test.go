@@ -171,16 +171,14 @@ func TestTouchArmMatchesChunkModel(t *testing.T) {
 	freqs := []int{300, 2265, 960, 1574, 652, 1190, 1958}
 	for _, tc := range []struct {
 		name   string
-		banks  bool
 		jitter float64
 	}{
-		{"flat-jitter", false, 0.02},
-		{"flat-nojitter", false, 0},
-		{"banks-jitter", true, 0.05},
+		{"flat-jitter", 0.02},
+		{"flat-nojitter", 0},
+		{"flat-jitter-high", 0.05},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := NexusFive()
-			cfg.UseBankModel = tc.banks
 			cfg.JitterPct = tc.jitter
 			build := func() *Machine {
 				m, err := New(cfg, 77)

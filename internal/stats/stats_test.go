@@ -91,27 +91,6 @@ func TestAbsRelErrors(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	for _, tc := range []struct{ p, want float64 }{
-		{0, 1}, {100, 4}, {50, 2.5}, {25, 1.75},
-	} {
-		got, err := Percentile(xs, tc.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEq(got, tc.want, 1e-12) {
-			t.Fatalf("P%v = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-	if _, err := Percentile(nil, 50); err != ErrEmpty {
-		t.Fatal("empty percentile must error")
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Fatal("out-of-range percentile must error")
-	}
-}
-
 func TestCDF(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 2, 4})
 	cases := []struct{ x, want float64 }{
@@ -179,22 +158,6 @@ func TestWelfordMatchesBatch(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(g, 4, 1e-12) {
-		t.Fatalf("GeoMean = %v, want 4", g)
-	}
-	if _, err := GeoMean([]float64{1, -1}); err == nil {
-		t.Fatal("negative input must error")
-	}
-	if _, err := GeoMean(nil); err != ErrEmpty {
-		t.Fatal("empty input must be ErrEmpty")
-	}
-}
-
 // Property: CDF.At is monotone nondecreasing and bounded in [0,1].
 func TestCDFMonotoneProperty(t *testing.T) {
 	f := func(raw []float64, a, b float64) bool {
@@ -233,27 +196,6 @@ func TestMeanBoundedProperty(t *testing.T) {
 		}
 		m := Mean(xs)
 		return m >= Min(xs)-1e-6 && m <= Max(xs)+1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Percentile(100) is the maximum, Percentile(0) the minimum.
-func TestPercentileExtremesProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		lo, _ := Percentile(xs, 0)
-		hi, _ := Percentile(xs, 100)
-		return lo == Min(xs) && hi == Max(xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -475,8 +475,7 @@ func Split(obs []Observation) (training, holdout []Observation) {
 	return
 }
 
-// Shuffle deterministically permutes observations (k-fold CV assumes
-// order-independence).
+// Shuffle deterministically permutes observations.
 func Shuffle(obs []Observation, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(len(obs), func(i, j int) { obs[i], obs[j] = obs[j], obs[i] })

@@ -109,7 +109,8 @@ func ParseCSS(css string) *Stylesheet {
 				break
 			}
 			i += brace
-			i += skipBlock(css[i:])
+			blockLen, _ := skipBlock(css[i:])
+			i += blockLen
 			continue
 		}
 		open := strings.IndexByte(css[i:], '{')
@@ -118,8 +119,11 @@ func ParseCSS(css string) *Stylesheet {
 		}
 		selText := css[i : i+open]
 		i += open
-		blockLen := skipBlock(css[i:])
-		block := css[i+1 : i+blockLen-1]
+		blockLen, closed := skipBlock(css[i:])
+		block := css[i+1 : i+blockLen]
+		if closed {
+			block = block[:len(block)-1]
+		}
 		i += blockLen
 
 		var sels []Selector
@@ -143,9 +147,9 @@ func ParseCSS(css string) *Stylesheet {
 }
 
 // skipBlock returns the length of the brace-balanced block starting at
-// s[0] == '{' (including both braces). Unbalanced input consumes the
-// remainder.
-func skipBlock(s string) int {
+// s[0] == '{' (including both braces) and true. A block that never
+// closes consumes the remainder, and skipBlock reports false.
+func skipBlock(s string) (n int, closed bool) {
 	depth := 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
@@ -154,11 +158,11 @@ func skipBlock(s string) int {
 		case '}':
 			depth--
 			if depth == 0 {
-				return i + 1
+				return i + 1, true
 			}
 		}
 	}
-	return len(s)
+	return len(s), false
 }
 
 // parseCompound parses the rightmost compound of a selector.

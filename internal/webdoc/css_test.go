@@ -84,6 +84,34 @@ func TestParseCSSAtRulesAndMalformed(t *testing.T) {
 	}
 }
 
+// TestParseCSSUnclosedBlock checks that a block still open at the end
+// of the input takes the whole remainder as its body.
+func TestParseCSSUnclosedBlock(t *testing.T) {
+	for _, tc := range []struct {
+		css   string
+		rules int
+		decls int // of the last rule
+	}{
+		{"{", 0, 0},
+		{"a{", 1, 0},
+		{"a{b{}", 1, 0},
+		{"a{b:1", 1, 1},
+		{"a{b:1} c{d:2;e:3", 2, 2},
+		{"@media screen {", 0, 0},
+	} {
+		sheet := ParseCSS(tc.css)
+		if len(sheet.Rules) != tc.rules {
+			t.Errorf("ParseCSS(%q): %d rules, want %d", tc.css, len(sheet.Rules), tc.rules)
+			continue
+		}
+		if tc.rules > 0 {
+			if got := sheet.Rules[tc.rules-1].Declarations; got != tc.decls {
+				t.Errorf("ParseCSS(%q): last rule has %d declarations, want %d", tc.css, got, tc.decls)
+			}
+		}
+	}
+}
+
 func TestSelectorMatches(t *testing.T) {
 	doc := mustParse(t, `<div id="hero" class="card wide"><p class="note">x</p></div>`)
 	div := doc.Root.Children[0]

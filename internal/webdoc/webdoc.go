@@ -154,7 +154,7 @@ func Parse(html string) (*Document, error) {
 		// Raw-text elements: consume until the matching close tag.
 		if name == "script" || name == "style" {
 			closeTag := "</" + name
-			idx := strings.Index(strings.ToLower(html[i:]), closeTag)
+			idx := indexASCIIFold(html[i:], closeTag)
 			if idx < 0 {
 				// Unclosed script/style swallows the document remainder.
 				el.Children = append(el.Children, &Node{Type: TextNode, Text: html[i:], Parent: el})
@@ -245,6 +245,31 @@ func parseTag(raw string) (string, []Attr, error) {
 }
 
 func isSpace(b byte) bool { return b == ' ' || b == '\t' || b == '\r' || b == '\n' }
+
+// indexASCIIFold returns the byte offset in s of the first match of
+// lower, a lowercase ASCII string, with ASCII letters of s matching in
+// either case, or -1. Searching strings.ToLower(s) instead gives an
+// offset into the lowered copy, which is longer than s wherever s holds
+// invalid UTF-8 or a letter whose lowercase encodes in more bytes.
+func indexASCIIFold(s, lower string) int {
+	for i := 0; i+len(lower) <= len(s); i++ {
+		j := 0
+		for j < len(lower) {
+			c := s[i+j]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if c != lower[j] {
+				break
+			}
+			j++
+		}
+		if j == len(lower) {
+			return i
+		}
+	}
+	return -1
+}
 
 // Features are the paper's five page-complexity model inputs
 // (Table I, X1..X5) plus auxiliary structure metrics the rendering

@@ -95,6 +95,22 @@ func TestScriptStyleRawText(t *testing.T) {
 	if doc.Root.Children[1].Tag != "div" {
 		t.Fatal("element after script lost")
 	}
+	// The close tag is found at its byte offset in the document, in
+	// any case, even after bytes that are not valid UTF-8.
+	for _, tc := range []struct{ html, text string }{
+		{"<stYle>\xb8\xb8</stYle><p>", "\xb8\xb8"},
+		{"<style>\xb8\xb8</STYLE ><p>", "\xb8\xb8"},
+		{"<script>\u0130</script><p>", "\u0130"},
+	} {
+		doc := mustParse(t, tc.html)
+		if len(doc.Root.Children) != 2 || doc.Root.Children[1].Tag != "p" {
+			t.Errorf("Parse(%q): children %+v, want the raw-text element then p", tc.html, doc.Root.Children)
+			continue
+		}
+		if raw := doc.Root.Children[0]; len(raw.Children) != 1 || raw.Children[0].Text != tc.text {
+			t.Errorf("Parse(%q): raw text %+v, want %q", tc.html, raw.Children, tc.text)
+		}
+	}
 }
 
 func TestMismatchedCloseTags(t *testing.T) {

@@ -307,18 +307,5 @@ func (l *loopSource) Next() (Segment, bool) {
 
 func (l *loopSource) Reset() { l.inner.Reset() }
 
-// Totals sums ops and line touches across a finite source (consumes
-// it; callers Reset afterwards if reuse is needed).
-func Totals(s Source) (ops, lines int64) {
-	for {
-		seg, ok := s.Next()
-		if !ok {
-			return
-		}
-		ops += seg.Ops
-		lines += seg.Lines
-	}
-}
-
 // Idle returns a Source that produces nothing — a parked core.
 func Idle() Source { return FromSegments("idle", nil) }

@@ -158,12 +158,7 @@ func TestLoop(t *testing.T) {
 	}
 }
 
-func TestTotalsAndIdle(t *testing.T) {
-	s := FromSegments("t", []Segment{{Ops: 10, Lines: 3}, {Ops: 5, Lines: 2}})
-	ops, lines := Totals(s)
-	if ops != 15 || lines != 5 {
-		t.Fatalf("Totals = %d/%d", ops, lines)
-	}
+func TestIdle(t *testing.T) {
 	if _, ok := Idle().Next(); ok {
 		t.Fatal("Idle must produce nothing")
 	}

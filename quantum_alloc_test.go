@@ -13,7 +13,7 @@ import (
 // Together the cases reach every non-error statement of the per-slice
 // kernel: the segment state machine (settle, opsChunk, segmentGap), the
 // touch path (soc access, RefGen.FillBlock, cache access under both
-// replacement policies, the DRAM bank model), the fast-forward arms and
+// replacement policies), the fast-forward arms and
 // an OPP switch with no tracer attached. each, when set, runs before
 // every measured step, inside the measured region.
 type allocCase struct {
@@ -28,10 +28,9 @@ func allocCases() []allocCase {
 		{"co-runner mix", func(t testing.TB) (*soc.Machine, func()) {
 			return quantumLoopMachine(t, 1), nil
 		}},
-		{"LRU L2 and DRAM bank model", func(t testing.TB) (*soc.Machine, func()) {
+		{"LRU L2", func(t testing.TB) (*soc.Machine, func()) {
 			cfg := soc.NexusFive()
 			cfg.L2Replacement = cache.LRU
-			cfg.UseBankModel = true
 			return machineWith(t, cfg, patternSources()), nil
 		}},
 		{"every RefGen pattern", func(t testing.TB) (*soc.Machine, func()) {
