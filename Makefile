@@ -37,10 +37,11 @@ serve-test:
 
 # 30 s of coverage-guided fuzzing per committed target: the request
 # decoder, the run-cache loader, the wire payload codecs, the wire
-# frame layer, the gateway router, the cache tag match, and the HTML
-# and CSS parsers. Seed corpora live under each package's
-# testdata/fuzz/ and replay in plain `go test` runs. This is the one
-# list; CI's fuzz step runs this target.
+# frame layer, the gateway router, the cache tag match, the private
+# L1 against its LRU model, and the HTML and CSS parsers. Seed corpora
+# live under each package's testdata/fuzz/ and replay in plain
+# `go test` runs. This is the one list; CI's fuzz step runs this
+# target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadRequestDecode$$' -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRunCacheEntry$$' -fuzztime 30s ./internal/runcache/
@@ -48,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameRead$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzGatewayRoute$$' -fuzztime 30s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzTagMatch$$' -fuzztime 30s ./internal/cache/
+	$(GO) test -run '^$$' -fuzz '^FuzzPrivateL1$$' -fuzztime 30s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/webdoc/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCSS$$' -fuzztime 30s ./internal/webdoc/
 

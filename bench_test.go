@@ -241,12 +241,12 @@ func BenchmarkAccessN(b *testing.B) {
 	}
 }
 
-// BenchmarkL1AccessN is BenchmarkAccessN on a private L1: the
-// NexusFive geometry after SampleShift scaling (16 KB / 8 = 2 KB,
-// 4-way LRU, one owner), which almost every sampled reference probes
-// first and almost always misses.
+// BenchmarkL1AccessN times the private L1 the simulator runs
+// (cache.Private) in the NexusFive geometry after SampleShift scaling
+// (16 KB / 8 = 2 KB, 4-way LRU, one owner), which almost every sampled
+// reference probes first and almost always misses.
 func BenchmarkL1AccessN(b *testing.B) {
-	c, err := cache.New(cache.Config{
+	c, err := cache.NewPrivate(cache.Config{
 		Name: "l1", SizeBytes: 2 << 10, LineBytes: 64, Ways: 4,
 		MaxOwners: 1, Replacement: cache.LRU,
 	})
@@ -263,7 +263,7 @@ func BenchmarkL1AccessN(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += blk {
 		gen.FillBlock(addrs)
-		c.AccessN(0, addrs, hits)
+		c.AccessN(addrs, hits)
 	}
 }
 

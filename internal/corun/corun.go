@@ -283,9 +283,14 @@ func newBFS(seed int64) workload.Source {
 		// Each edge hits an unvisited node with probability
 		// unvisited/n; sample the next frontier.
 		next := int64(0)
-		p := float64(unvisited) / float64(n)
+		below := float64Threshold(float64(unvisited) / float64(n))
 		for i := int64(0); i < reach && next < unvisited; i++ {
-			if rng.Float64() < p {
+			// rng.Float64() < p, without the float conversion.
+			x := rng.Int63()
+			for x >= floatRetry {
+				x = rng.Int63()
+			}
+			if x < below {
 				next++
 			}
 		}
@@ -301,6 +306,28 @@ func newBFS(seed int64) workload.Source {
 		base:   regionBase("bfs"),
 		adjFP:  int64(n * (avgDeg*4 + 8)), // adjacency + node arrays ~24 MB
 	}
+}
+
+// floatRetry is the least Int63 draw that math/rand's Float64 throws
+// away and draws again: from there up, float64(x) rounds to 1<<63, so
+// x/2^63 would be 1.
+const floatRetry = 1<<63 - 512
+
+// float64Threshold returns the least x with float64(x)/2^63 >= p, for p
+// in [0, 1]. Float64 returns float64(x)/2^63 for an Int63 draw x below
+// floatRetry, and that is monotone in x, so Float64() < p exactly when
+// x < float64Threshold(p).
+func float64Threshold(p float64) int64 {
+	lo, hi := int64(0), int64(floatRetry) // float64(floatRetry)/2^63 == 1 >= p
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) >= p {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 func (b *bfsSource) Name() string { return b.name }

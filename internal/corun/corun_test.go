@@ -1,6 +1,8 @@
 package corun
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"dora/internal/workload"
@@ -222,6 +224,66 @@ func TestBFSLevelsAreRealistic(t *testing.T) {
 	// level is 1, peak is interior.
 	if src.levels[0] != 1 {
 		t.Fatal("BFS must start from a single source")
+	}
+}
+
+// bfsLevelsFloat64 is newBFS's level construction with each edge
+// drawn as rng.Float64() < p: the reference the integer threshold
+// must reproduce.
+func bfsLevelsFloat64(seed int64) []int64 {
+	const n, avgDeg = 600_000, 8
+	rng := rand.New(rand.NewSource(seed))
+	var levels []int64
+	unvisited, frontier := int64(n-1), int64(1)
+	for frontier > 0 && unvisited > 0 {
+		levels = append(levels, frontier)
+		next := int64(0)
+		p := float64(unvisited) / float64(n)
+		for i := int64(0); i < frontier*avgDeg && next < unvisited; i++ {
+			if rng.Float64() < p {
+				next++
+			}
+		}
+		unvisited -= next
+		frontier = next
+	}
+	return levels
+}
+
+// TestBFSLevelsMatchFloat64 checks that newBFS's integer draws give
+// the levels the Float64 draws give, seed for seed.
+func TestBFSLevelsMatchFloat64(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		got := newBFS(seed).(*bfsSource).levels
+		if want := bfsLevelsFloat64(seed); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: levels %v, want %v", seed, got, want)
+		}
+	}
+}
+
+// TestFloat64Threshold pins floatRetry to where math/rand's Float64
+// starts drawing again, and float64Threshold to the least Int63 value
+// whose Float64 is not below p, at the ends and in between.
+func TestFloat64Threshold(t *testing.T) {
+	if float64(int64(floatRetry))/(1<<63) != 1 || float64(int64(floatRetry-1))/(1<<63) >= 1 {
+		t.Fatalf("floatRetry %#x is not the least Int63 value that rounds to 1", int64(floatRetry))
+	}
+	rng := rand.New(rand.NewSource(1))
+	ps := []float64{0, 1, 0.5, 1.0 / 600_000, 599_999.0 / 600_000, 0x1p-63, 0x1p-60 + 0x1p-80, 1 - 0x1p-53}
+	for i := 0; i < 200; i++ {
+		ps = append(ps, rng.Float64())
+	}
+	for _, p := range ps {
+		x := float64Threshold(p)
+		if x < 0 || x > floatRetry {
+			t.Fatalf("p %v: threshold %d out of range", p, x)
+		}
+		if float64(x)/(1<<63) < p {
+			t.Fatalf("p %v: Float64 of threshold %d is below p", p, x)
+		}
+		if x > 0 && float64(x-1)/(1<<63) >= p {
+			t.Fatalf("p %v: threshold %d is not the least", p, x)
+		}
 	}
 }
 

@@ -202,14 +202,6 @@ func (b *Bus) EndWindow(dur time.Duration) (WindowStats, error) {
 	}, nil
 }
 
-// Reset clears the utilization estimate and the open window.
-func (b *Bus) Reset() {
-	b.lastUtil = 0
-	for i := range b.window {
-		b.window[i] = 0
-	}
-}
-
 // Snapshot is a deep copy of the bus's warm state: frequency, the
 // utilization estimate the queueing factor feeds on, and the per-owner
 // transaction window.

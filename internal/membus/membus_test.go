@@ -150,16 +150,6 @@ func TestAddPanics(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	b := newBus(t)
-	b.Add(0, 1000000)
-	b.EndWindow(time.Millisecond)
-	b.Reset()
-	if b.Utilization() != 0 {
-		t.Fatal("Reset must clear state")
-	}
-}
-
 // Property: latency is monotone nondecreasing in utilization, finite,
 // and never below the unloaded value.
 func TestLatencyMonotoneProperty(t *testing.T) {

@@ -105,9 +105,6 @@ func (s *Sampler) Window(core int, cur Counters) Counters {
 	return cur.Sub(prev)
 }
 
-// Reset forgets all previous snapshots.
-func (s *Sampler) Reset() { s.last = make(map[int]Counters) }
-
 // Snapshot returns a copy of the sampler's window state, for the
 // sampled-fidelity warm-state checkpoints.
 func (s *Sampler) Snapshot() map[int]Counters {

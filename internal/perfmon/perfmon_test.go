@@ -84,9 +84,4 @@ func TestSamplerWindows(t *testing.T) {
 	if other.Instructions != 40 {
 		t.Fatalf("core-1 window = %+v", other)
 	}
-	s.Reset()
-	again := s.Window(0, Counters{Instructions: 300})
-	if again.Instructions != 300 {
-		t.Fatalf("post-reset window = %+v", again)
-	}
 }

@@ -182,9 +182,6 @@ func (m *Meter) AvgPowerW() float64 {
 	return m.energyJ / m.elapsed.Seconds()
 }
 
-// Reset clears the meter.
-func (m *Meter) Reset() { *m = Meter{} }
-
 // PPW is the paper's energy-efficiency metric: performance per watt,
 // 1 / (load time x average power) = 1 / energy. Higher is better.
 func PPW(loadTime time.Duration, avgPowerW float64) float64 {

@@ -81,7 +81,7 @@ type MachineSnapshot struct {
 	switchEJ   float64
 	lastPower  power.Breakdown
 	meter      power.MeterSnapshot
-	l1         []cache.Snapshot
+	l1         []cache.PrivateSnapshot
 	l2         cache.Snapshot
 	bus        membus.Snapshot
 	thermal    thermal.Snapshot
@@ -108,7 +108,7 @@ func (m *Machine) Snapshot() *MachineSnapshot {
 		bus:        m.bus.Snapshot(),
 		thermal:    m.thermal.Snapshot(),
 		rngOps:     append([]byte(nil), m.rngLog...),
-		l1:         make([]cache.Snapshot, len(m.l1)),
+		l1:         make([]cache.PrivateSnapshot, len(m.l1)),
 		cores:      make([]coreSnap, len(m.cores)),
 	}
 	for i, l1 := range m.l1 {

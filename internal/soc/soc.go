@@ -38,6 +38,8 @@ type Config struct {
 	Cores int
 
 	L1SizeBytes int
+	// L1Ways is the private L1's associativity; Validate accepts only
+	// cache.PrivateWays.
 	L1Ways      int
 	L2SizeBytes int
 	L2Ways      int
@@ -148,6 +150,9 @@ func (c Config) Validate() error {
 	if c.ThermalTripC < 0 {
 		return errors.New("soc: ThermalTripC must be >= 0")
 	}
+	if c.L1Ways != cache.PrivateWays {
+		return fmt.Errorf("soc: L1Ways is %d; the private L1 model is %d-way", c.L1Ways, cache.PrivateWays)
+	}
 	return c.Power.Validate()
 }
 
@@ -235,7 +240,7 @@ type Machine struct {
 	// the same float expression shape, keeping results bit-identical.
 	missStallNs [4]int64
 
-	l1      []*cache.Cache
+	l1      []*cache.Private
 	l2      *cache.Cache
 	bus     *membus.Bus
 	thermal *thermal.Model
@@ -293,7 +298,7 @@ func New(cfg Config, seed int64) (*Machine, error) {
 		return nil, err
 	}
 	scale := int64(1) << cfg.SampleShift
-	mkCache := func(name string, size, ways, owners int, repl cache.Replacement) (*cache.Cache, error) {
+	cacheCfg := func(name string, size, ways, owners int, repl cache.Replacement) cache.Config {
 		scaled := size / int(scale)
 		if scaled < cfg.LineBytes*ways {
 			scaled = cfg.LineBytes * ways
@@ -304,11 +309,11 @@ func New(cfg Config, seed int64) (*Machine, error) {
 		for p2*2 <= sets {
 			p2 *= 2
 		}
-		return cache.New(cache.Config{
+		return cache.Config{
 			Name: name, SizeBytes: p2 * cfg.LineBytes * ways,
 			LineBytes: cfg.LineBytes, Ways: ways, MaxOwners: owners,
 			Replacement: repl,
-		})
+		}
 	}
 
 	m := &Machine{
@@ -325,7 +330,7 @@ func New(cfg Config, seed int64) (*Machine, error) {
 		corePowers:   make([]float64, cfg.Cores),
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		l1, err := mkCache(fmt.Sprintf("l1-%d", i), cfg.L1SizeBytes, cfg.L1Ways, 1, cache.LRU)
+		l1, err := cache.NewPrivate(cacheCfg(fmt.Sprintf("l1-%d", i), cfg.L1SizeBytes, cfg.L1Ways, 1, cache.LRU))
 		if err != nil {
 			return nil, err
 		}
@@ -334,7 +339,7 @@ func New(cfg Config, seed int64) (*Machine, error) {
 	// Krait-class shared L2s use pseudo-random replacement (the
 	// default) — the reason streaming co-runners evict a victim's hot
 	// lines.
-	l2, err := mkCache("l2", cfg.L2SizeBytes, cfg.L2Ways, cfg.Cores, cfg.L2Replacement)
+	l2, err := cache.New(cacheCfg("l2", cfg.L2SizeBytes, cfg.L2Ways, cfg.Cores, cfg.L2Replacement))
 	if err != nil {
 		return nil, err
 	}
@@ -888,7 +893,7 @@ func (m *Machine) access(core int, c *coreState) int64 {
 	if c.blkPos == c.blkLen {
 		n := min(int64(refBlock), c.genRem)
 		c.gen.FillBlock(c.addrBlk[:n])
-		m.l1[core].AccessN(0, c.addrBlk[:n], c.l1Hit[:n])
+		m.l1[core].AccessN(c.addrBlk[:n], c.l1Hit[:n])
 		c.genRem -= n
 		c.blkPos, c.blkLen = 0, int(n)
 	}

@@ -36,6 +36,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.MLPRandom = 0.5 },
 		func(c *Config) { c.SampleShift = 20 },
 		func(c *Config) { c.JitterPct = 0.9 },
+		func(c *Config) { c.L1Ways = 8 },
 	}
 	for i, mod := range mods {
 		cfg := NexusFive()

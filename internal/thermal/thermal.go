@@ -135,14 +135,6 @@ func (m *Model) Prewarm(tempC float64) {
 	}
 }
 
-// Reset returns the model to ambient equilibrium.
-func (m *Model) Reset() {
-	m.socTemp = m.cfg.AmbientC
-	for i := range m.coreRise {
-		m.coreRise[i] = 0
-	}
-}
-
 // SteadyStateSoC returns the temperature the SoC node would settle at
 // under constant power p.
 func (m *Model) SteadyStateSoC(p float64) float64 {

@@ -109,7 +109,7 @@ func TestAmbientShift(t *testing.T) {
 		m.Step(100*time.Millisecond, 1, []float64{1})
 	}
 	cold := m.SoCTemp()
-	m.Reset()
+	m = newModel(t)
 	m.SetAmbient(25)
 	for i := 0; i < 2000; i++ {
 		m.Step(100*time.Millisecond, 1, []float64{1})
@@ -135,15 +135,6 @@ func TestEdgeCases(t *testing.T) {
 	// Out-of-range core index falls back to SoC temp.
 	if m.CoreTemp(99) != m.SoCTemp() || m.CoreTemp(-1) != m.SoCTemp() {
 		t.Fatal("out-of-range core temp fallback wrong")
-	}
-}
-
-func TestReset(t *testing.T) {
-	m := newModel(t)
-	m.Step(10*time.Second, 4, []float64{4})
-	m.Reset()
-	if m.SoCTemp() != 25 || m.CoreTemp(0) != 25 {
-		t.Fatal("Reset must return to ambient")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -473,10 +472,4 @@ func Split(obs []Observation) (training, holdout []Observation) {
 		}
 	}
 	return
-}
-
-// Shuffle deterministically permutes observations.
-func Shuffle(obs []Observation, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(obs), func(i, j int) { obs[i], obs[j] = obs[j], obs[i] })
 }

@@ -224,35 +224,6 @@ func TestSplit(t *testing.T) {
 	}
 }
 
-func TestShuffleDeterministic(t *testing.T) {
-	mk := func() []Observation {
-		var o []Observation
-		for i := 0; i < 20; i++ {
-			o = append(o, Observation{FreqMHz: i})
-		}
-		return o
-	}
-	a, b := mk(), mk()
-	Shuffle(a, 7)
-	Shuffle(b, 7)
-	for i := range a {
-		if a[i].FreqMHz != b[i].FreqMHz {
-			t.Fatal("shuffle must be deterministic per seed")
-		}
-	}
-	c := mk()
-	Shuffle(c, 8)
-	same := true
-	for i := range a {
-		if a[i].FreqMHz != c[i].FreqMHz {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds should permute differently")
-	}
-}
-
 // tinyCfg is an 8-cell grid for tests that must run the campaign more
 // than once.
 func tinyCfg() Config {
