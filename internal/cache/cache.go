@@ -1,10 +1,11 @@
-// Package cache implements the set-associative cache simulator used for
-// the private L1 and shared L2 caches of the simulated MSM8974. The
-// shared L2 tracks per-requestor statistics, including lines evicted by
-// a different owner than the one that installed them — the mechanism
-// behind the memory interference the DORA paper manages.
+// Package cache implements the cache models of the simulated MSM8974:
+// Cache, the set-associative shared L2, and Private, the 4-way LRU
+// private L1 of one core (private.go). The shared L2 tracks
+// per-requestor statistics, including lines evicted by a different
+// owner than the one that installed them — the mechanism behind the
+// memory interference the DORA paper manages.
 //
-// The geometry is flat: all ways of all sets live in preallocated
+// Cache's geometry is flat: all ways of all sets live in preallocated
 // parallel arrays (tags, owners) indexed by set*ways+way, with validity
 // kept as one bitmask word per set, so a lookup touches one contiguous
 // tag run. On amd64 with AVX2 that run is compared four ways per

@@ -285,7 +285,7 @@ func newBFS(seed int64) workload.Source {
 		next := int64(0)
 		below := float64Threshold(float64(unvisited) / float64(n))
 		for i := int64(0); i < reach && next < unvisited; i++ {
-			// rng.Float64() < p, without the float conversion.
+			// Exactly rng.Float64() < unvisited/n, drawn as an integer.
 			x := rng.Int63()
 			for x >= floatRetry {
 				x = rng.Int63()

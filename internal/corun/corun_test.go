@@ -251,9 +251,14 @@ func bfsLevelsFloat64(seed int64) []int64 {
 }
 
 // TestBFSLevelsMatchFloat64 checks that newBFS's integer draws give
-// the levels the Float64 draws give, seed for seed.
+// the levels the Float64 draws give, seed for seed: 60 seeds, or 10
+// under -short, which CI runs with the race detector.
 func TestBFSLevelsMatchFloat64(t *testing.T) {
-	for seed := int64(0); seed < 60; seed++ {
+	seeds := int64(60)
+	if testing.Short() {
+		seeds = 10
+	}
+	for seed := int64(0); seed < seeds; seed++ {
 		got := newBFS(seed).(*bfsSource).levels
 		if want := bfsLevelsFloat64(seed); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: levels %v, want %v", seed, got, want)
