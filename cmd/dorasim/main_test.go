@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -69,6 +71,62 @@ func TestRunLoadsPage(t *testing.T) {
 				if !strings.Contains(stdout.String(), want) {
 					t.Errorf("stdout lacks %q:\n%s", want, stdout.String())
 				}
+			}
+		})
+	}
+}
+
+// TestRunWritesMetrics reads the -metrics JSON of one load: a sampled
+// run publishes one page load, its decisions and the four sampled
+// slice counters; an exact run publishes no sampled counter.
+func TestRunWritesMetrics(t *testing.T) {
+	sampledNames := []string{
+		"dora_sampled_no_rates_slices_total",
+		"dora_sampled_unstable_slices_total",
+		"dora_sampled_cadence_slices_total",
+		"dora_sampled_extrapolated_slices_total",
+	}
+	for _, fid := range []string{"sampled", "exact"} {
+		t.Run(fid, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "out.json")
+			var stdout, stderr bytes.Buffer
+			args := []string{"-page", "Alipay", "-fidelity", fid, "-metrics", path, "-log-level", "off"}
+			if code := run(context.Background(), args, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d, want 0 (stderr %q)", code, stderr.String())
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var metrics []struct {
+				Name  string   `json:"name"`
+				Value *float64 `json:"value"`
+			}
+			if err := json.Unmarshal(data, &metrics); err != nil {
+				t.Fatalf("metrics file is not a JSON metric list: %v\n%s", err, data)
+			}
+			values := map[string]float64{}
+			for _, m := range metrics {
+				if m.Value != nil {
+					values[m.Name] = *m.Value
+				}
+			}
+			if got := values["dora_page_loads_total"]; got != 1 {
+				t.Errorf("dora_page_loads_total = %v, want 1", got)
+			}
+			if got := values["dora_governor_decisions_total"]; got <= 0 {
+				t.Errorf("dora_governor_decisions_total = %v, want > 0", got)
+			}
+			var slices float64
+			for _, name := range sampledNames {
+				v, ok := values[name]
+				if ok != (fid == "sampled") {
+					t.Errorf("%s present = %v in a %s run", name, ok, fid)
+				}
+				slices += v
+			}
+			if fid == "sampled" && slices == 0 {
+				t.Error("a sampled run published no slice")
 			}
 		})
 	}

@@ -100,6 +100,27 @@ func TestSampledFixedOPPCadence(t *testing.T) {
 	}
 }
 
+// TestSampledRunCountsPinned pins one sampled cell's run counts, the
+// four slice reasons and the governor decisions, at their recorded
+// values: where the counting happens may move, the counts may not.
+func TestSampledRunCountsPinned(t *testing.T) {
+	cfg := soc.NexusFive()
+	reg := telemetry.NewRegistry()
+	opts := Options{SoC: cfg, Governor: governor.NewFixed(cfg.OPPs.Ceil(1190)), Seed: 1,
+		DecisionInterval: 20 * time.Millisecond, Fidelity: fidelity.Sampled, Metrics: reg}
+	if _, err := LoadPage(opts, fidelityWorkload(t, "Reddit", "backprop")); err != nil {
+		t.Fatal(err)
+	}
+	got := readSampledSlices(reg)
+	want := sampledSlices{NoRates: 2, Unstable: 162, Cadence: 106, Extrapolated: 3347}
+	if got != want {
+		t.Errorf("slices = %+v, want %+v", got, want)
+	}
+	if got, want := reg.Counter("dora_governor_decisions_total", "").Value(), uint64(181); got != want {
+		t.Errorf("decisions = %d, want %d", got, want)
+	}
+}
+
 // toggleGov switches between two OPPs at every decision and counts
 // the switches it asked for.
 type toggleGov struct {

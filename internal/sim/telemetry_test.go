@@ -134,9 +134,11 @@ func TestLoadPageTelemetryWiring(t *testing.T) {
 		t.Error("trace missing page-load run span")
 	}
 
-	// Registry: decision counter matches the log, load counted.
-	if got := reg.Counter("dora_governor_decisions_total", "").Value(); got != uint64(dl.Len()) {
-		t.Errorf("decisions counter = %d, log has %d", got, dl.Len())
+	// Registry: decision counter matches the log and its recorded
+	// value, load counted.
+	const wantDecisions = 127
+	if got := reg.Counter("dora_governor_decisions_total", "").Value(); got != uint64(dl.Len()) || got != wantDecisions {
+		t.Errorf("decisions counter = %d, log has %d, want %d", got, dl.Len(), wantDecisions)
 	}
 	if got := reg.Counter("dora_page_loads_total", "").Value(); got != 1 {
 		t.Errorf("page loads counter = %d", got)
