@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short race lint lint-report bench bench-sampled bench-ab serve-test stream-test cluster-test fuzz-smoke
+.PHONY: build test test-short race lint lint-report loc bench bench-sampled bench-ab serve-test stream-test cluster-test fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,11 @@ lint:
 # PRs the way the BENCH_*.json files are.
 lint-report:
 	scripts/lint_report.sh
+
+# Non-test Go lines per package and for the module (every non-test .go
+# file outside testdata/ and dorabench/), the size ROADMAP tracks.
+loc:
+	scripts/loc.sh
 
 # End-to-end daemon suite: every dorad endpoint driven over real HTTP
 # (httptest) with the race detector watching the admission queue,

@@ -169,8 +169,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	if *decisions != "" {
 		opts.Decisions = dora.NewDecisionLog()
 	}
-	reg := dora.NewRegistry()
-	opts.Metrics = reg
 
 	// Per-millisecond frequency/temperature history for the sparklines.
 	var freqHist, tempHist []float64
@@ -247,6 +245,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		fmt.Fprintf(stdout, "decision log written to %s (%d records)\n", *decisions, opts.Decisions.Len())
 	}
 	if *metrics != "" {
+		reg := dora.NewRegistry()
+		res.Publish(reg)
 		w := reg.WritePrometheus
 		if strings.HasSuffix(*metrics, ".json") {
 			w = reg.WriteJSON

@@ -259,15 +259,14 @@ type LoadOptions struct {
 	Tracer *Tracer
 	// Decisions receives one record per governor decision interval.
 	Decisions *DecisionLog
-	// Metrics accumulates run counters, gauges, and histograms.
-	Metrics *Registry
 	// Fidelity selects the simulation mode (default exact).
 	Fidelity Fidelity
 	// FidelityParams tunes sampled mode (zero value = defaults).
 	FidelityParams FidelityParams
 	// Checkpoints, when set with SampledFidelity, shares warm-state
-	// checkpoints across loads (only consulted when no observer —
-	// Sink, Tracer, Decisions, Metrics — is attached).
+	// checkpoints across loads (only consulted when no observer of the
+	// warmup — Sink, Tracer, Decisions — is attached). A restored load
+	// still reports its warmup in Result.Counts.
 	Checkpoints *CheckpointStore
 }
 
@@ -310,7 +309,6 @@ func LoadPageContext(ctx context.Context, opts LoadOptions) (Result, error) {
 		Sink:             opts.Sink,
 		Tracer:           opts.Tracer,
 		Decisions:        opts.Decisions,
-		Metrics:          opts.Metrics,
 		Fidelity:         opts.Fidelity,
 		FidelityParams:   opts.FidelityParams,
 		Checkpoints:      opts.Checkpoints,

@@ -10,7 +10,9 @@ import (
 
 	"dora/internal/core"
 	"dora/internal/corun"
+	"dora/internal/fidelity"
 	"dora/internal/runcache"
+	"dora/internal/sim"
 	"dora/internal/soc"
 	"dora/internal/telemetry"
 	"dora/internal/train"
@@ -413,6 +415,24 @@ func TestPrefetchSingleflight(t *testing.T) {
 	}
 	if n := len(c.runs.Values()); n != 2 {
 		t.Fatalf("memo holds %d entries, want 2", n)
+	}
+}
+
+// A suite's metrics registry counts suite activity and observes no
+// run, so a suite that has one still shares warm checkpoints.
+func TestSuiteMetricsKeepCheckpoints(t *testing.T) {
+	m := telemetry.NewRegistry()
+	s := &Suite{SoC: soc.NexusFive(), Seed: 1, Metrics: m, ckpts: sim.NewCheckpointStore()}
+	s.runs, s.kernels = newMemos()
+	o := RunOptions{Page: "Alipay", Intensity: corun.Low, FixedMHz: 1190, Governor: "fixed", Fidelity: fidelity.Sampled}
+	if _, err := s.Run(o); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Counter("dora_suite_runs_total", "").Value(); got != 1 {
+		t.Fatalf("executed %d simulations, want 1", got)
+	}
+	if n := s.ckpts.Len(); n != 1 {
+		t.Fatalf("checkpoint store holds %d entries after one sampled run, want 1", n)
 	}
 }
 

@@ -48,7 +48,8 @@ type Suite struct {
 	Seed          int64
 
 	// Metrics, when set, counts suite activity (runs executed, memo
-	// cache hits) alongside the per-run simulation metrics.
+	// and run-cache hits). It observes no run, so it does not turn
+	// off the suite's warm checkpoints.
 	Metrics *telemetry.Registry
 
 	// Workers bounds Prefetch fan-out (0 = pool.DefaultSize()).
@@ -228,7 +229,6 @@ func (s *Suite) measure(ctx context.Context, o RunOptions) (sim.Result, error) {
 		Seed:             s.Seed + int64(o.KernelIdx)*31 + int64(len(o.Page)),
 		AmbientC:         o.AmbientC,
 		Warmup:           o.Warmup,
-		Metrics:          s.Metrics,
 		Fidelity:         o.Fidelity,
 		FidelityParams:   s.FidelityParams,
 		Checkpoints:      s.ckpts,

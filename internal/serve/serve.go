@@ -498,6 +498,7 @@ func (s *Server) lead(simCtx context.Context, key string, req LoadRequest) ([]by
 	res, err := s.runSim(simCtx, req)
 	switch {
 	case err == nil:
+		res.Publish(s.reg)
 		body, merr := json.Marshal(res)
 		if merr != nil {
 			return nil, &APIError{Status: http.StatusInternalServerError, Code: CodeInternal, Message: "encode result: " + merr.Error()}
@@ -551,7 +552,6 @@ func (s *Server) runSim(ctx context.Context, req LoadRequest) (sim.Result, error
 		MaxLoadTime:      time.Duration(req.MaxLoadMs) * time.Millisecond,
 		Seed:             req.Seed,
 		AmbientC:         req.AmbientC,
-		Metrics:          s.reg,
 		Fidelity:         mode,
 	}, wl)
 }

@@ -298,7 +298,7 @@ type sweepPoint struct {
 	Interval      int                `json:"interval"`
 	MeanErr       map[string]float64 `json:"mean_rel_err"`
 	MaxErr        map[string]float64 `json:"max_rel_err"`
-	Slices        sampledSlices      `json:"slices"`
+	Slices        SliceCounts        `json:"slices"`
 	DetailedShare float64            `json:"detailed_share"`
 	SampledWallMs float64            `json:"sampled_wall_ms"`
 	Speedup       float64            `json:"speedup"`

@@ -14,7 +14,6 @@ import (
 	"dora/internal/perfmon"
 	"dora/internal/runcache"
 	"dora/internal/soc"
-	"dora/internal/telemetry"
 )
 
 // checkpoint is one shared warm state: the machine snapshot plus the
@@ -28,6 +27,9 @@ type checkpoint struct {
 	det        fidelity.State
 	rates      []soc.CoreRates
 	ratesValid bool
+	// counts is the warmup's accounting, which a restored run reports
+	// as its own.
+	counts Counts
 }
 
 // CheckpointStore shares warm-state checkpoints across sampled-mode
@@ -98,26 +100,21 @@ type sampledStepper struct {
 	ratesValid bool
 	lastFreq   int
 	sliceNs    int64
-
-	// Slices by how they ran: extrapolated, or detailed for one of
-	// three reasons. Nil without a metrics registry.
-	noRatesC, unstableC, cadenceC, extrapC *telemetry.Counter
+	// slices counts each slice by how it ran, into the run's Counts.
+	slices *SliceCounts
 }
 
-func newSampledStepper(m *soc.Machine, opts *Options) *sampledStepper {
-	cores, reg := opts.SoC.Cores, opts.Metrics
+func newSampledStepper(m *soc.Machine, opts *Options, slices *SliceCounts) *sampledStepper {
+	cores := opts.SoC.Cores
 	return &sampledStepper{
-		m:         m,
-		det:       fidelity.NewDetector(opts.FidelityParams),
-		stats:     &soc.SliceStats{Cores: make([]soc.CoreSliceStats, cores)},
-		rates:     make([]soc.CoreRates, cores),
-		kinds:     make([]string, cores),
-		lastFreq:  m.OPP().FreqMHz,
-		sliceNs:   opts.SoC.SliceNs,
-		noRatesC:  reg.Counter("dora_sampled_no_rates_slices_total", "sampled-mode detailed slices run before any extrapolation rates existed"),
-		unstableC: reg.Counter("dora_sampled_unstable_slices_total", "sampled-mode detailed slices run because the phase was not yet stable"),
-		cadenceC:  reg.Counter("dora_sampled_cadence_slices_total", "sampled-mode detailed slices run because the periodic cadence was due"),
-		extrapC:   reg.Counter("dora_sampled_extrapolated_slices_total", "sampled-mode slices fast-forwarded from measured rates"),
+		m:        m,
+		det:      fidelity.NewDetector(opts.FidelityParams),
+		stats:    &soc.SliceStats{Cores: make([]soc.CoreSliceStats, cores)},
+		rates:    make([]soc.CoreRates, cores),
+		kinds:    make([]string, cores),
+		lastFreq: m.OPP().FreqMHz,
+		sliceNs:  opts.SoC.SliceNs,
+		slices:   slices,
 	}
 }
 
@@ -131,16 +128,16 @@ func (s *sampledStepper) step() {
 	if s.ratesValid && s.det.CanExtrapolate() {
 		m.FastForwardSlice(s.rates)
 		s.det.NoteExtrapolated()
-		s.extrapC.Inc()
+		s.slices.Extrapolated++
 		return
 	}
 	switch {
 	case !s.ratesValid:
-		s.noRatesC.Inc()
+		s.slices.NoRates++
 	case !s.det.Stable():
-		s.unstableC.Inc()
+		s.slices.Unstable++
 	default:
-		s.cadenceC.Inc()
+		s.slices.Cadence++
 	}
 	m.StepSliceStats(s.stats)
 	for i := range s.kinds {
@@ -174,10 +171,10 @@ type warmSlot struct {
 // may not use one: checkpoints are sampled-only, need a governor whose
 // state can be snapshotted, and are only sound when nothing observes
 // the warmup, since every observer would miss the warmup's samples on
-// a checkpoint hit.
+// a checkpoint hit. The run's own Counts travel with the checkpoint.
 func warmSlotFor(opts *Options, gov governor.Governor, corunName string) *warmSlot {
 	if opts.Fidelity != fidelity.Sampled || opts.Checkpoints == nil ||
-		opts.Sink != nil || opts.Tracer != nil || opts.Decisions != nil || opts.Metrics != nil {
+		opts.Sink != nil || opts.Tracer != nil || opts.Decisions != nil {
 		return nil
 	}
 	snap, ok := gov.(governor.Snapshotter)
@@ -187,10 +184,11 @@ func warmSlotFor(opts *Options, gov governor.Governor, corunName string) *warmSl
 	return &warmSlot{store: opts.Checkpoints, key: warmKey(opts, corunName, snap.StateKey()), snap: snap}
 }
 
-// restore loads the slot's checkpoint into the run and reports whether
-// there was one. On a miss it starts the machine's RNG log, so that
-// save can record the warm state. A nil slot restores nothing.
-func (w *warmSlot) restore(m *soc.Machine, sampler *perfmon.Sampler, s *sampledStepper) (bool, error) {
+// restore loads the slot's checkpoint into the run, its warmup's
+// counts into counts, and reports whether there was one. On a miss it
+// starts the machine's RNG log, so that save can record the warm
+// state. A nil slot restores nothing.
+func (w *warmSlot) restore(m *soc.Machine, sampler *perfmon.Sampler, s *sampledStepper, counts *Counts) (bool, error) {
 	if w == nil {
 		return false, nil
 	}
@@ -208,12 +206,14 @@ func (w *warmSlot) restore(m *soc.Machine, sampler *perfmon.Sampler, s *sampledS
 	copy(s.rates, ck.rates)
 	s.ratesValid = ck.ratesValid
 	s.lastFreq = m.OPP().FreqMHz
+	*counts = ck.counts
 	return true, nil
 }
 
-// save stores the run's warm state under the slot's key and stops the
-// RNG log restore started. A nil slot saves nothing.
-func (w *warmSlot) save(m *soc.Machine, sampler *perfmon.Sampler, s *sampledStepper) {
+// save stores the run's warm state and the warmup's counts under the
+// slot's key and stops the RNG log restore started. A nil slot saves
+// nothing.
+func (w *warmSlot) save(m *soc.Machine, sampler *perfmon.Sampler, s *sampledStepper, counts Counts) {
 	if w == nil {
 		return
 	}
@@ -224,6 +224,7 @@ func (w *warmSlot) save(m *soc.Machine, sampler *perfmon.Sampler, s *sampledStep
 		det:        s.det.State(),
 		rates:      append([]soc.CoreRates(nil), s.rates...),
 		ratesValid: s.ratesValid,
+		counts:     counts,
 	})
 	m.StopRNGLog()
 }

@@ -10,65 +10,41 @@ import (
 	"dora/internal/fidelity"
 	"dora/internal/governor"
 	"dora/internal/soc"
-	"dora/internal/telemetry"
 )
 
-// sampledSlices is one sampled run's slice accounting, read from the
-// driver's dora_sampled_*_slices_total counters: detailed slices by
-// the reason they ran, and extrapolated slices.
-type sampledSlices struct {
-	NoRates      uint64 `json:"no_rates"`
-	Unstable     uint64 `json:"unstable"`
-	Cadence      uint64 `json:"cadence"`
-	Extrapolated uint64 `json:"extrapolated"`
-}
+func (s SliceCounts) detailed() uint64 { return s.NoRates + s.Unstable + s.Cadence }
 
-func readSampledSlices(reg *telemetry.Registry) sampledSlices {
-	get := func(reason string) uint64 {
-		return reg.Counter("dora_sampled_"+reason+"_slices_total", "").Value()
-	}
-	return sampledSlices{
-		NoRates:      get("no_rates"),
-		Unstable:     get("unstable"),
-		Cadence:      get("cadence"),
-		Extrapolated: get("extrapolated"),
-	}
-}
-
-func (s sampledSlices) detailed() uint64 { return s.NoRates + s.Unstable + s.Cadence }
-
-func (s *sampledSlices) add(o sampledSlices) {
+func (s *SliceCounts) add(o SliceCounts) {
 	s.NoRates += o.NoRates
 	s.Unstable += o.Unstable
 	s.Cadence += o.Cadence
 	s.Extrapolated += o.Extrapolated
 }
 
-// countedSampledLoad runs one sampled load with a fresh registry and
-// returns its result and slice accounting.
-func countedSampledLoad(t testing.TB, opts Options, wl Workload) (Result, sampledSlices) {
+// countedSampledLoad runs one sampled load and returns its result and
+// slice accounting.
+func countedSampledLoad(t testing.TB, opts Options, wl Workload) (Result, SliceCounts) {
 	t.Helper()
 	opts.Fidelity = fidelity.Sampled
-	opts.Metrics = telemetry.NewRegistry()
 	res, err := LoadPage(opts, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, readSampledSlices(opts.Metrics)
+	return res, res.Counts.Slices
 }
 
 // TestSampledFixedOPPCadence pins the detector's cadence at a fixed
 // OPP: governor decisions that keep the OPP cost no detailed slice, so
 // the run and its slice accounting are the same at any decision
-// interval, and inside a stable phase a detailed slice comes at most
-// once per Interval.
+// interval (only the decision count follows it), and inside a stable
+// phase a detailed slice comes at most once per Interval.
 func TestSampledFixedOPPCadence(t *testing.T) {
 	cfg := soc.NexusFive()
 	wl := fidelityWorkload(t, "Reddit", "backprop")
 	base := Options{SoC: cfg, Governor: governor.NewFixed(cfg.OPPs.Ceil(1190)), Seed: 1}
 
 	var ref Result
-	var refSlices sampledSlices
+	var refSlices SliceCounts
 	for i, di := range []time.Duration{time.Millisecond, 7 * time.Millisecond, 20 * time.Millisecond, 100 * time.Millisecond} {
 		opts := base
 		opts.DecisionInterval = di
@@ -86,6 +62,10 @@ func TestSampledFixedOPPCadence(t *testing.T) {
 		if s != refSlices {
 			t.Errorf("decision interval %v changed the slice accounting: %+v, at %v: %+v", di, s, time.Millisecond, refSlices)
 		}
+		if res.Counts.Decisions >= ref.Counts.Decisions {
+			t.Errorf("decision interval %v made %d decisions, no fewer than %d at %v", di, res.Counts.Decisions, ref.Counts.Decisions, time.Millisecond)
+		}
+		res.Counts.Decisions = ref.Counts.Decisions
 		if !reflect.DeepEqual(res, ref) {
 			t.Errorf("decision interval %v changed a fixed-OPP sampled result", di)
 		}
@@ -101,23 +81,20 @@ func TestSampledFixedOPPCadence(t *testing.T) {
 }
 
 // TestSampledRunCountsPinned pins one sampled cell's run counts, the
-// four slice reasons and the governor decisions, at their recorded
-// values: where the counting happens may move, the counts may not.
+// four slice reasons and the governor decisions, at the values a
+// metrics registry inside the simulator counted before the counts
+// moved onto the Result.
 func TestSampledRunCountsPinned(t *testing.T) {
 	cfg := soc.NexusFive()
-	reg := telemetry.NewRegistry()
 	opts := Options{SoC: cfg, Governor: governor.NewFixed(cfg.OPPs.Ceil(1190)), Seed: 1,
-		DecisionInterval: 20 * time.Millisecond, Fidelity: fidelity.Sampled, Metrics: reg}
-	if _, err := LoadPage(opts, fidelityWorkload(t, "Reddit", "backprop")); err != nil {
+		DecisionInterval: 20 * time.Millisecond, Fidelity: fidelity.Sampled}
+	res, err := LoadPage(opts, fidelityWorkload(t, "Reddit", "backprop"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := readSampledSlices(reg)
-	want := sampledSlices{NoRates: 2, Unstable: 162, Cadence: 106, Extrapolated: 3347}
-	if got != want {
-		t.Errorf("slices = %+v, want %+v", got, want)
-	}
-	if got, want := reg.Counter("dora_governor_decisions_total", "").Value(), uint64(181); got != want {
-		t.Errorf("decisions = %d, want %d", got, want)
+	want := Counts{Decisions: 181, Slices: SliceCounts{NoRates: 2, Unstable: 162, Cadence: 106, Extrapolated: 3347}}
+	if res.Counts != want {
+		t.Errorf("counts = %+v, want %+v", res.Counts, want)
 	}
 }
 
@@ -193,6 +170,11 @@ func TestSampledWithoutExtrapolationIsExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Only the slice accounting tells the two runs apart.
+			if s := samp.Counts.Slices; s.Extrapolated != 0 || s.detailed() == 0 || exact.Counts.Slices != (SliceCounts{}) {
+				t.Errorf("slice accounting: exact %+v, sampled %+v; want none, and only detailed slices", exact.Counts.Slices, s)
+			}
+			samp.Counts.Slices = SliceCounts{}
 			if !reflect.DeepEqual(exact, samp) {
 				t.Errorf("all-detailed sampled run differs from the exact run:\nexact:   %+v\nsampled: %+v", exact, samp)
 			}
@@ -219,6 +201,9 @@ func TestWarmupShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The counts follow the cadence and the fidelity; the rule
+		// is about the observables.
+		res.Counts = Counts{}
 		return res
 	}
 	const ms = time.Millisecond

@@ -57,9 +57,6 @@ type Options struct {
 	// Decisions, when set, receives one record per governor decision
 	// interval (model inputs and the chosen OPP).
 	Decisions *telemetry.DecisionLog
-	// Metrics, when set, accumulates run counters, gauges, and
-	// histograms (decisions, DVFS switches, MPKI distribution, ...).
-	Metrics *telemetry.Registry
 
 	// Fidelity selects the simulation fidelity: fidelity.Exact (the
 	// zero value, and the mode the golden campaign fingerprint is
@@ -76,8 +73,9 @@ type Options struct {
 	// warmup, thermal start, fidelity parameters — see warmKey) restore
 	// it instead of re-simulating the warmup. Ignored in exact mode,
 	// when the governor does not implement governor.Snapshotter, and
-	// whenever any observer (Sink/Tracer/Decisions/Metrics) is
+	// whenever an observer of the warmup (Sink/Tracer/Decisions) is
 	// attached, since a restored run would hide the warmup from it.
+	// A restored run still reports its warmup's Counts.
 	Checkpoints *CheckpointStore
 }
 
@@ -135,6 +133,50 @@ type Result struct {
 	FreqResidency map[int]time.Duration
 
 	Features webdoc.Features
+
+	// Counts is what the simulation did to produce this result. It is
+	// not serialized, so a Result decoded from a cache or the wire ran
+	// no simulation in this process and carries zero counts.
+	Counts Counts `json:"-"`
+}
+
+// Counts is one run's own accounting, warmup included, kept in plain
+// integers as the run goes: the governor decisions it made and, in
+// sampled mode, its slices by how they ran. It is deterministic, and
+// a run restored from a warm checkpoint reports the counts of the
+// warmup it skipped. Result.Publish adds it to a metrics registry.
+type Counts struct {
+	Decisions uint64
+	Slices    SliceCounts
+}
+
+// SliceCounts is a sampled run's slice accounting: detailed slices by
+// the reason they ran (no rates measured yet, phase not yet stable,
+// periodic cadence due) and slices fast-forwarded from measured rates.
+// An exact run leaves it zero.
+type SliceCounts struct {
+	NoRates      uint64 `json:"no_rates"`
+	Unstable     uint64 `json:"unstable"`
+	Cadence      uint64 `json:"cadence"`
+	Extrapolated uint64 `json:"extrapolated"`
+}
+
+// Publish adds a finished run to reg: one page load, its DVFS switches,
+// governor decisions and load time, and for a sampled run its slices
+// by how they ran. An exact run registers no sampled counter. A nil
+// registry publishes nothing.
+func (r *Result) Publish(reg *telemetry.Registry) {
+	reg.Counter("dora_page_loads_total", "page loads completed").Inc()
+	reg.Counter("dora_dvfs_switches_total", "OPP transitions performed").Add(uint64(r.Switches))
+	reg.Counter("dora_governor_decisions_total", "governor decision intervals executed").Add(r.Counts.Decisions)
+	reg.Histogram("dora_load_time_s", "page load time distribution", telemetry.LinearBuckets(0, 0.5, 12)).Observe(r.LoadTime.Seconds())
+	// Every sampled run steps at least one slice.
+	if s := r.Counts.Slices; s != (SliceCounts{}) {
+		reg.Counter("dora_sampled_no_rates_slices_total", "sampled-mode detailed slices run before any extrapolation rates existed").Add(s.NoRates)
+		reg.Counter("dora_sampled_unstable_slices_total", "sampled-mode detailed slices run because the phase was not yet stable").Add(s.Unstable)
+		reg.Counter("dora_sampled_cadence_slices_total", "sampled-mode detailed slices run because the periodic cadence was due").Add(s.Cadence)
+		reg.Counter("dora_sampled_extrapolated_slices_total", "sampled-mode slices fast-forwarded from measured rates").Add(s.Extrapolated)
+	}
 }
 
 // LoadPage runs one page load under the configured governor and
@@ -202,18 +244,7 @@ func LoadPageCtx(ctx context.Context, opts Options, wl Workload) (Result, error)
 		}
 	}
 
-	var (
-		decisionsC *telemetry.Counter
-		mpkiH      *telemetry.Histogram
-		freqG      *telemetry.Gauge
-		tempG      *telemetry.Gauge
-	)
-	if reg := opts.Metrics; reg != nil {
-		decisionsC = reg.Counter("dora_governor_decisions_total", "governor decision intervals executed")
-		mpkiH = reg.Histogram("dora_decision_corun_mpki", "co-run L2 MPKI observed at decision points", telemetry.LinearBuckets(0, 4, 12))
-		freqG = reg.Gauge("dora_core_freq_mhz", "core frequency chosen at the last decision")
-		tempG = reg.Gauge("dora_soc_temp_c", "SoC temperature at the last decision")
-	}
+	var counts Counts
 	decideName := "decide:" + gov.Name()
 
 	sampler := perfmon.NewSampler()
@@ -246,12 +277,7 @@ func LoadPageCtx(ctx context.Context, opts Options, wl Workload) (Result, error)
 				})
 			tr.Counter("core_freq_mhz", m.Now(), map[string]float64{"freq": float64(chosen.FreqMHz)})
 		}
-		if opts.Metrics != nil {
-			decisionsC.Inc()
-			mpkiH.Observe(ctx.CoRunMPKI())
-			freqG.Set(float64(chosen.FreqMHz))
-			tempG.Set(ctx.SoCTempC)
-		}
+		counts.Decisions++
 		m.SetOPP(chosen)
 	}
 
@@ -262,11 +288,11 @@ func LoadPageCtx(ctx context.Context, opts Options, wl Workload) (Result, error)
 	step := func() { m.Step(slice) }
 	var smp *sampledStepper
 	if opts.Fidelity == fidelity.Sampled {
-		smp = newSampledStepper(m, &opts)
+		smp = newSampledStepper(m, &opts, &counts.Slices)
 		step = smp.step
 	}
 	slot := warmSlotFor(&opts, gov, res.CoRunName)
-	warmed, err := slot.restore(m, sampler, smp)
+	warmed, err := slot.restore(m, sampler, smp, &counts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -285,7 +311,7 @@ func LoadPageCtx(ctx context.Context, opts Options, wl Workload) (Result, error)
 			}
 			step()
 		}
-		slot.save(m, sampler, smp)
+		slot.save(m, sampler, smp, counts)
 	}
 	if tr != nil && m.Now() > 0 {
 		tr.Span("run", "warmup", telemetry.TidRun, 0, m.Now(), nil)
@@ -364,6 +390,7 @@ func LoadPageCtx(ctx context.Context, opts Options, wl Workload) (Result, error)
 	res.AvgCoRunMPKI = coRunDelta.MPKI()
 	res.AvgCoRunUtil = coRunDelta.Utilization()
 	res.CoRunInstructions = coRunDelta.Instructions
+	res.Counts = counts
 
 	if tr != nil {
 		tr.Span("run", "load:"+wl.Page.Name, telemetry.TidRun, start, m.Now(), map[string]float64{
@@ -372,13 +399,6 @@ func LoadPageCtx(ctx context.Context, opts Options, wl Workload) (Result, error)
 		})
 	}
 	m.FlushTrace()
-	if reg := opts.Metrics; reg != nil {
-		reg.Counter("dora_page_loads_total", "page loads completed").Inc()
-		reg.Counter("dora_dvfs_switches_total", "OPP transitions performed").Add(uint64(res.Switches))
-		reg.Gauge("dora_last_load_time_s", "load time of the most recent page load").Set(res.LoadTime.Seconds())
-		reg.Gauge("dora_last_energy_j", "whole-device energy of the most recent page load").Set(res.EnergyJ)
-		reg.Histogram("dora_load_time_s", "page load time distribution", telemetry.LinearBuckets(0, 0.5, 12)).Observe(res.LoadTime.Seconds())
-	}
 	return res, nil
 }
 

@@ -35,7 +35,6 @@ func TestLoadPageTelemetryWiring(t *testing.T) {
 	sink.Subscribe(func(telemetry.Sample) { samples++ })
 	tr := telemetry.NewTracer()
 	dl := telemetry.NewDecisionLog()
-	reg := telemetry.NewRegistry()
 
 	res, err := LoadPage(Options{
 		SoC:       cfg,
@@ -44,7 +43,6 @@ func TestLoadPageTelemetryWiring(t *testing.T) {
 		Sink:      sink,
 		Tracer:    tr,
 		Decisions: dl,
-		Metrics:   reg,
 	}, Workload{Page: spec, CoRun: &k})
 	if err != nil {
 		t.Fatal(err)
@@ -134,17 +132,27 @@ func TestLoadPageTelemetryWiring(t *testing.T) {
 		t.Error("trace missing page-load run span")
 	}
 
-	// Registry: decision counter matches the log and its recorded
-	// value, load counted.
+	// Counts: the decision count matches the log and its recorded
+	// value; published, the run is one load with those decisions and
+	// no sampled slice.
 	const wantDecisions = 127
-	if got := reg.Counter("dora_governor_decisions_total", "").Value(); got != uint64(dl.Len()) || got != wantDecisions {
-		t.Errorf("decisions counter = %d, log has %d, want %d", got, dl.Len(), wantDecisions)
+	if got := res.Counts.Decisions; got != uint64(dl.Len()) || got != wantDecisions {
+		t.Errorf("decisions = %d, log has %d, want %d", got, dl.Len(), wantDecisions)
+	}
+	reg := telemetry.NewRegistry()
+	res.Publish(reg)
+	if got := reg.Counter("dora_governor_decisions_total", "").Value(); got != wantDecisions {
+		t.Errorf("decisions counter = %d, want %d", got, wantDecisions)
 	}
 	if got := reg.Counter("dora_page_loads_total", "").Value(); got != 1 {
 		t.Errorf("page loads counter = %d", got)
 	}
-	if reg.Histogram("dora_decision_corun_mpki", "", nil).Count() == 0 {
-		t.Error("MPKI histogram empty")
+	var prom bytes.Buffer
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(prom.String(), "dora_sampled_") {
+		t.Errorf("an exact run published sampled counters:\n%s", prom.String())
 	}
 }
 
@@ -169,7 +177,6 @@ func TestLoadPageTelemetryNilSafe(t *testing.T) {
 		Sink:      telemetry.NewSink(telemetry.SinkOptions{}),
 		Tracer:    telemetry.NewTracer(),
 		Decisions: telemetry.NewDecisionLog(),
-		Metrics:   telemetry.NewRegistry(),
 	}, Workload{Page: spec})
 	if err != nil {
 		t.Fatal(err)

@@ -128,45 +128,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) of the observed
-// distribution from the bucket counts, interpolating linearly inside
-// the winning bucket the way Prometheus's histogram_quantile does.
-// The first bucket interpolates from a lower edge of 0 (all histograms
-// in this module observe non-negative values); a quantile landing in
-// the +Inf bucket clamps to the highest finite bound. Returns NaN
-// when the histogram is empty or nil.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return math.NaN()
-	}
-	total := h.count.Load()
-	if total == 0 || len(h.bounds) == 0 {
-		return math.NaN()
-	}
-	q = math.Max(0, math.Min(1, q))
-	rank := q * float64(total)
-	var cum float64
-	for i := range h.counts {
-		n := float64(h.counts[i].Load())
-		if cum+n < rank {
-			cum += n
-			continue
-		}
-		if i == len(h.bounds) { // +Inf bucket
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		if n == 0 {
-			return h.bounds[i]
-		}
-		return lo + (h.bounds[i]-lo)*(rank-cum)/n
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // Buckets returns the upper bounds and cumulative counts (Prometheus
 // style: counts[i] is observations <= bounds[i]; the final entry is
 // the +Inf bucket and equals Count()).

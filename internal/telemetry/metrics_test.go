@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -203,45 +202,5 @@ func TestRegistryConcurrentRegistration(t *testing.T) {
 		if r.Counter(name, "").Value() != 8*200/uint64(len(names)) {
 			t.Fatalf("metric %s lost increments: %d", name, r.Counter(name, "").Value())
 		}
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q", "", LinearBuckets(10, 10, 10)) // 10,20,...,100
-
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Fatal("empty histogram quantile should be NaN")
-	}
-
-	// 100 observations uniform over (0,100]: v = 1..100.
-	for v := 1; v <= 100; v++ {
-		h.Observe(float64(v))
-	}
-	for _, tc := range []struct{ q, want float64 }{
-		{0.5, 50}, {0.95, 95}, {0.99, 99}, {1, 100}, {0.1, 10},
-	} {
-		if got := h.Quantile(tc.q); math.Abs(got-tc.want) > 1 {
-			t.Errorf("Quantile(%g) = %g, want ~%g", tc.q, got, tc.want)
-		}
-	}
-
-	// Out-of-range q clamps instead of extrapolating.
-	if got := h.Quantile(2); got != h.Quantile(1) {
-		t.Errorf("Quantile(2) = %g, want clamp to Quantile(1)", got)
-	}
-
-	// A value past every bound lands in +Inf and clamps to the top
-	// finite bound rather than inventing a number.
-	h2 := r.Histogram("q2", "", []float64{1, 2})
-	h2.Observe(1000)
-	if got := h2.Quantile(0.99); got != 2 {
-		t.Errorf("+Inf-bucket quantile = %g, want clamp to 2", got)
-	}
-
-	// Nil histogram stays a no-op.
-	var hn *Histogram
-	if !math.IsNaN(hn.Quantile(0.5)) {
-		t.Error("nil histogram quantile should be NaN")
 	}
 }
