@@ -81,9 +81,8 @@ func TestSampledFixedOPPCadence(t *testing.T) {
 }
 
 // TestSampledRunCountsPinned pins one sampled cell's run counts, the
-// four slice reasons and the governor decisions, at the values a
-// metrics registry inside the simulator counted before the counts
-// moved onto the Result.
+// four slice reasons and the governor decisions, at their recorded
+// values.
 func TestSampledRunCountsPinned(t *testing.T) {
 	cfg := soc.NexusFive()
 	opts := Options{SoC: cfg, Governor: governor.NewFixed(cfg.OPPs.Ceil(1190)), Seed: 1,
