@@ -182,6 +182,31 @@ func TestRouteKeyGolden(t *testing.T) {
 }
 
 // fakeWorkers starts two httptest workers, w0 and w1. The one named by
+// TestGatewayUpgradeRefusedMessage pins the 502 a stream forward makes
+// of a worker that refuses the upgrade with a status the gateway does
+// not retry as a refusal (426, version skew): a transport failure that
+// names the worker's code and status, and re-routes.
+func TestGatewayUpgradeRefusedMessage(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serve.WriteError(w, &serve.APIError{Status: http.StatusUpgradeRequired, Code: serve.CodeWireVersion,
+			Message: "wire protocol version skew"}, 0)
+	}))
+	t.Cleanup(ts.Close)
+	g := newTestGateway(t, Config{Members: []Member{{Name: "w0", URL: ts.URL}}, Transport: TransportStream})
+	req, apiErr := serve.DecodeLoadRequestDefault([]byte(`{"page":"Alipay","seed":1}`), g.cfg.DefaultFidelity)
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	_, apiErr, retryable := g.forwardOnce(context.Background(), "w0", req)
+	if apiErr == nil {
+		t.Fatal("forward to a refusing worker succeeded")
+	}
+	const want = "forward to worker failed: wire_version: stream upgrade refused (http 426)"
+	if apiErr.Status != http.StatusBadGateway || apiErr.Code != serve.CodeInternal || apiErr.Message != want || !retryable {
+		t.Fatalf("forward = %d %s %q retryable=%v, want 502 internal %q retryable", apiErr.Status, apiErr.Code, apiErr.Message, retryable, want)
+	}
+}
+
 // *bad answers every request with a 200 whose body is one byte over
 // limit; the other answers with good.
 func fakeWorkers(t *testing.T, limit int64, bad *string, good string) []Member {

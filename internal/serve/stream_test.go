@@ -433,6 +433,29 @@ func TestStreamVersionSkewRefused(t *testing.T) {
 	})
 }
 
+// TestErrorStringsPinned pins the Error() text of a request refusal on
+// both transports: the value a handler returns, and what a
+// wire.Client.Load caller sees for the TypeError frame that carries it.
+func TestErrorStringsPinned(t *testing.T) {
+	const body = `{"page":"NotAPage"}`
+	_, apiErr := DecodeLoadRequest([]byte(body))
+	if apiErr == nil {
+		t.Fatal("unknown page decoded")
+	}
+	if got, want := apiErr.Error(), `unknown page "NotAPage" (GET /v1/pages lists the corpus)`; got != want {
+		t.Errorf("refusal Error() = %q, want %q", got, want)
+	}
+	_, ts := newTestServer(t, Config{}, nil)
+	c := dialStream(t, ts, wire.Options{})
+	_, _, err := c.Load(context.Background(), &LoadRequest{Page: "NotAPage"})
+	if err == nil {
+		t.Fatal("stream load of an unknown page succeeded")
+	}
+	if got, want := err.Error(), `not_found: unknown page "NotAPage" (GET /v1/pages lists the corpus) (http 404)`; got != want {
+		t.Errorf("stream Load error = %q, want %q", got, want)
+	}
+}
+
 func asWireError(err error, target **wire.Error) bool {
 	e, ok := err.(*wire.Error)
 	if ok {
