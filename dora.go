@@ -83,8 +83,8 @@ type (
 	Intensity = corun.Intensity
 
 	// Telemetry types (see internal/telemetry). Sample is one per-slice
-	// observability record; Sink fans samples out to subscribers through
-	// a bounded ring; Tracer records Chrome trace_event spans; DecisionLog
+	// observability record; Sink fans samples out to subscribers, with
+	// optional decimation; Tracer records Chrome trace_event spans; DecisionLog
 	// captures one record per governor decision; Registry accumulates
 	// counters, gauges, and histograms with Prometheus/JSON exposition.
 	Sample      = telemetry.Sample
@@ -117,7 +117,7 @@ type (
 // Call Save when done to flush new entries back to disk.
 func OpenRunCache(path string) (*RunCache, error) { return runcache.Open(path) }
 
-// NewSink builds a telemetry sink (ring buffer + decimation fan-out).
+// NewSink builds a telemetry sink (decimating fan-out to subscribers).
 func NewSink(opts SinkOptions) *Sink { return telemetry.NewSink(opts) }
 
 // NewTracer builds a Chrome trace_event recorder; pass it via

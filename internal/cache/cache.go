@@ -88,14 +88,6 @@ type OwnerStats struct {
 	EvictedOther   uint64 // other owners' lines this owner evicted
 }
 
-// MissRate returns misses/accesses (0 when idle).
-func (s OwnerStats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is a set-associative cache model with flat line storage.
 type Cache struct {
 	cfg  Config
@@ -165,9 +157,6 @@ func New(cfg Config) (*Cache, error) {
 	}
 	return c, nil
 }
-
-// Config returns the cache configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 // checkOwner panics when owner is outside the configured requestor
 // range. It lives outside the per-reference functions so the formatted
@@ -334,9 +323,6 @@ func (c *Cache) ValidLines() int {
 	}
 	return n
 }
-
-// CapacityLines returns the total number of line slots.
-func (c *Cache) CapacityLines() int { return len(c.tags) }
 
 // OwnerLines counts valid lines currently belonging to owner.
 func (c *Cache) OwnerLines(owner int) int {

@@ -135,7 +135,8 @@ func TestSharedCacheInterferenceRaisesMisses(t *testing.T) {
 				}
 			}
 		}
-		return c.Stats(0).MissRate()
+		st := c.Stats(0)
+		return float64(st.Misses) / float64(st.Accesses)
 	}
 	alone := loop(solo, false)
 	together := loop(solo, true)
@@ -201,15 +202,6 @@ func TestTotalStats(t *testing.T) {
 	}
 }
 
-func TestMissRate(t *testing.T) {
-	if (OwnerStats{}).MissRate() != 0 {
-		t.Fatal("idle miss rate must be 0")
-	}
-	if (OwnerStats{Accesses: 4, Misses: 1}).MissRate() != 0.25 {
-		t.Fatal("miss rate wrong")
-	}
-}
-
 // Property: hits + misses == accesses, valid lines <= capacity, and
 // owner line counts sum to valid lines.
 func TestCacheInvariantsProperty(t *testing.T) {
@@ -232,7 +224,7 @@ func TestCacheInvariantsProperty(t *testing.T) {
 		if ts.Accesses != uint64(total) || ts.Misses+hits != ts.Accesses {
 			return false
 		}
-		if c.ValidLines() > c.CapacityLines() {
+		if c.ValidLines() > len(c.tags) {
 			return false
 		}
 		sum := 0

@@ -29,8 +29,7 @@ func (t MonoTime) Sub(u MonoTime) time.Duration { return time.Duration(t - u) }
 func (t MonoTime) Nanos() int64 { return int64(t) }
 
 // MonoClock is a monotonic time source. The serving layer takes one
-// as a dependency so latency-sensitive tests can substitute
-// ManualMono and observe exact histogram buckets.
+// as a dependency (Mono in every real run).
 type MonoClock interface {
 	// MonoNow returns the current monotonic reading.
 	MonoNow() MonoTime
@@ -42,29 +41,6 @@ type Mono struct{}
 // MonoNow returns nanoseconds elapsed since process start, measured
 // on the runtime's monotonic clock.
 func (Mono) MonoNow() MonoTime { return MonoTime(time.Since(monoBase)) }
-
-// ManualMono is a test monotonic clock that advances only when told
-// to. The zero value starts at tick 1 (so readings are distinguishable
-// from an unset MonoTime); it is not safe for concurrent use.
-type ManualMono struct {
-	now MonoTime
-}
-
-// MonoNow returns the current manual reading.
-func (m *ManualMono) MonoNow() MonoTime {
-	if m.now == 0 {
-		m.now = 1
-	}
-	return m.now
-}
-
-// Advance moves the clock forward by d.
-func (m *ManualMono) Advance(d time.Duration) {
-	if m.now == 0 {
-		m.now = 1
-	}
-	m.now += MonoTime(d)
-}
 
 // MonoSince returns the duration elapsed on c since start.
 func MonoSince(c MonoClock, start MonoTime) time.Duration {

@@ -30,26 +30,16 @@ func TestMonoSinceMeasuresElapsed(t *testing.T) {
 	}
 }
 
-func TestManualMono(t *testing.T) {
-	var m ManualMono
-	t0 := m.MonoNow()
-	if t0 == 0 {
-		t.Fatal("ManualMono readings must be distinguishable from the zero MonoTime")
-	}
-	m.Advance(250 * time.Millisecond)
-	if got := MonoSince(&m, t0); got != 250*time.Millisecond {
-		t.Fatalf("MonoSince after Advance = %v, want 250ms", got)
-	}
-	if got := m.MonoNow().Sub(t0); got != 250*time.Millisecond {
-		t.Fatalf("Sub = %v, want 250ms", got)
-	}
-}
+// fixedMono is a MonoClock stopped at one reading.
+type fixedMono MonoTime
+
+func (f fixedMono) MonoNow() MonoTime { return MonoTime(f) }
 
 func TestMonoOr(t *testing.T) {
 	if _, ok := MonoOr(nil).(Mono); !ok {
 		t.Fatal("MonoOr(nil) should be the real Mono clock")
 	}
-	m := &ManualMono{}
+	m := fixedMono(1)
 	if MonoOr(m) != MonoClock(m) {
 		t.Fatal("MonoOr(m) should pass m through")
 	}

@@ -1,15 +1,17 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
 // FuzzGatewayRoute throws arbitrary routing keys and membership
 // shapes (names from a comma-split blob, liveness from a bitmask) at
-// the placement path and holds its contract: never panic, and either
-// return a member that is provably the live set's rendezvous winner
-// or fail with exactly ErrNoLiveMembers when nothing is live.
+// the placement the gateway runs for every load, Rank(key, live), and
+// holds its contract: never panic, return nothing exactly when nothing
+// is live, return a permutation of the live set, and put the live
+// set's rendezvous winner (Pick) first.
 func FuzzGatewayRoute(f *testing.F) {
 	f.Add("gate-route|fp|Alipay|7", []byte("w0,w1,w2"), uint64(0))
 	f.Add("", []byte(""), uint64(0))
@@ -48,26 +50,21 @@ func FuzzGatewayRoute(f *testing.F) {
 		}
 
 		live := ms.Live()
-		got, err := ms.Route(key)
-		if err != nil {
-			if err != ErrNoLiveMembers {
-				t.Fatalf("Route error %v, want ErrNoLiveMembers", err)
-			}
-			if len(live) != 0 {
-				t.Fatalf("Route failed with %d live members", len(live))
-			}
+		rank := Rank(key, live)
+		if (len(rank) == 0) != (len(live) == 0) {
+			t.Fatalf("Rank(%q, %v) = %v: empty exactly when nothing is live", key, live, rank)
+		}
+		sortedRank, sortedLive := slices.Clone(rank), slices.Clone(live)
+		slices.Sort(sortedRank)
+		slices.Sort(sortedLive)
+		if !slices.Equal(sortedRank, sortedLive) {
+			t.Fatalf("Rank(%q, %v) = %v, not a permutation of the live set", key, live, rank)
+		}
+		if len(rank) == 0 {
 			return
 		}
-		if len(live) == 0 {
-			t.Fatal("Route succeeded with no live members")
-		}
-		want, ok := Pick(key, live)
-		if !ok || got.Name != want {
-			t.Fatalf("Route(%q) = %q, want rendezvous winner %q of %v", key, got.Name, want, live)
-		}
-		ranked := Rank(key, live)
-		if len(ranked) != len(live) || ranked[0] != want {
-			t.Fatalf("Rank(%q, %v) = %v, head must be the winner %q", key, live, ranked, want)
+		if want, ok := Pick(key, live); !ok || rank[0] != want {
+			t.Fatalf("Rank(%q, %v) = %v, head must be the rendezvous winner %q", key, live, rank, want)
 		}
 	})
 }

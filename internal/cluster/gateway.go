@@ -209,10 +209,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// Membership exposes the gateway's member table (harness assertions,
-// doragate startup logging).
-func (g *Gateway) Membership() *Membership { return g.ms }
-
 // fingerprint returns the cluster device fingerprint routing keys are
 // derived under ("" until configured or learned).
 func (g *Gateway) fingerprint() string {
@@ -520,7 +516,7 @@ func (g *Gateway) forwardStream(parent, ctx context.Context, name string, req se
 			// The worker refused the upgrade with its error envelope
 			// (draining, shedding): re-route without failure accounting,
 			// as the JSON path does for the same answer.
-			return forwarded{}, &serve.APIError{Status: werr.Status, Code: werr.Code, Message: werr.Message}, true
+			return forwarded{}, werr, true
 		}
 		return g.transportFailure(ctx, name, err)
 	}
@@ -530,7 +526,7 @@ func (g *Gateway) forwardStream(parent, ctx context.Context, name string, req se
 	}
 	var werr *wire.Error
 	if errors.As(err, &werr) {
-		return forwarded{}, &serve.APIError{Status: werr.Status, Code: werr.Code, Message: werr.Message}, retryableStatus(werr.Status)
+		return forwarded{}, werr, retryableStatus(werr.Status)
 	}
 	if errors.Is(err, wire.ErrDraining) {
 		// The worker said goodbye: leave placement now, let probes

@@ -116,7 +116,7 @@ func TestGatewayUnreachableWorkers(t *testing.T) {
 	if code := resp.Header.Get(serve.ErrorCodeHeader); code != CodeNoWorkers {
 		t.Fatalf("code = %q, want %q", code, CodeNoWorkers)
 	}
-	if st, _ := g.Membership().Get("w0"); st.Fails == 0 {
+	if st, _ := status(g.ms, "w0"); st.Fails == 0 {
 		t.Fatal("transport failure not counted against the member")
 	}
 }
@@ -126,7 +126,7 @@ func TestGatewayUnreachableWorkers(t *testing.T) {
 // traffic.
 func TestGatewayHealthzNoWorkers(t *testing.T) {
 	g := newTestGateway(t, Config{FailThreshold: 1})
-	g.Membership().ReportFailure("w0")
+	g.ms.ReportFailure("w0")
 	resp, body := doReq(t, g.Handler(), http.MethodGet, "/healthz", "")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("healthz = %d %s, want 503", resp.StatusCode, body)

@@ -49,6 +49,34 @@ func getJSON(t *testing.T, url string) (*http.Response, []byte) {
 	return resp, data
 }
 
+// members reads the gateway's member table from GET /v1/cluster.
+func members(t *testing.T, c *harness.Cluster) []cluster.Status {
+	t.Helper()
+	resp, data := getJSON(t, c.URL()+"/v1/cluster")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/cluster: %d %s", resp.StatusCode, data)
+	}
+	var body struct {
+		Members []cluster.Status `json:"members"`
+	}
+	if err := json.Unmarshal(data, &body); err != nil {
+		t.Fatalf("decode /v1/cluster: %v", err)
+	}
+	return body.Members
+}
+
+// memberState is name's state as GET /v1/cluster reports it.
+func memberState(t *testing.T, c *harness.Cluster, name string) string {
+	t.Helper()
+	for _, st := range members(t, c) {
+		if st.Name == name {
+			return st.StateName
+		}
+	}
+	t.Fatalf("GET /v1/cluster lists no member %q", name)
+	return ""
+}
+
 // loadVia posts one load through the gateway and returns the body plus
 // the worker/attempts routing headers.
 func loadVia(t *testing.T, c *harness.Cluster, body string) ([]byte, string, int) {
@@ -243,7 +271,7 @@ func TestAllWorkersDrained(t *testing.T) {
 			t.Fatalf("error code = %q, want %q (body %s)", code, cluster.CodeNoWorkers, body)
 		}
 		// A draining worker is not a failing one, on either transport.
-		for _, st := range c.Gateway.Membership().Snapshot() {
+		for _, st := range members(t, c) {
 			if st.Fails != 0 {
 				t.Fatalf("%s has %d failures after answering draining", st.Name, st.Fails)
 			}
@@ -252,8 +280,10 @@ func TestAllWorkersDrained(t *testing.T) {
 		// After a probe round both workers report draining, placement is
 		// empty, and the gateway's own health flips to 503.
 		c.ProbeRounds(1)
-		if live := c.Gateway.Membership().Live(); len(live) != 0 {
-			t.Fatalf("live = %v, want none (all draining)", live)
+		for _, st := range members(t, c) {
+			if st.StateName == cluster.StateAlive.String() {
+				t.Fatalf("%s still alive, want none (all draining)", st.Name)
+			}
 		}
 		resp, body = postJSON(t, c.URL()+"/v1/load", `{"page":"Alipay","seed":3}`)
 		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
@@ -275,12 +305,12 @@ func TestHungWorkerEvictedAndRejoins(t *testing.T) {
 		c.Hang(0)
 
 		c.ProbeRounds(1)
-		if st, _ := c.Gateway.Membership().Get("w0"); st.State != cluster.StateAlive {
-			t.Fatalf("w0 after 1 failed probe: %v, want still alive (threshold 2)", st.StateName)
+		if st := memberState(t, c, "w0"); st != cluster.StateAlive.String() {
+			t.Fatalf("w0 after 1 failed probe: %v, want still alive (threshold 2)", st)
 		}
 		c.ProbeRounds(1)
-		if st, _ := c.Gateway.Membership().Get("w0"); st.State != cluster.StateDead {
-			t.Fatalf("w0 after 2 failed probes: %v, want dead", st.StateName)
+		if st := memberState(t, c, "w0"); st != cluster.StateDead.String() {
+			t.Fatalf("w0 after 2 failed probes: %v, want dead", st)
 		}
 
 		// Every key now lands on the survivor, first attempt.
@@ -293,8 +323,8 @@ func TestHungWorkerEvictedAndRejoins(t *testing.T) {
 
 		c.ReleaseHang(0)
 		c.ProbeRounds(1)
-		if st, _ := c.Gateway.Membership().Get("w0"); st.State != cluster.StateAlive {
-			t.Fatalf("w0 after release + probe: %v, want alive", st.StateName)
+		if st := memberState(t, c, "w0"); st != cluster.StateAlive.String() {
+			t.Fatalf("w0 after release + probe: %v, want alive", st)
 		}
 		findSeedFor(t, c, "w0") // traffic reaches the rejoined worker again
 	})
@@ -504,7 +534,7 @@ func TestDrainKeepsInFlightStreamCalls(t *testing.T) {
 		if _, worker, _ := loadVia(t, c, next); worker != "w1" {
 			t.Fatalf("load for draining w0 answered by %s, want w1", worker)
 		}
-		if st, _ := c.Gateway.Membership().Get("w0"); st.State == cluster.StateDraining {
+		if st := memberState(t, c, "w0"); st == cluster.StateDraining.String() {
 			break
 		}
 		if i == 20 {
@@ -549,8 +579,8 @@ func TestStreamTransportKillReroute(t *testing.T) {
 
 	c.Revive(victim)
 	c.ProbeRounds(1)
-	if st, _ := c.Gateway.Membership().Get(first); st.State != cluster.StateAlive {
-		t.Fatalf("%s after revive + probe: %v, want alive", first, st.StateName)
+	if st := memberState(t, c, first); st != cluster.StateAlive.String() {
+		t.Fatalf("%s after revive + probe: %v, want alive", first, st)
 	}
 	if _, _, attempts := loadVia(t, c, body); attempts != 1 {
 		t.Fatalf("revived cluster load took %d attempts", attempts)

@@ -150,19 +150,8 @@ func (m *Membership) URL(name string) (string, bool) {
 	return st.URL, true
 }
 
-// Get returns a copy of one member's status.
-func (m *Membership) Get(name string) (Status, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	st, ok := m.members[name]
-	if !ok {
-		return Status{}, false
-	}
-	return m.render(st), true
-}
-
-// Snapshot returns a copy of every member's status, sorted by name —
-// the GET /v1/cluster body and the fuzz target's membership input.
+// Snapshot returns a copy of every member's status, sorted by name:
+// the GET /v1/cluster body and the gateway's health check.
 func (m *Membership) Snapshot() []Status {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -238,25 +227,6 @@ func (m *Membership) transition(name string, to State, fingerprint string, failu
 	}
 	return dead
 }
-
-// Route picks the placement for key among the live members. err is
-// ErrNoLiveMembers when every member is drained or evicted.
-func (m *Membership) Route(key string) (Member, error) {
-	name, ok := Pick(key, m.Live())
-	if !ok {
-		return Member{}, ErrNoLiveMembers
-	}
-	url, _ := m.URL(name)
-	return Member{Name: name, URL: url}, nil
-}
-
-// ErrNoLiveMembers reports a routing attempt with every member
-// drained or evicted — the gateway maps it to 503 + Retry-After.
-var ErrNoLiveMembers = errNoLiveMembers{}
-
-type errNoLiveMembers struct{}
-
-func (errNoLiveMembers) Error() string { return "cluster: no live members" }
 
 // --- probing ----------------------------------------------------------
 

@@ -7,6 +7,17 @@ import (
 	"dora/internal/clock"
 )
 
+// status finds name's entry in the membership snapshot, the table
+// GET /v1/cluster and the gateway's health check read.
+func status(ms *Membership, name string) (Status, bool) {
+	for _, st := range ms.Snapshot() {
+		if st.Name == name {
+			return st, true
+		}
+	}
+	return Status{}, false
+}
+
 func twoMembers() []Member {
 	return []Member{{Name: "w0", URL: "http://a"}, {Name: "w1", URL: "http://b"}}
 }
@@ -26,25 +37,25 @@ func TestMembershipEvictionAndRejoin(t *testing.T) {
 			t.Fatalf("w0 evicted after %d failures (threshold 3)", i+1)
 		}
 	}
-	if st, _ := ms.Get("w0"); st.State != StateAlive || st.Fails != 2 {
+	if st, _ := status(ms, "w0"); st.State != StateAlive || st.Fails != 2 {
 		t.Fatalf("w0 = %s/%d fails, want alive/2", st.StateName, st.Fails)
 	}
 	// An intervening success resets the streak.
 	ms.ReportAlive("w0", "fp-a")
-	if st, _ := ms.Get("w0"); st.Fails != 0 || st.Fingerprint != "fp-a" {
+	if st, _ := status(ms, "w0"); st.Fails != 0 || st.Fingerprint != "fp-a" {
 		t.Fatalf("w0 after success = %d fails fp %q, want 0 fails fp-a", st.Fails, st.Fingerprint)
 	}
 	for i := 0; i < 3; i++ {
 		ms.ReportFailure("w0")
 	}
-	if st, _ := ms.Get("w0"); st.State != StateDead {
+	if st, _ := status(ms, "w0"); st.State != StateDead {
 		t.Fatalf("w0 after 3 consecutive failures = %s, want dead", st.StateName)
 	}
 	if live := ms.Live(); len(live) != 1 || live[0] != "w1" {
 		t.Fatalf("Live = %v, want [w1]", live)
 	}
 	ms.ReportAlive("w0", "")
-	if st, _ := ms.Get("w0"); st.State != StateAlive || st.Fails != 0 {
+	if st, _ := status(ms, "w0"); st.State != StateAlive || st.Fails != 0 {
 		t.Fatalf("w0 after rejoin = %s/%d, want alive/0", st.StateName, st.Fails)
 	}
 	want := []Transition{
@@ -69,7 +80,7 @@ func TestMembershipDraining(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ms.ReportDraining("w1", "fp")
 	}
-	st, _ := ms.Get("w1")
+	st, _ := status(ms, "w1")
 	if st.State != StateDraining || st.Fails != 0 {
 		t.Fatalf("w1 = %s/%d fails, want draining/0", st.StateName, st.Fails)
 	}
@@ -77,22 +88,25 @@ func TestMembershipDraining(t *testing.T) {
 		t.Fatalf("Live = %v, want [w0]", live)
 	}
 	ms.ReportAlive("w1", "fp")
-	if st, _ := ms.Get("w1"); st.State != StateAlive {
+	if st, _ := status(ms, "w1"); st.State != StateAlive {
 		t.Fatalf("w1 after drain ends = %s, want alive", st.StateName)
 	}
 }
 
-// TestMembershipRoute: routing follows the live set and returns the
-// sentinel when it empties.
+// TestMembershipRoute: the gateway's placement, Rank over the live
+// set, follows membership and is empty once no member is live.
 func TestMembershipRoute(t *testing.T) {
 	ms := NewMembership(twoMembers(), 1, nil, nil)
-	if _, err := ms.Route("some-key"); err != nil {
-		t.Fatalf("route with live members: %v", err)
+	if rank := Rank("some-key", ms.Live()); len(rank) != 2 {
+		t.Fatalf("rank with both live = %v, want both members", rank)
 	}
 	ms.ReportFailure("w0")
+	if rank := Rank("some-key", ms.Live()); len(rank) != 1 || rank[0] != "w1" {
+		t.Fatalf("rank with w0 evicted = %v, want [w1]", rank)
+	}
 	ms.ReportDraining("w1", "")
-	if _, err := ms.Route("some-key"); err != ErrNoLiveMembers {
-		t.Fatalf("route with none live: %v, want ErrNoLiveMembers", err)
+	if rank := Rank("some-key", ms.Live()); len(rank) != 0 {
+		t.Fatalf("rank with none live = %v, want empty", rank)
 	}
 }
 
@@ -109,7 +123,7 @@ func TestMembershipCallbackReentrancy(t *testing.T) {
 		}
 	})
 	ms.ReportFailure("w0")
-	if st, _ := ms.Get("w0"); st.State != StateAlive {
+	if st, _ := status(ms, "w0"); st.State != StateAlive {
 		t.Fatalf("w0 = %s, want alive (callback rejoined it)", st.StateName)
 	}
 }
@@ -131,7 +145,7 @@ func TestMembershipConstruction(t *testing.T) {
 	if ms.ReportFailure("ghost") {
 		t.Fatal("unknown member reported dead")
 	}
-	if _, ok := ms.Get("ghost"); ok {
+	if _, ok := status(ms, "ghost"); ok {
 		t.Fatal("unknown member present")
 	}
 	snap := ms.Snapshot()

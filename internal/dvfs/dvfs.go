@@ -147,18 +147,6 @@ func (t *Table) ByFreq(freqMHz int) (OPP, error) {
 	return OPP{}, fmt.Errorf("dvfs: no OPP at %d MHz", freqMHz)
 }
 
-// Floor returns the highest OPP whose frequency is <= freqMHz,
-// clamping to the table minimum.
-func (t *Table) Floor(freqMHz int) OPP {
-	best := t.opps[0]
-	for _, o := range t.opps {
-		if o.FreqMHz <= freqMHz {
-			best = o
-		}
-	}
-	return best
-}
-
 // Ceil returns the lowest OPP whose frequency is >= freqMHz, clamping
 // to the table maximum.
 func (t *Table) Ceil(freqMHz int) OPP {

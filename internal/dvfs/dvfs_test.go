@@ -62,12 +62,6 @@ func TestLookups(t *testing.T) {
 	if tab.IndexOf(300) != 0 || tab.IndexOf(2265) != 13 || tab.IndexOf(1) != -1 {
 		t.Fatal("IndexOf wrong")
 	}
-	if tab.Floor(1000).FreqMHz != 960 {
-		t.Fatalf("Floor(1000) = %d", tab.Floor(1000).FreqMHz)
-	}
-	if tab.Floor(100).FreqMHz != 300 {
-		t.Fatal("Floor below table must clamp to min")
-	}
 	if tab.Ceil(1000).FreqMHz != 1036 {
 		t.Fatalf("Ceil(1000) = %d", tab.Ceil(1000).FreqMHz)
 	}
@@ -144,23 +138,17 @@ func TestFreqConversions(t *testing.T) {
 	}
 }
 
-// Property: Floor(f) <= f <= Ceil(f) whenever f is inside table range,
-// and both return valid table entries.
+// Property: f <= Ceil(f) whenever f is inside table range, and Ceil
+// returns a valid table entry.
 func TestFloorCeilProperty(t *testing.T) {
 	tab := MSM8974()
 	f := func(raw uint16) bool {
 		f := int(raw)%3000 + 1
-		fl, ce := tab.Floor(f), tab.Ceil(f)
-		if tab.IndexOf(fl.FreqMHz) < 0 || tab.IndexOf(ce.FreqMHz) < 0 {
+		ce := tab.Ceil(f)
+		if tab.IndexOf(ce.FreqMHz) < 0 {
 			return false
 		}
-		if f >= tab.Min().FreqMHz && fl.FreqMHz > f {
-			return false
-		}
-		if f <= tab.Max().FreqMHz && ce.FreqMHz < f {
-			return false
-		}
-		return fl.FreqMHz <= ce.FreqMHz || f > tab.Max().FreqMHz
+		return f > tab.Max().FreqMHz || ce.FreqMHz >= f
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

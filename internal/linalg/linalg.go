@@ -26,22 +26,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return nil, errors.New("linalg: no rows")
-	}
-	c := len(rows[0])
-	m := NewMatrix(len(rows), c)
-	for i, r := range rows {
-		if len(r) != c {
-			return nil, fmt.Errorf("linalg: row %d has %d cols, want %d", i, len(r), c)
-		}
-		copy(m.Data[i*c:(i+1)*c], r)
-	}
-	return m, nil
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -254,13 +238,4 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }

@@ -93,10 +93,10 @@ func nondetSource(fn *types.Func) string {
 }
 
 // monoClockIdent reports whether name is part of the monotonic side
-// of internal/clock (MonoTime, MonoClock, Mono, ManualMono, MonoOr,
-// MonoSince, ...). The deterministic Clock/Manual side stays legal.
+// of internal/clock (MonoTime, MonoClock, Mono, MonoOr, MonoSince,
+// ...). The deterministic Clock/Manual side stays legal.
 func monoClockIdent(name string) bool {
-	return strings.HasPrefix(name, "Mono") || name == "ManualMono"
+	return strings.HasPrefix(name, "Mono")
 }
 
 // taintMark records how a function became tainted: either it is a

@@ -29,6 +29,10 @@ var fixtureRun = sync.OnceValues(func() (fixtureResult, error) {
 	return fixtureResult{mod: mod, diags: Run(mod, Analyzers())}, nil
 })
 
+// repoModule loads the repository's own module once; the whole-module
+// tests (TestRepoIsLintClean, TestNoTestOnlyExports) share it.
+var repoModule = sync.OnceValues(func() (*Module, error) { return LoadModule("../..") })
+
 // expectation is one backtick-quoted regex from a "// want" comment,
 // anchored to the fixture file and line it appears on.
 type expectation struct {
@@ -313,7 +317,7 @@ func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping whole-module lint in -short mode")
 	}
-	mod, err := LoadModule("../..")
+	mod, err := repoModule()
 	if err != nil {
 		t.Fatalf("loading repository module: %v", err)
 	}

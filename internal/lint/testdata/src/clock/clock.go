@@ -1,6 +1,6 @@
 // Package clock is a lint-fixture stand-in for internal/clock: the
 // deterministic side (Clock, Manual) is legal everywhere, while the
-// monotonic side (Mono, MonoTime, MonoClock, MonoOr, ManualMono) is
+// monotonic side (Mono, MonoTime, MonoClock, MonoOr) is
 // banned from simulation packages by the detflow analyzer.
 package clock
 
@@ -26,12 +26,6 @@ type Mono struct{}
 
 // MonoNow reads the process-monotonic clock.
 func (Mono) MonoNow() MonoTime { return 0 }
-
-// ManualMono is the test monotonic clock — banned in sim packages.
-type ManualMono struct{ T MonoTime }
-
-// MonoNow returns the manually advanced monotonic reading.
-func (m *ManualMono) MonoNow() MonoTime { return m.T }
 
 // MonoOr defaults a nil MonoClock — banned in sim packages.
 func MonoOr(c MonoClock) MonoClock {

@@ -118,9 +118,6 @@ func (b *Bus) SetFreqMHz(mhz int) {
 	}
 }
 
-// FreqMHz returns the current bus clock.
-func (b *Bus) FreqMHz() int { return b.freqMHz }
-
 // PeakBandwidth returns bytes/second at the current bus frequency.
 func (b *Bus) PeakBandwidth() float64 {
 	return float64(b.freqMHz) * b.cfg.BytesPerSecPerMHz

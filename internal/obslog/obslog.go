@@ -14,8 +14,8 @@
 //     chain to 0 allocs/op.
 //   - Module-level severity. One process-wide sink, many module
 //     handles (Logger.Module), each resolvable to its own level via
-//     a spec like "info,serve=debug" (ParseLevelSpec), adjustable at
-//     runtime.
+//     a spec like "info,serve=debug" (ParseLevelSpec), fixed when the
+//     logger is built.
 //   - Bounded disk. The file sink rotates by size (FileSink), keeping
 //     a fixed number of numbered backups, so a misbehaving daemon
 //     cannot fill the disk.
@@ -28,10 +28,10 @@ package obslog
 import (
 	"fmt"
 	"io"
+	"maps"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -110,8 +110,8 @@ func ParseLevelSpec(spec string) (Level, map[string]Level, error) {
 type core struct {
 	mu    sync.Mutex // serializes writes: one line per Write call
 	w     io.Writer
-	level atomic.Int32 // default Level
-	mods  sync.Map     // module string -> Level (stored as int32)
+	level Level            // default threshold; fixed by New
+	mods  map[string]Level // per-module overrides; fixed by New
 }
 
 // Logger is a module-scoped handle on a shared log sink. A nil
@@ -133,20 +133,11 @@ type Options struct {
 }
 
 // New returns a Logger writing key=value lines to w. Derive
-// per-module handles with Module; adjust severities at runtime with
-// SetLevel / SetModuleLevel.
+// per-module handles with Module.
 func New(w io.Writer, opts Options) *Logger {
-	c := &core{w: w}
-	c.level.Store(int32(opts.Level))
-	for mod, lv := range opts.ModuleLevels {
-		c.mods.Store(mod, int32(lv))
-	}
+	c := &core{w: w, level: opts.Level, mods: maps.Clone(opts.ModuleLevels)}
 	return &Logger{c: c}
 }
-
-// Discard is a logger that drops everything at zero cost — the
-// explicit spelling of a nil *Logger for APIs that prefer a value.
-func Discard() *Logger { return nil }
 
 // Module returns a handle emitting lines tagged module=name and
 // filtered by that module's level (falling back to the default).
@@ -157,35 +148,21 @@ func (l *Logger) Module(name string) *Logger {
 	return &Logger{c: l.c, module: name}
 }
 
-// SetLevel adjusts the default severity threshold at runtime.
-func (l *Logger) SetLevel(lv Level) {
-	if l != nil {
-		l.c.level.Store(int32(lv))
-	}
-}
-
-// SetModuleLevel adds or replaces one module's severity override.
-func (l *Logger) SetModuleLevel(module string, lv Level) {
-	if l != nil {
-		l.c.mods.Store(module, int32(lv))
-	}
-}
-
 // Enabled reports whether a line at lv would be emitted by this
-// handle. The check is two atomic loads on the hot path.
+// handle. The check is one lookup in the module overrides.
 func (l *Logger) Enabled(lv Level) bool {
 	if l == nil {
 		return false
 	}
-	if v, ok := l.c.mods.Load(l.module); ok {
-		return lv >= Level(v.(int32))
+	if v, ok := l.c.mods[l.module]; ok {
+		return lv >= v
 	}
-	return lv >= Level(l.c.level.Load())
+	return lv >= l.c.level
 }
 
 // Event is one in-flight log line being assembled. A nil *Event (from
 // a filtered-out level constructor) ignores every call, so the
-// disabled path costs two atomic loads and nothing else.
+// disabled path costs one map lookup and nothing else.
 type Event struct {
 	buf []byte
 	c   *core

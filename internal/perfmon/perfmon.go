@@ -5,8 +5,6 @@
 // DORA's model inputs (L2 MPKI, core utilization) are computed from.
 package perfmon
 
-import "time"
-
 // Counters is a cumulative per-core counter snapshot.
 type Counters struct {
 	Instructions uint64
@@ -81,11 +79,6 @@ func (c Counters) MPKI() float64 {
 		return 0
 	}
 	return float64(c.L2Misses) / float64(c.Instructions) * 1000
-}
-
-// Window reports the wall-clock span the counters cover.
-func (c Counters) Window() time.Duration {
-	return time.Duration(c.BusyNs + c.IdleNs)
 }
 
 // Sampler converts cumulative counter snapshots into window deltas,

@@ -2,7 +2,6 @@ package perfmon
 
 import (
 	"testing"
-	"time"
 )
 
 func TestSubAdd(t *testing.T) {
@@ -56,9 +55,6 @@ func TestDerivedMetrics(t *testing.T) {
 	}
 	if got := c.MPKI(); got != 5 {
 		t.Fatalf("MPKI = %v, want 5", got)
-	}
-	if got := c.Window(); got != time.Duration(1000) {
-		t.Fatalf("Window = %v", got)
 	}
 }
 

@@ -156,7 +156,6 @@ func (b Breakdown) SoC() float64 {
 // Meter integrates power over simulated time, DAQ-style.
 type Meter struct {
 	energyJ float64
-	elapsed time.Duration
 }
 
 // Record accumulates dt at the given instantaneous power.
@@ -165,22 +164,10 @@ func (m *Meter) Record(dt time.Duration, watts float64) {
 		return
 	}
 	m.energyJ += watts * dt.Seconds()
-	m.elapsed += dt
 }
 
 // EnergyJ returns the integrated energy.
 func (m *Meter) EnergyJ() float64 { return m.energyJ }
-
-// Elapsed returns the integrated duration.
-func (m *Meter) Elapsed() time.Duration { return m.elapsed }
-
-// AvgPowerW returns mean power over the recorded interval.
-func (m *Meter) AvgPowerW() float64 {
-	if m.elapsed <= 0 {
-		return 0
-	}
-	return m.energyJ / m.elapsed.Seconds()
-}
 
 // PPW is the paper's energy-efficiency metric: performance per watt,
 // 1 / (load time x average power) = 1 / energy. Higher is better.
@@ -206,16 +193,14 @@ func clamp01(x float64) float64 {
 // checkpoints.
 type MeterSnapshot struct {
 	EnergyJ float64
-	Elapsed time.Duration
 }
 
 // Snapshot captures the meter state.
 func (m *Meter) Snapshot() MeterSnapshot {
-	return MeterSnapshot{EnergyJ: m.energyJ, Elapsed: m.elapsed}
+	return MeterSnapshot{EnergyJ: m.energyJ}
 }
 
 // Restore overwrites the meter state with a snapshot.
 func (m *Meter) Restore(s MeterSnapshot) {
 	m.energyJ = s.EnergyJ
-	m.elapsed = s.Elapsed
 }

@@ -136,12 +136,6 @@ func TestMeter(t *testing.T) {
 	if m.EnergyJ() != 6 {
 		t.Fatalf("EnergyJ = %v", m.EnergyJ())
 	}
-	if m.AvgPowerW() != 3 {
-		t.Fatalf("AvgPowerW = %v", m.AvgPowerW())
-	}
-	if m.Elapsed() != 2*time.Second {
-		t.Fatalf("Elapsed = %v", m.Elapsed())
-	}
 	m.Record(0, 100)            // ignored
 	m.Record(-time.Second, 100) // ignored
 	m.Record(time.Second, -5)   // ignored
@@ -149,7 +143,7 @@ func TestMeter(t *testing.T) {
 		t.Fatal("invalid Record calls must be ignored")
 	}
 	var empty Meter
-	if empty.EnergyJ() != 0 || empty.AvgPowerW() != 0 || empty.Elapsed() != 0 {
+	if empty.EnergyJ() != 0 {
 		t.Fatal("an empty meter must read zero")
 	}
 }

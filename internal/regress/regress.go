@@ -12,7 +12,6 @@ package regress
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"dora/internal/linalg"
 	"dora/internal/stats"
@@ -273,39 +272,4 @@ type Metrics struct {
 	MAPE   float64 // mean absolute percentage error, as a fraction
 	RMSE   float64
 	MaxAPE float64 // worst-case absolute percentage error
-	R2     float64
-}
-
-// Evaluate computes accuracy metrics for the model on (xs, ys).
-func (m *Model) Evaluate(xs [][]float64, ys []float64) (Metrics, error) {
-	pred, err := m.PredictAll(xs)
-	if err != nil {
-		return Metrics{}, err
-	}
-	mape, err := stats.MAPE(pred, ys)
-	if err != nil {
-		return Metrics{}, err
-	}
-	mse, err := stats.MSE(pred, ys)
-	if err != nil {
-		return Metrics{}, err
-	}
-	errs := stats.AbsRelErrors(pred, ys)
-	meanY := stats.Mean(ys)
-	ssTot, ssRes := 0.0, 0.0
-	for i := range ys {
-		ssTot += (ys[i] - meanY) * (ys[i] - meanY)
-		ssRes += (ys[i] - pred[i]) * (ys[i] - pred[i])
-	}
-	r2 := 1.0
-	if ssTot > 0 {
-		r2 = 1 - ssRes/ssTot
-	}
-	return Metrics{
-		N:      len(ys),
-		MAPE:   mape,
-		RMSE:   math.Sqrt(mse),
-		MaxAPE: stats.Max(errs),
-		R2:     r2,
-	}, nil
 }

@@ -9,6 +9,21 @@ import (
 	"dora/internal/stats"
 )
 
+// inSampleMAPE is m's mean absolute percentage error on the data it
+// was fitted to.
+func inSampleMAPE(t *testing.T, m *Model, xs [][]float64, ys []float64) float64 {
+	t.Helper()
+	pred, err := m.PredictAll(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mape, err := stats.MAPE(pred, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mape
+}
+
 func TestTermCount(t *testing.T) {
 	cases := []struct {
 		s    Surface
@@ -93,21 +108,17 @@ func TestFitInteractionRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	met, err := m.Evaluate(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if met.MAPE > 1e-8 {
-		t.Fatalf("interaction recovery MAPE = %v", met.MAPE)
+	mape := inSampleMAPE(t, m, xs, ys)
+	if mape > 1e-8 {
+		t.Fatalf("interaction recovery MAPE = %v", mape)
 	}
 	// A pure Linear surface cannot represent the cross term.
 	ml, err := Fit(Linear, []string{"a", "b"}, xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	metL, _ := ml.Evaluate(xs, ys)
-	if metL.MAPE < met.MAPE+1e-6 && metL.MAPE < 1e-4 {
-		t.Fatalf("linear fit unexpectedly exact on interacting data: %v", metL.MAPE)
+	if mapeL := inSampleMAPE(t, ml, xs, ys); mapeL < mape+1e-6 && mapeL < 1e-4 {
+		t.Fatalf("linear fit unexpectedly exact on interacting data: %v", mapeL)
 	}
 }
 
@@ -124,9 +135,8 @@ func TestQuadraticRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	met, _ := m.Evaluate(xs, ys)
-	if met.MAPE > 1e-8 {
-		t.Fatalf("quadratic recovery MAPE = %v", met.MAPE)
+	if mape := inSampleMAPE(t, m, xs, ys); mape > 1e-8 {
+		t.Fatalf("quadratic recovery MAPE = %v", mape)
 	}
 }
 
@@ -171,12 +181,8 @@ func TestFitRidgeUnderdetermined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	met, err := m.Evaluate(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if met.MAPE > 0.05 {
-		t.Fatalf("ridge in-sample MAPE %.2f%% too high", met.MAPE*100)
+	if mape := inSampleMAPE(t, m, xs, ys); mape > 0.05 {
+		t.Fatalf("ridge in-sample MAPE %.2f%% too high", mape*100)
 	}
 	// Held-out points from the same distribution stay sane on average
 	// (minimum-norm solutions are weak off-sample; this is a loose
@@ -258,28 +264,6 @@ func TestPredictErrors(t *testing.T) {
 	}
 	if _, err := fit.Predict([]float64{1}); err == nil {
 		t.Fatal("wrong feature count must error")
-	}
-}
-
-func TestEvaluateMetrics(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	xs, ys := genLinearData(rng, 200, 0.5)
-	m, err := Fit(Linear, []string{"a", "b", "c"}, xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := m.Evaluate(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if met.N != 200 {
-		t.Fatalf("N = %d", met.N)
-	}
-	if met.R2 < 0.95 {
-		t.Fatalf("R2 = %v, want near 1 for low-noise linear data", met.R2)
-	}
-	if met.MAPE <= 0 || met.RMSE <= 0 || met.MaxAPE < met.MAPE {
-		t.Fatalf("implausible metrics: %+v", met)
 	}
 }
 

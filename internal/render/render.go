@@ -128,27 +128,6 @@ type Plan struct {
 	ImageBytes int64
 }
 
-// TotalOps sums instructions over both threads.
-func (p *Plan) TotalOps() int64 {
-	var t int64
-	for _, s := range p.Main {
-		t += s.Ops
-	}
-	for _, s := range p.Helper {
-		t += s.Ops
-	}
-	return t
-}
-
-// MainOps sums the critical-path thread's instructions.
-func (p *Plan) MainOps() int64 {
-	var t int64
-	for _, s := range p.Main {
-		t += s.Ops
-	}
-	return t
-}
-
 // BuildPlan derives the load workload for a parsed document.
 func BuildPlan(cfg Config, doc *webdoc.Document) (*Plan, error) {
 	if doc == nil || doc.Root == nil {

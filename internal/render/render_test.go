@@ -83,27 +83,30 @@ func TestPhaseOrdering(t *testing.T) {
 	}
 }
 
+// ops sums the instructions of one thread's segment stream.
+func ops(segs []workload.Segment) int64 {
+	var n int64
+	for _, s := range segs {
+		n += s.Ops
+	}
+	return n
+}
+
 func TestWorkScalesWithComplexity(t *testing.T) {
 	small := planFor(t, "Alipay")
 	big := planFor(t, "Aliexpress")
-	if big.MainOps() < 4*small.MainOps() {
-		t.Fatalf("Aliexpress main ops %d not >> Alipay %d", big.MainOps(), small.MainOps())
+	if ops(big.Main) < 4*ops(small.Main) {
+		t.Fatalf("Aliexpress main ops %d not >> Alipay %d", ops(big.Main), ops(small.Main))
 	}
-	if big.TotalOps() <= big.MainOps() {
-		t.Fatal("total must include helper thread")
+	if ops(big.Helper) == 0 {
+		t.Fatal("Aliexpress helper thread has no work")
 	}
 }
 
 func TestImageHeavyPageLoadsHelper(t *testing.T) {
 	imgur := planFor(t, "Imgur")
 	twitter := planFor(t, "Twitter")
-	var imgurHelper, twitterHelper int64
-	for _, s := range imgur.Helper {
-		imgurHelper += s.Ops
-	}
-	for _, s := range twitter.Helper {
-		twitterHelper += s.Ops
-	}
+	imgurHelper, twitterHelper := ops(imgur.Helper), ops(twitter.Helper)
 	if imgurHelper < 3*twitterHelper {
 		t.Fatalf("Imgur helper %d not >> Twitter helper %d", imgurHelper, twitterHelper)
 	}
@@ -149,8 +152,8 @@ func TestChunking(t *testing.T) {
 	cfgB.ChunkNodes = 17
 	a, _ := BuildPlan(cfgA, doc)
 	b, _ := BuildPlan(cfgB, doc)
-	if a.MainOps() != b.MainOps() {
-		t.Fatalf("chunking changed total ops: %d vs %d", a.MainOps(), b.MainOps())
+	if ops(a.Main) != ops(b.Main) {
+		t.Fatalf("chunking changed total ops: %d vs %d", ops(a.Main), ops(b.Main))
 	}
 }
 
@@ -179,7 +182,7 @@ func TestSources(t *testing.T) {
 func TestDeterministicPlans(t *testing.T) {
 	a := planFor(t, "BBC")
 	b := planFor(t, "BBC")
-	if len(a.Main) != len(b.Main) || a.MainOps() != b.MainOps() {
+	if len(a.Main) != len(b.Main) || ops(a.Main) != ops(b.Main) {
 		t.Fatal("plans must be deterministic")
 	}
 	for i := range a.Main {
@@ -209,14 +212,7 @@ func TestHighComplexityPagesHaveMoreWork(t *testing.T) {
 		p := planFor(t, s.Name)
 		// Imgur's complexity is carried by its helper thread (image
 		// decode), so compare effective critical path: max(main, helper).
-		work := p.MainOps()
-		var helper int64
-		for _, seg := range p.Helper {
-			helper += seg.Ops
-		}
-		if helper > work {
-			work = helper
-		}
+		work := max(ops(p.Main), ops(p.Helper))
 		if s.Class == webgen.LowComplexity && work > lowMax {
 			lowMax, lowName = work, s.Name
 		}

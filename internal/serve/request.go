@@ -35,14 +35,10 @@ const (
 	CodeWireVersion   = "wire_version"    // 426: stream handshake version skew
 )
 
-// APIError is a structured, user-visible request failure.
-type APIError struct {
-	Status  int    `json:"-"`
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-func (e *APIError) Error() string { return e.Message }
+// APIError is a structured, user-visible request failure. The type
+// lives in internal/wire, whose TypeError frame carries it, so both
+// transports refuse with the same value.
+type APIError = wire.Error
 
 func errBadRequest(format string, args ...any) *APIError {
 	return &APIError{Status: http.StatusBadRequest, Code: CodeBadRequest, Message: fmt.Sprintf(format, args...)}

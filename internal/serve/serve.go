@@ -93,8 +93,7 @@ type Config struct {
 	// memory internals, so they are off unless asked for).
 	EnablePprof bool
 	// Mono is the monotonic clock used for serving latency and uptime
-	// (nil = the real clock.Mono). Tests substitute clock.ManualMono
-	// to observe exact histogram buckets.
+	// (nil = the real clock.Mono).
 	Mono clock.MonoClock
 	// MaxFrameBytes bounds a single stream-transport frame payload in
 	// either direction (default MaxBodyBytes). Over-budget frames kill

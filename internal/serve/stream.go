@@ -258,7 +258,7 @@ readLoop:
 		default:
 			// Protocol violation: answer once, then hang up — the
 			// stream cannot be trusted to be in sync anymore.
-			sc.sendError(f.ID, errBadRequest("unexpected frame type %d", f.Type))
+			sc.fail(f.ID, nil, errBadRequest("unexpected frame type %d", f.Type))
 			break readLoop
 		}
 	}
@@ -296,16 +296,7 @@ func (sc *streamConn) end() {
 
 func (sc *streamConn) refuseDraining(id uint64) {
 	sc.srv.mDrainRejects.Inc()
-	sc.sendError(id, &APIError{Status: http.StatusServiceUnavailable, Code: CodeDraining, Message: "server is draining; retry against another instance"})
-}
-
-// sendError completes a request id with a TypeError frame.
-func (sc *streamConn) sendError(id uint64, apiErr *APIError) {
-	we := wire.Error{Status: apiErr.Status, Code: apiErr.Code, Message: apiErr.Message}
-	sc.enqueue(outFrame{
-		f:       wire.Frame{Type: wire.TypeError, ID: id},
-		payload: wire.AppendError(nil, &we),
-	})
+	sc.fail(id, nil, &APIError{Status: http.StatusServiceUnavailable, Code: CodeDraining, Message: "server is draining; retry against another instance"})
 }
 
 // writeLoop is the write-side collector: it blocks for the first
@@ -391,11 +382,17 @@ func (sc *streamConn) newObs(path string) *reqObs {
 	return obs
 }
 
-// fail completes id with apiErr and records it as the request's
-// outcome.
+// fail completes id with a TypeError frame carrying apiErr and records
+// it as the request's outcome (obs is nil for a refusal that is not
+// logged as a request).
 func (sc *streamConn) fail(id uint64, obs *reqObs, apiErr *APIError) {
-	obs.status, obs.code = apiErr.Status, apiErr.Code
-	sc.sendError(id, apiErr)
+	if obs != nil {
+		obs.status, obs.code = apiErr.Status, apiErr.Code
+	}
+	sc.enqueue(outFrame{
+		f:       wire.Frame{Type: wire.TypeError, ID: id},
+		payload: wire.AppendError(nil, apiErr),
+	})
 }
 
 // doLoad serves one pipelined load frame end to end: decode, the

@@ -442,7 +442,7 @@ func TestErrorStringsPinned(t *testing.T) {
 	if apiErr == nil {
 		t.Fatal("unknown page decoded")
 	}
-	if got, want := apiErr.Error(), `unknown page "NotAPage" (GET /v1/pages lists the corpus)`; got != want {
+	if got, want := apiErr.Error(), `not_found: unknown page "NotAPage" (GET /v1/pages lists the corpus) (http 404)`; got != want {
 		t.Errorf("refusal Error() = %q, want %q", got, want)
 	}
 	_, ts := newTestServer(t, Config{}, nil)

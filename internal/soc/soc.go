@@ -289,9 +289,6 @@ func (m *Machine) SetSink(s *telemetry.Sink) { m.sink = s }
 // Span boundaries are quantized to the accounting slice.
 func (m *Machine) SetTracer(t *telemetry.Tracer) { m.tracer = t }
 
-// Tracer returns the attached tracer (nil when tracing is off).
-func (m *Machine) Tracer() *telemetry.Tracer { return m.tracer }
-
 // New builds a machine at the lowest OPP, thermally at ambient.
 func New(cfg Config, seed int64) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
@@ -357,20 +354,14 @@ func New(cfg Config, seed int64) (*Machine, error) {
 	return m, nil
 }
 
-// AssignSource attaches a workload stream to a core (replacing any).
+// AssignSource attaches a workload stream to a core (replacing any);
+// a nil src idles the core.
 func (m *Machine) AssignSource(core int, src workload.Source) error {
 	if core < 0 || core >= len(m.cores) {
 		return fmt.Errorf("soc: core %d out of range", core)
 	}
 	m.resetCore(core, src)
 	return nil
-}
-
-// ClearSource idles a core.
-func (m *Machine) ClearSource(core int) {
-	if core >= 0 && core < len(m.cores) {
-		m.resetCore(core, nil)
-	}
 }
 
 // resetCore closes the core's open trace span and restarts it on src
@@ -459,12 +450,6 @@ func (m *Machine) LastPower() power.Breakdown { return m.lastPower }
 
 // SoCTemp returns the SoC thermal-node temperature.
 func (m *Machine) SoCTemp() float64 { return m.thermal.SoCTemp() }
-
-// CoreTemp returns core i's sensor temperature.
-func (m *Machine) CoreTemp(i int) float64 { return m.thermal.CoreTemp(i) }
-
-// MaxCoreTemp returns the hottest core sensor.
-func (m *Machine) MaxCoreTemp() float64 { return m.thermal.MaxCoreTemp() }
 
 // SetAmbient changes ambient temperature (Fig. 10's experiment).
 func (m *Machine) SetAmbient(c float64) { m.thermal.SetAmbient(c) }

@@ -200,7 +200,7 @@ func TestThermalAndLeakageRiseUnderLoad(t *testing.T) {
 	if m.SoCTemp() < startTemp+8 {
 		t.Fatalf("SoC barely warmed: %v -> %v", startTemp, m.SoCTemp())
 	}
-	if m.MaxCoreTemp() <= m.SoCTemp() {
+	if m.thermal.CoreTemp(0) <= m.SoCTemp() {
 		t.Fatal("loaded core must read hotter than SoC node")
 	}
 	if m.LastPower().LeakageW <= 0.1 {
@@ -264,7 +264,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestAssignmentErrors(t *testing.T) {
 	m := newMachine(t, 1)
-	if err := m.AssignSource(99, workload.Idle()); err == nil {
+	if err := m.AssignSource(99, nil); err == nil {
 		t.Fatal("out-of-range core must error")
 	}
 	if !m.CoreDone(99) {
@@ -273,8 +273,9 @@ func TestAssignmentErrors(t *testing.T) {
 	if m.Counters(99) != (perfmon.Counters{}) {
 		t.Fatal("out-of-range counters must be zero")
 	}
-	m.ClearSource(0)
-	m.ClearSource(-1) // no panic
+	if err := m.AssignSource(-1, nil); err == nil {
+		t.Fatal("negative core must error")
+	}
 }
 
 func TestCoreDoneOnFiniteSource(t *testing.T) {
@@ -405,7 +406,7 @@ func TestThermalTripTrace(t *testing.T) {
 	}
 	// Cool down: stop all work at the floor OPP until below the trip.
 	for i := 0; i < cfg.Cores; i++ {
-		m.ClearSource(i)
+		m.AssignSource(i, nil)
 	}
 	m.SetOPP(cfg.OPPs.Min())
 	for m.SoCTemp() >= cfg.ThermalTripC && m.Now() < 60*time.Second {

@@ -36,26 +36,6 @@ func MeanErr(xs []float64) (float64, error) {
 	return Mean(xs), nil
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Min returns the smallest element of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest element of xs, or -Inf for an empty slice.
 func Max(xs []float64) float64 {
 	m := math.Inf(-1)
@@ -150,9 +130,6 @@ func NewCDF(xs []float64) *CDF {
 	return &CDF{sorted: s}
 }
 
-// Len returns the number of samples backing the CDF.
-func (c *CDF) Len() int { return len(c.sorted) }
-
 // At returns P(X <= x): the fraction of samples less than or equal to x.
 func (c *CDF) At(x float64) float64 {
 	if len(c.sorted) == 0 {
@@ -162,79 +139,3 @@ func (c *CDF) At(x float64) float64 {
 	i := sort.Search(len(c.sorted), func(i int) bool { return c.sorted[i] > x })
 	return float64(i) / float64(len(c.sorted))
 }
-
-// Quantile returns the smallest sample value v such that At(v) >= q,
-// for q in (0,1]. Quantile(0) returns the minimum.
-func (c *CDF) Quantile(q float64) (float64, error) {
-	if len(c.sorted) == 0 {
-		return 0, ErrEmpty
-	}
-	if q <= 0 {
-		return c.sorted[0], nil
-	}
-	if q > 1 {
-		return 0, errors.New("stats: quantile out of range")
-	}
-	idx := int(math.Ceil(q*float64(len(c.sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(c.sorted) {
-		idx = len(c.sorted) - 1
-	}
-	return c.sorted[idx], nil
-}
-
-// Points returns up to n evenly spaced (x, P(X<=x)) pairs suitable for
-// plotting the CDF as a step curve. It returns the full sample when
-// n <= 0 or n >= Len().
-func (c *CDF) Points(n int) (xs, ps []float64) {
-	m := len(c.sorted)
-	if m == 0 {
-		return nil, nil
-	}
-	if n <= 0 || n >= m {
-		n = m
-	}
-	xs = make([]float64, n)
-	ps = make([]float64, n)
-	for i := 0; i < n; i++ {
-		idx := i * (m - 1) / max(n-1, 1)
-		xs[i] = c.sorted[idx]
-		ps[i] = float64(idx+1) / float64(m)
-	}
-	return xs, ps
-}
-
-// Welford accumulates a running mean and variance without storing the
-// sample, using Welford's online algorithm.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations so far.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running population variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }

@@ -41,9 +41,6 @@ func (t *Table) AddRowStrings(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// Len returns the number of data rows.
-func (t *Table) Len() int { return len(t.rows) }
-
 // String renders the table.
 func (t *Table) String() string {
 	cols := len(t.headers)
@@ -97,33 +94,6 @@ func (t *Table) String() string {
 			sep[i] = strings.Repeat("-", widths[i])
 		}
 		writeRow(sep)
-	}
-	for _, r := range t.rows {
-		writeRow(r)
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values (headers first).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	writeRow := func(r []string) {
-		for i, c := range r {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(esc(c))
-		}
-		b.WriteByte('\n')
-	}
-	if len(t.headers) > 0 {
-		writeRow(t.headers)
 	}
 	for _, r := range t.rows {
 		writeRow(r)

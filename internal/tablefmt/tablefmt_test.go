@@ -28,9 +28,6 @@ func TestStringRendering(t *testing.T) {
 	if !strings.HasPrefix(lines[4][idx:], "1.500") {
 		t.Fatalf("misaligned columns:\n%s", out)
 	}
-	if tb.Len() != 2 {
-		t.Fatalf("Len = %d", tb.Len())
-	}
 }
 
 func TestNoTitleNoHeaders(t *testing.T) {
@@ -62,15 +59,5 @@ func TestNoTrailingSpaces(t *testing.T) {
 		if strings.HasSuffix(line, " ") {
 			t.Fatalf("trailing space in %q", line)
 		}
-	}
-}
-
-func TestCSV(t *testing.T) {
-	tb := New("ignored", "a", "b")
-	tb.AddRowStrings("plain", `has "quote", comma`)
-	csv := tb.CSV()
-	want := "a,b\nplain,\"has \"\"quote\"\", comma\"\n"
-	if csv != want {
-		t.Fatalf("CSV = %q, want %q", csv, want)
 	}
 }

@@ -4,31 +4,23 @@ import "sync"
 
 // SinkOptions configures a Sink.
 type SinkOptions struct {
-	// RingSize bounds the number of retained samples (default 4096).
-	// When full, the oldest samples are overwritten.
-	RingSize int
 	// Decimate keeps 1 in N published samples (default 1 = keep all);
-	// dropped samples are counted but neither stored nor fanned out.
-	// Decimation is what keeps live sampling cheap at high slice rates
-	// (Pac-Sim-style observability at acceptable overhead).
+	// dropped samples are counted but not fanned out. Decimation is
+	// what keeps live sampling cheap at high slice rates (Pac-Sim-style
+	// observability at acceptable overhead).
 	Decimate int
 }
 
-// Sink is a bounded multi-subscriber stream of machine samples. One
-// producer (the simulated machine) publishes a Sample per accounting
-// slice; any number of subscribers receive the decimated stream, and
-// the ring buffer retains the most recent samples for post-run
-// inspection. Publish is allocation-free.
+// Sink is a multi-subscriber stream of machine samples. One producer
+// (the simulated machine) publishes a Sample per accounting slice; any
+// number of subscribers receive the decimated stream. Publish is
+// allocation-free.
 //
 // A nil *Sink ignores all calls.
 type Sink struct {
 	mu        sync.Mutex
-	ring      []Sample
-	next      int // ring write position
-	filled    bool
 	decimate  int
 	published uint64          // total offered, pre-decimation
-	kept      uint64          // stored + fanned out
 	subs      []*subscription // immutable slice: copied on (un)subscribe
 }
 
@@ -38,13 +30,10 @@ type subscription struct {
 
 // NewSink returns a sink with the given options.
 func NewSink(opt SinkOptions) *Sink {
-	if opt.RingSize <= 0 {
-		opt.RingSize = 4096
-	}
 	if opt.Decimate <= 0 {
 		opt.Decimate = 1
 	}
-	return &Sink{ring: make([]Sample, opt.RingSize), decimate: opt.Decimate}
+	return &Sink{decimate: opt.Decimate}
 }
 
 // Subscribe registers fn to receive every kept sample and returns an
@@ -74,8 +63,8 @@ func (s *Sink) Subscribe(fn func(Sample)) (unsubscribe func()) {
 	}
 }
 
-// Publish offers one sample to the sink. Samples dropped by decimation
-// are counted but not stored.
+// Publish offers one sample to the sink's subscribers. Samples dropped
+// by decimation are counted but not fanned out.
 func (s *Sink) Publish(sample Sample) {
 	if s == nil {
 		return
@@ -87,53 +76,9 @@ func (s *Sink) Publish(sample Sample) {
 		s.mu.Unlock()
 		return
 	}
-	s.kept++
-	s.ring[s.next] = sample
-	s.next++
-	if s.next == len(s.ring) {
-		s.next = 0
-		s.filled = true
-	}
 	subs := s.subs // immutable snapshot
 	s.mu.Unlock()
 	for _, sub := range subs {
 		sub.fn(sample)
 	}
-}
-
-// Published returns the number of samples offered (before decimation).
-func (s *Sink) Published() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.published
-}
-
-// Kept returns the number of samples retained after decimation.
-func (s *Sink) Kept() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.kept
-}
-
-// Snapshot returns the ring contents, oldest first. The result is a
-// fresh slice; the sink keeps publishing independently.
-func (s *Sink) Snapshot() []Sample {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.filled {
-		return append([]Sample(nil), s.ring[:s.next]...)
-	}
-	out := make([]Sample, 0, len(s.ring))
-	out = append(out, s.ring[s.next:]...)
-	out = append(out, s.ring[:s.next]...)
-	return out
 }

@@ -79,9 +79,6 @@ func New(cfg Config) (*Model, error) {
 // configured time constants.
 func (m *Model) SetAmbient(c float64) { m.cfg.AmbientC = c }
 
-// Ambient returns the current ambient temperature.
-func (m *Model) Ambient() float64 { return m.cfg.AmbientC }
-
 // Step advances the model by dt with the given SoC total power and
 // per-core powers (watts). The exponential update is exact for
 // piecewise-constant power, so step size does not affect accuracy.
@@ -116,29 +113,12 @@ func (m *Model) CoreTemp(i int) float64 {
 	return m.socTemp + m.coreRise[i]
 }
 
-// MaxCoreTemp returns the hottest core temperature.
-func (m *Model) MaxCoreTemp() float64 {
-	t := m.socTemp
-	for i := range m.coreRise {
-		if ct := m.CoreTemp(i); ct > t {
-			t = ct
-		}
-	}
-	return t
-}
-
 // Prewarm sets the SoC node to the given temperature (device already
 // in use before the experiment), leaving core offsets at zero.
 func (m *Model) Prewarm(tempC float64) {
 	if tempC > m.cfg.AmbientC {
 		m.socTemp = tempC
 	}
-}
-
-// SteadyStateSoC returns the temperature the SoC node would settle at
-// under constant power p.
-func (m *Model) SteadyStateSoC(p float64) float64 {
-	return m.cfg.AmbientC + m.cfg.SoCResistance*math.Max(0, p)
 }
 
 // Snapshot is the thermal model's warm state: the SoC node temperature

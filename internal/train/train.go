@@ -460,16 +460,3 @@ func metricsOf(pred, obs []float64) (regress.Metrics, error) {
 		MaxAPE: stats.Max(errs),
 	}, nil
 }
-
-// Split partitions observations into training pages and holdout pages
-// ("Webpage-Inclusive" vs "Webpage-Neutral" evaluation).
-func Split(obs []Observation) (training, holdout []Observation) {
-	for _, o := range obs {
-		if webgen.IsHoldout(o.Page) {
-			holdout = append(holdout, o)
-		} else {
-			training = append(training, o)
-		}
-	}
-	return
-}

@@ -209,21 +209,6 @@ func TestFitAndEvaluate(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	obs := []Observation{
-		{Page: "MSN"}, {Page: "Imgur"}, {Page: "BBC"}, {Page: "Reddit"},
-	}
-	tr, ho := Split(obs)
-	if len(tr) != 2 || len(ho) != 2 {
-		t.Fatalf("split = %d/%d", len(tr), len(ho))
-	}
-	for _, o := range ho {
-		if !webgen.IsHoldout(o.Page) {
-			t.Fatalf("%s in holdout split", o.Page)
-		}
-	}
-}
-
 // tinyCfg is an 8-cell grid for tests that must run the campaign more
 // than once.
 func tinyCfg() Config {

@@ -16,11 +16,6 @@ type Selector struct {
 	ID      string
 }
 
-// Universal reports whether the selector matches every element.
-func (s Selector) Universal() bool {
-	return s.Tag == "" && len(s.Classes) == 0 && s.ID == ""
-}
-
 // Matches reports whether the selector matches the element node.
 func (s Selector) Matches(n *Node) bool {
 	if n == nil || n.Type != ElementNode {

@@ -33,7 +33,7 @@ func TestParseCSSBasics(t *testing.T) {
 	if sheet.Rules[2].Selectors[0].ID != "main" {
 		t.Fatalf("rule2 = %+v", sheet.Rules[2])
 	}
-	if !sheet.Rules[3].Selectors[0].Universal() {
+	if sel := sheet.Rules[3].Selectors[0]; sel.Tag != "" || len(sel.Classes) != 0 || sel.ID != "" {
 		t.Fatalf("rule3 must be universal")
 	}
 }

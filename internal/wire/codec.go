@@ -83,17 +83,18 @@ type CampaignRequest struct {
 	Fidelity string `json:"fidelity,omitempty"`
 }
 
-// Error is the stream-transport form of serve's error envelope; it
-// completes a request id via a TypeError frame and doubles as the
-// client-side error value.
+// Error is a structured, user-visible request failure, on both
+// transports: the JSON error envelope carries its code and message
+// ({"error":{"code","message"}}) beside the HTTP status, a TypeError
+// frame carries all three, and a client gets it back as the error
+// value. serve names it APIError.
 type Error struct {
-	Status  int
-	Code    string
-	Message string
+	Status  int    `json:"-"`
+	Code    string `json:"code"`
+	Message string `json:"message"`
 }
 
-// Error implements error with the same "code: message" shape the JSON
-// error body carries.
+// Error implements error as "code: message (http status)".
 func (e *Error) Error() string {
 	return fmt.Sprintf("%s: %s (http %d)", e.Code, e.Message, e.Status)
 }

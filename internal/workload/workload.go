@@ -306,6 +306,3 @@ func (l *loopSource) Next() (Segment, bool) {
 }
 
 func (l *loopSource) Reset() { l.inner.Reset() }
-
-// Idle returns a Source that produces nothing — a parked core.
-func Idle() Source { return FromSegments("idle", nil) }

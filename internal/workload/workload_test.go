@@ -158,15 +158,6 @@ func TestLoop(t *testing.T) {
 	}
 }
 
-func TestIdle(t *testing.T) {
-	if _, ok := Idle().Next(); ok {
-		t.Fatal("Idle must produce nothing")
-	}
-	if Idle().Name() != "idle" {
-		t.Fatal("Idle name wrong")
-	}
-}
-
 // Property: every generated address is line-aligned and within
 // [Base, Base+Footprint) for all patterns.
 func TestRefGenBoundsProperty(t *testing.T) {
