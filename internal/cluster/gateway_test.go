@@ -181,7 +181,6 @@ func TestRouteKeyGolden(t *testing.T) {
 	}
 }
 
-// fakeWorkers starts two httptest workers, w0 and w1. The one named by
 // TestGatewayUpgradeRefusedMessage pins the 502 a stream forward makes
 // of a worker that refuses the upgrade with a status the gateway does
 // not retry as a refusal (426, version skew): a transport failure that
@@ -207,6 +206,7 @@ func TestGatewayUpgradeRefusedMessage(t *testing.T) {
 	}
 }
 
+// fakeWorkers starts two httptest workers, w0 and w1. The one named by
 // *bad answers every request with a 200 whose body is one byte over
 // limit; the other answers with good.
 func fakeWorkers(t *testing.T, limit int64, bad *string, good string) []Member {

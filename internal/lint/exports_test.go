@@ -51,14 +51,6 @@ var testOnlyExportKeepPkgs = map[string]string{
 	"dora/internal/cluster/harness": "test-support package: an in-process cluster for other packages' tests",
 }
 
-// implicitMethods are method names the standard library calls through
-// interfaces the module never names itself.
-var implicitMethods = map[string]bool{
-	"String": true, "GoString": true, "Format": true, "Error": true,
-	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
-	"ServeHTTP": true,
-}
-
 // TestNoTestOnlyExports fails on an exported function or method that no
 // non-test code of the module calls and that the keep list does not
 // name: such code is surface kept green for its own tests only. A
@@ -138,7 +130,7 @@ func testOnlyExports(mod *Module) []string {
 				}
 				name := p.Path + "." + fd.Name.Name
 				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-					if ifaceMethods[fd.Name.Name] || implicitMethods[fd.Name.Name] {
+					if ifaceMethods[fd.Name.Name] {
 						continue
 					}
 					rt := recv.Type()
