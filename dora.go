@@ -83,10 +83,11 @@ type (
 	Intensity = corun.Intensity
 
 	// Telemetry types (see internal/telemetry). Sample is one per-slice
-	// observability record; Sink fans samples out to subscribers, with
-	// optional decimation; Tracer records Chrome trace_event spans; DecisionLog
-	// captures one record per governor decision; Registry accumulates
-	// counters, gauges, and histograms with Prometheus/JSON exposition.
+	// observability record; Sink fans samples out to subscribers with
+	// optional decimation; Tracer records Chrome trace_event spans;
+	// DecisionLog captures one record per governor decision; Registry
+	// accumulates counters, gauges, and histograms with Prometheus/JSON
+	// exposition.
 	Sample      = telemetry.Sample
 	Sink        = telemetry.Sink
 	SinkOptions = telemetry.SinkOptions
